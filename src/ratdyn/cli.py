@@ -9,20 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import analysis, closed_form, dynamics
 from .equation import Branch, EquationSpec
-from .errors import (
-    ForbiddenInitialCondition,
-    InitialAtMinusPhiPlus,
-    NearSingularity,
-    RatdynError,
-    Singularity,
-    ZeroDenominator,
-)
-from .horadam import HoradamSpec, IdentityKind, check_identity, horadam_range
+from .errors import RatdynError, SingularInput
+# bench/trace_run.py wraps this module's `horadam_range` and `check_identity`.
+from .horadam import HoradamSpec, check_identity, horadam_range, identity_battery  # noqa: F401
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -45,6 +40,16 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _branch_arg(text: str) -> Branch:
@@ -74,6 +79,16 @@ def _emit_series(pairs, args, status=None, meta=None) -> None:
         print(f"{n},{fmt(v)}")
 
 
+def _emit_rows(args, key, columns, rows) -> None:
+    """A small table as CSV under a header, or as JSON {key: [one object per row]}."""
+    if args.format == "json":
+        print(json.dumps({key: [dict(zip(columns, row)) for row in rows]}, sort_keys=True))
+        return
+    print(",".join(columns))
+    for row in rows:
+        print(",".join(map(str, row)))
+
+
 def _cmd_horadam(args) -> int:
     spec = HoradamSpec(args.a, args.b, args.p, args.q)
     values = horadam_range(spec, args.start, args.stop)
@@ -93,7 +108,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
-    values = [closed_form.solve_closed_form(eq, args.x0, n) for n in range(args.n + 1)]
+    values = closed_form.closed_form_series(eq, args.x0, args.n)
     _emit_series(list(enumerate(values)), args)
     return EXIT_OK
 
@@ -101,15 +116,7 @@ def _cmd_closed_form(args) -> int:
 def _cmd_forbidden(args) -> int:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     points = closed_form.forbidden_points(eq, args.depth)
-    if args.format == "json":
-        print(json.dumps(
-            {"forbidden": [{"m": pt.m, "value": fmt(pt.value)} for pt in points]},
-            sort_keys=True,
-        ))
-    else:
-        print("m,value")
-        for pt in points:
-            print(f"{pt.m},{fmt(pt.value)}")
+    _emit_rows(args, "forbidden", ("m", "value"), [(pt.m, fmt(pt.value)) for pt in points])
     return EXIT_OK
 
 
@@ -130,86 +137,34 @@ def _cmd_analyze(args) -> int:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     reports = [analysis.classify_stability(eq, rep) for rep in analysis.equilibria(eq)]
     rows = [
-        {
-            "value": fmt(rep.value),
-            "multiplier": fmt(rep.multiplier),
-            "classification": rep.classification.value,
-            "bracket": rep.bracket.value,
-        }
+        (fmt(rep.value), fmt(rep.multiplier), rep.classification.value, rep.bracket.value)
         for rep in reports
     ]
-    if args.format == "json":
-        print(json.dumps({"equilibria": rows}, sort_keys=True))
-    else:
-        print("value,multiplier,classification,bracket")
-        for row in rows:
-            print(f"{row['value']},{row['multiplier']},{row['classification']},{row['bracket']}")
+    _emit_rows(args, "equilibria", ("value", "multiplier", "classification", "bracket"), rows)
     return EXIT_OK
 
 
 def _cmd_period2(args) -> int:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     cycle = analysis.solve_period_two(eq, args.tol)
+    columns = ("phi", "psi", "residual", "approx_phi", "approx_psi")
+    row = None if cycle is None else tuple(
+        fmt(v) for v in (cycle.phi, cycle.psi, cycle.residual, *cycle.approx_form))
     if args.format == "json":
-        payload = None
-        if cycle is not None:
-            payload = {
-                "phi": fmt(cycle.phi),
-                "psi": fmt(cycle.psi),
-                "residual": fmt(cycle.residual),
-                "approx_phi": fmt(cycle.approx_form[0]),
-                "approx_psi": fmt(cycle.approx_form[1]),
-            }
-        print(json.dumps({"cycle": payload}, sort_keys=True))
-        return EXIT_OK
-    print("phi,psi,residual,approx_phi,approx_psi")
-    if cycle is None:
-        print("none")
+        print(json.dumps({"cycle": None if row is None else dict(zip(columns, row))},
+                         sort_keys=True))
     else:
-        print(
-            f"{fmt(cycle.phi)},{fmt(cycle.psi)},{fmt(cycle.residual)},"
-            f"{fmt(cycle.approx_form[0])},{fmt(cycle.approx_form[1])}"
-        )
+        print(",".join(columns))
+        print("none" if row is None else ",".join(row))
     return EXIT_OK
 
 
-def _identity_battery(nmax: int):
-    """Deterministic index tuples per identity kind, bounded by nmax."""
-    batches = {
-        IdentityKind.CONVOLUTION: [
-            (n, k) for n in range(2, nmax + 1) for k in range(0, n - 1)
-        ],
-        IdentityKind.CASSINI: [(n,) for n in range(1, nmax + 1)],
-        IdentityKind.DOCAGNE: [
-            (n, r) for n in range(1, nmax + 1) for r in range(1, nmax + 1 - n)
-        ],
-        IdentityKind.JOHNSON: [
-            (k, l, m, k + l - m, r)
-            for r in range(1, 4)
-            for k in range(0, 8)
-            for l in range(0, 8)
-            for m in range(0, 8)
-        ],
-        IdentityKind.PHI_POWER: [(n,) for n in range(1, nmax + 1)],
-    }
-    return batches
-
-
 def _cmd_identities(args) -> int:
-    spec = HoradamSpec.canonical(args.p, args.q)
-    all_zero = True
+    rows = identity_battery(HoradamSpec.canonical(args.p, args.q), args.nmax)
     print("kind,checks,max_abs_residual")
-    for kind, tuples in _identity_battery(args.nmax).items():
-        worst = Fraction(0)
-        for indices in tuples:
-            residual = check_identity(kind, spec, indices)
-            parts = residual if isinstance(residual, tuple) else (residual,)
-            for part in parts:
-                worst = max(worst, abs(part))
-        if worst != 0:
-            all_zero = False
-        print(f"{kind.value},{len(tuples)},{fmt(worst)}")
-    return EXIT_OK if all_zero else EXIT_IDENTITY_FAILURE
+    for kind, checks, worst in rows:
+        print(f"{kind.value},{checks},{fmt(worst)}")
+    return EXIT_OK if all(worst == 0 for _, _, worst in rows) else EXIT_IDENTITY_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("period2", help="prime two-cycle, if one exists")
     add_common(sp, nu=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_tol_arg, default=1e-10)
     sp.set_defaults(fn=_cmd_period2)
 
     sp = sub.add_parser("identities", help="exact identity battery; exit 1 on any failure")
@@ -283,13 +238,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        ForbiddenInitialCondition,
-        InitialAtMinusPhiPlus,
-        Singularity,
-        NearSingularity,
-        ZeroDenominator,
-    ) as exc:
+    except SingularInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (RatdynError, ValueError) as exc:

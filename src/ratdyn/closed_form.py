@@ -76,8 +76,13 @@ def forbidden_points(eq: EquationSpec, depth: int) -> List[ForbiddenPoint]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ws = canonical_table(eq.p, eq.q, depth + 1)
-    sign = -1 if eq.branch is Branch.PLUS else 1
-    return [ForbiddenPoint(m, sign * ws[m + 1] / ws[m]) for m in range(1, depth + 1)]
+    return [ForbiddenPoint(m, -eq.sign * ws[m + 1] / ws[m]) for m in range(1, depth + 1)]
+
+
+def _denominator(ws: List[Fraction], sign: int, x0: Fraction, m: int) -> Fraction:
+    """W(m+1) + sign*x0*W(m): the closed-form denominator at step m, which
+    vanishes exactly when x0 is forbidden at depth m (sign = +1 plus, -1 minus)."""
+    return ws[m + 1] + sign * x0 * ws[m]
 
 
 def forbidden_depth(eq: EquationSpec, x0: Rational, depth: int = 64) -> Optional[int]:
@@ -89,15 +94,12 @@ def forbidden_depth(eq: EquationSpec, x0: Rational, depth: int = 64) -> Optional
     _require_nu_one(eq)
     x0 = as_fraction(x0)
     ws = canonical_table(eq.p, eq.q, depth + 1)
-    sign = 1 if eq.branch is Branch.PLUS else -1
-    for m in range(1, depth + 1):
-        if ws[m + 1] + sign * x0 * ws[m] == 0:
-            return m
-    return None
+    return next((m for m in range(1, depth + 1) if _denominator(ws, eq.sign, x0, m) == 0), None)
 
 
-def solve_closed_form(eq: EquationSpec, x0: Rational, n: int) -> Fraction:
-    """Value of the orbit at index n straight from the closed form.
+def closed_form_series(eq: EquationSpec, x0: Rational, n: int) -> List[Fraction]:
+    """Orbit values x(0), ..., x(n) from the closed form, read off one table
+    W(0..n+1): x(m) = sign*q * den(m-1) / den(m) with den from `_denominator`.
 
     Equals exact forward iteration whenever the orbit exists; raises
     ForbiddenInitialCondition(m) for the first m <= n whose denominator
@@ -108,15 +110,16 @@ def solve_closed_form(eq: EquationSpec, x0: Rational, n: int) -> Fraction:
         raise ValueError("n must be nonnegative")
     x0 = as_fraction(x0)
     ws = canonical_table(eq.p, eq.q, n + 1)
-    sign = 1 if eq.branch is Branch.PLUS else -1
-    for m in range(1, n + 1):
-        if ws[m + 1] + sign * x0 * ws[m] == 0:
-            raise ForbiddenInitialCondition(m)
-    if n == 0:
-        return x0
-    if eq.branch is Branch.PLUS:
-        return eq.q * (ws[n] + x0 * ws[n - 1]) / (ws[n + 1] + x0 * ws[n])
-    return -eq.q * (ws[n] - x0 * ws[n - 1]) / (ws[n + 1] - x0 * ws[n])
+    dens = [_denominator(ws, eq.sign, x0, m) for m in range(n + 1)]  # dens[0] = W(1) = 1
+    if 0 in dens:
+        raise ForbiddenInitialCondition(dens.index(0))
+    return [x0] + [eq.sign * eq.q * dens[m - 1] / dens[m] for m in range(1, n + 1)]
+
+
+def solve_closed_form(eq: EquationSpec, x0: Rational, n: int) -> Fraction:
+    """Value of the orbit at index n straight from the closed form; the last
+    entry of `closed_form_series`, with the same ForbiddenInitialCondition."""
+    return closed_form_series(eq, x0, n)[n]
 
 
 class RootChoice(Enum):
@@ -188,8 +191,7 @@ def product_closed_form(p: Rational, q: Rational, x0: Rational, n: int) -> Fract
     """Running product x0*x1*...*xn of the plus-branch orbit as the single
     rational expression q**n * x0 / (W(n+1) + x0*W(n))."""
     p, q, x0 = as_fraction(p), as_fraction(q), as_fraction(x0)
-    ws = canonical_table(p, q, n + 1)
-    den = ws[n + 1] + x0 * ws[n]
+    den = _denominator(canonical_table(p, q, n + 1), 1, x0, n)
     if den == 0:
         raise ZeroDenominator(f"product denominator vanishes at n = {n}")
     return q ** n * x0 / den
@@ -309,10 +311,7 @@ def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
     x = -ws[n + r + 1] / ws[n + r]
     prod = Fraction(1)
     for _ in range(n):
-        try:
-            x = dynamics.step(eq, x)
-        except Singularity as exc:  # unreachable for admissible n, r
-            raise ZeroDenominator(str(exc))
+        x = dynamics.step(eq, x)
         prod *= x
     return (-1) ** n * prod
 
@@ -330,10 +329,9 @@ def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:
         raise ValueError("r must be >= 1")
     if n <= r:
         raise ValueError("n must exceed r")
-    ws = canonical_table(p, q, max(n, r) + 1)
+    ws = canonical_table(p, q, n + 1)
     x0 = -ws[r + 1] / ws[r]
-    den = ws[n + 1] + x0 * ws[n]
+    den = _denominator(ws, 1, x0, n)
     if den == 0:
         raise ZeroDenominator("product expression undefined at this index pair")
-    prod = q ** n / den
-    return (-1) ** (r + 1) * q ** (r - n) * prod
+    return (-1) ** (r + 1) * q ** r / den  # q**(r-n) times the product q**n / den

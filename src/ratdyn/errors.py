@@ -17,11 +17,15 @@ class IndexConstraintViolated(RatdynError):
     """Identity index tuple violates its admissibility constraints."""
 
 
-class ZeroDenominator(RatdynError):
+class SingularInput(RatdynError):
+    """Base class for singular or forbidden input (CLI exit code 3)."""
+
+
+class ZeroDenominator(SingularInput):
     """A denominator that must be nonzero vanished."""
 
 
-class ForbiddenInitialCondition(RatdynError):
+class ForbiddenInitialCondition(SingularInput):
     """Initial condition whose forward orbit hits a zero denominator."""
 
     def __init__(self, depth, message=None):
@@ -29,15 +33,15 @@ class ForbiddenInitialCondition(RatdynError):
         super().__init__(message or f"initial condition hits a singularity at step {depth}")
 
 
-class InitialAtMinusPhiPlus(RatdynError):
+class InitialAtMinusPhiPlus(SingularInput):
     """Initial condition sits on the repelling fixed point excluded from product limits."""
 
 
-class Singularity(RatdynError):
+class Singularity(SingularInput):
     """Exact-plane step produced a zero denominator."""
 
 
-class NearSingularity(RatdynError):
+class NearSingularity(SingularInput):
     """Floating-plane step tripped the near-zero denominator guard."""
 
 

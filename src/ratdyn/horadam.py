@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple, Union
+from itertools import islice
+from typing import Iterator, Tuple, Union
 
 from .equation import Rational, as_fraction
 from .errors import (
@@ -52,35 +53,41 @@ class HoradamSpec:
         return self.a == 0 and self.b == 1
 
 
+def _step(p: Fraction, q: Fraction, w0: Fraction, w1: Fraction) -> Tuple[Fraction, Fraction]:
+    """The core pair step (W(k), W(k+1)) -> (W(k+1), W(k+2)) of W(n+1) = p*W(n) + q*W(n-1)."""
+    return w1, p * w1 + q * w0
+
+
+def _walk(spec: HoradamSpec, backward: bool = False) -> Iterator[Fraction]:
+    """W(0), W(1), ... or, backward, W(0), W(-1), ...; one `_step` per term.  The
+    backward recurrence is the forward one with coefficients (-p/q, 1/q), from (W(1), W(0))."""
+    p, q, w0, w1 = spec.p, spec.q, spec.a, spec.b
+    if backward:
+        if q == 0:
+            raise ZeroDenominator("negative indices require q != 0")
+        p, q = -p / q, 1 / q
+        w0, w1 = _step(p, q, w1, w0)
+    while True:
+        yield w0
+        w0, w1 = _step(p, q, w0, w1)
+
+
 def horadam_at(spec: HoradamSpec, n: int) -> Fraction:
     """Return W(n) exactly; n may be negative (backward recurrence, divides by q)."""
-    if n >= 0:
-        w0, w1 = spec.a, spec.b
-        for _ in range(n):
-            w0, w1 = w1, spec.p * w1 + spec.q * w0
-        return w0
-    if spec.q == 0:
-        raise ZeroDenominator("negative indices require q != 0")
-    w0, w1 = spec.a, spec.b
-    for _ in range(-n):
-        w0, w1 = (w1 - spec.p * w0) / spec.q, w0
-    return w0
+    return next(islice(_walk(spec, n < 0), abs(n), None))
 
 
 def horadam_range(spec: HoradamSpec, start: int, stop: int) -> list:
-    """W(start), ..., W(stop) inclusive, computed in one sweep."""
+    """W(start), ..., W(stop) inclusive, from one sweep out of index 0 to each end."""
     if stop < start:
         raise ValueError("stop must be >= start")
-    return [horadam_at(spec, n) for n in range(start, stop + 1)]
+    below = list(islice(_walk(spec, True), max(-stop, 1), 1 - start)) if start < 0 else []
+    return below[::-1] + list(islice(_walk(spec), max(start, 0), max(stop + 1, 0)))
 
 
 def canonical_table(p: Rational, q: Rational, upto: int) -> list:
     """W(0..upto) for the canonical (0, 1; p, q) sequence."""
-    p, q = as_fraction(p), as_fraction(q)
-    ws = [Fraction(0), Fraction(1)]
-    while len(ws) <= upto:
-        ws.append(p * ws[-1] + q * ws[-2])
-    return ws[: upto + 1]
+    return horadam_range(HoradamSpec.canonical(p, q), 0, upto)
 
 
 @dataclass(frozen=True)
@@ -132,17 +139,21 @@ class QuadraticElement:
 
 
 def phi_power(p: Rational, q: Rational, n: int) -> QuadraticElement:
-    """phi**n by exact repeated multiplication in the quadratic ring.
+    """phi**n by exact square-and-multiply in the quadratic ring.
 
     For the canonical sequence the coordinates come out as
-    phi**n = q*W(n-1) + W(n)*phi.
+    phi**n = q*W(n-1) + W(n)*phi.  The ring product never reads W, so the
+    phi-power identity checks the recurrence against independent arithmetic.
     """
     if n < 0:
         raise IndexConstraintViolated("phi_power requires n >= 0")
     acc = QuadraticElement.one(p, q)
     base = QuadraticElement.phi(p, q)
-    for _ in range(n):
-        acc = acc * base
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
     return acc
 
 
@@ -193,9 +204,21 @@ class IdentityKind(Enum):
     PHI_POWER = "phi_power"
 
 
-def _require_canonical(spec: HoradamSpec) -> None:
+def _identity_terms(spec: HoradamSpec):
+    """i -> W(i) of a canonical spec for one identity check or one battery: a
+    table per direction, extended by stepping its walk on, so each term is
+    computed once."""
     if not spec.is_canonical:
         raise SpecNotCanonical("identity checks are stated for seeds (0, 1)")
+    ahead, behind = ([], _walk(spec)), ([], _walk(spec, True))
+
+    def w(i: int) -> Fraction:
+        table, walk = ahead if i >= 0 else behind
+        while len(table) <= abs(i):
+            table.append(next(walk))
+        return table[abs(i)]
+
+    return w
 
 
 def check_identity(
@@ -218,8 +241,11 @@ def check_identity(
     The phi-power law carries the factor q on W(n-1); dropping it is only
     valid when q = 1.
     """
-    _require_canonical(spec)
-    w = lambda i: horadam_at(spec, i)
+    return _residual(kind, spec, indices, _identity_terms(spec))
+
+
+def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], w):
+    """check_identity with W(i) read as w(i)."""
     q = spec.q
 
     if kind is IdentityKind.CONVOLUTION:
@@ -256,6 +282,33 @@ def check_identity(
         return (element.u - q * w(n - 1), element.v - w(n))
 
     raise ValueError(f"unknown identity kind: {kind!r}")
+
+
+def identity_battery(spec: HoradamSpec, nmax: int) -> list:
+    """(kind, checks, largest |residual|) per kind over a deterministic battery
+    of index tuples bounded by nmax.  Every W(i) comes from one `_identity_terms`
+    table shared by the whole battery.
+    """
+    w = _identity_terms(spec)
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    batches = {
+        IdentityKind.CONVOLUTION: [(n, k) for n in range(2, nmax + 1) for k in range(n - 1)],
+        IdentityKind.CASSINI: [(n,) for n in range(1, nmax + 1)],
+        IdentityKind.DOCAGNE: [(n, r) for n in range(1, nmax + 1) for r in range(1, nmax + 1 - n)],
+        IdentityKind.JOHNSON: [(k, l, m, k + l - m, r) for r in range(1, 4)
+                               for k in range(8) for l in range(8) for m in range(8)],
+        IdentityKind.PHI_POWER: [(n,) for n in range(1, nmax + 1)],
+    }
+    rows = []
+    for kind, tuples in batches.items():
+        worst = Fraction(0)
+        for indices in tuples:
+            residual = _residual(kind, spec, indices, w)
+            for part in residual if isinstance(residual, tuple) else (residual,):
+                worst = max(worst, abs(part))
+        rows.append((kind, len(tuples), worst))
+    return rows
 
 
 def ratio_estimate(spec: HoradamSpec, r: int, n: int) -> float:

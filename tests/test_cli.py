@@ -7,6 +7,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from ratdyn.cli import run
 
 
@@ -210,6 +212,29 @@ def test_identities_exit_zero(capsys):
     lines = out.splitlines()
     assert lines[0] == "kind,checks,max_abs_residual"
     assert all(line.endswith(",0") for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["closed-form", "--branch", "plus", "--p", "1", "--q", "1", "--x0", "1", "--n", "-1"],
+    ["identities", "--p", "1", "--q", "1", "--nmax", "0"],
+    ["identities", "--p", "1", "--q", "1", "--nmax", "-3"],
+    ["horadam", "--p", "1", "--q", "1", "--from", "5", "--to", "2"],
+])
+def test_empty_ranges_exit_two_without_output(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3", "zebra"])
+def test_period2_rejects_bad_tol_at_parse_time(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        run(["period2", "--branch", "plus", "--p", "1", "--q", "2", "--nu", "3", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --tol: must be a finite positive number, got {tol!r}" in captured.err
 
 
 def test_unknown_flag_exits_two():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ratdyn.closed_form import (
     RootChoice,
+    closed_form_series,
     asymptotic_limit,
     conjugate_orbit_check,
     docagne_product,
@@ -80,6 +81,37 @@ def test_closed_form_equals_iteration_exactly():
         for n in range(41):
             assert solve_closed_form(eq, x0, n) == oracle[n]
         checked += 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    branch=st.sampled_from(Branch),
+    p=st.fractions(min_value=Fraction(1, 4), max_value=5, max_denominator=4),
+    q=st.fractions(min_value=Fraction(1, 4), max_value=7, max_denominator=4),
+    x0=st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    depth=st.integers(1, 12),
+    forbidden=st.booleans(),
+    n=st.integers(0, 30),
+)
+def test_closed_form_series_matches_exact_iteration(branch, p, q, x0, depth, forbidden, n):
+    eq = EquationSpec(branch, p, q, 1)
+    if forbidden:
+        x0 = forbidden_points(eq, depth)[-1].value
+    orbit = iterate(eq, x0, n, Plane.EXACT)
+    if orbit.status.ok:
+        assert closed_form_series(eq, x0, n) == list(orbit.values)
+        assert solve_closed_form(eq, x0, n) == orbit.values[n]
+    else:
+        assert orbit.status.kind is StatusKind.HIT_SINGULARITY
+        with pytest.raises(ForbiddenInitialCondition) as err:
+            closed_form_series(eq, x0, n)
+        assert err.value.depth == orbit.status.step == forbidden_depth(eq, x0, n)
+        assert closed_form_series(eq, x0, err.value.depth - 1) == list(orbit.values)
+
+
+def test_closed_form_series_rejects_negative_n():
+    with pytest.raises(ValueError):
+        closed_form_series(EquationSpec.plus(1, 1), 1, -1)
 
 
 def test_closed_form_requires_nu_one():

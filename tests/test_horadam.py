@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from ratdyn import closed_form, horadam
+from ratdyn.equation import EquationSpec
 
 from ratdyn.errors import (
     IndexConstraintViolated,
@@ -21,9 +24,11 @@ from ratdyn.horadam import (
     IdentityKind,
     QuadraticElement,
     binet_roots,
+    canonical_table,
     check_identity,
     horadam_at,
     horadam_range,
+    identity_battery,
     phi_power,
     ratio_estimate,
 )
@@ -90,6 +95,83 @@ def test_recurrence_consistency(a, b, p, q, n):
 def test_horadam_range_matches_pointwise():
     spec = HoradamSpec.canonical(2, 3)
     assert horadam_range(spec, -4, 6) == [horadam_at(spec, n) for n in range(-4, 7)]
+
+
+def naive_w(spec, n):
+    """W(n) by its own walk from the seeds: the per-index reference."""
+    w0, w1 = spec.a, spec.b
+    for _ in range(n):
+        w0, w1 = w1, spec.p * w1 + spec.q * w0
+    for _ in range(-n):
+        w0, w1 = (w1 - spec.p * w0) / spec.q, w0
+    return w0
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(a=RATIONALS, b=RATIONALS, p=RATIONALS, q=RATIONALS,
+       start=st.integers(-25, 25), length=st.integers(0, 30))
+def test_sweep_matches_naive_walk(a, b, p, q, start, length):
+    assume(q != 0 and p * p + 4 * q != 0)
+    spec, stop = HoradamSpec(a, b, p, q), start + length
+    expected = [naive_w(spec, n) for n in range(start, stop + 1)]
+    assert horadam_range(spec, start, stop) == expected
+    assert horadam_at(spec, start) == expected[0]
+    assert horadam_at(spec, stop) == expected[-1]
+    if start == 0:
+        assert canonical_table(p, q, stop) == [naive_w(HoradamSpec.canonical(p, q), n)
+                                               for n in range(stop + 1)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=RATIONALS, b=RATIONALS, p=RATIONALS.filter(bool),
+       start=st.integers(-25, 25), length=st.integers(0, 30))
+def test_sweep_with_zero_q(a, b, p, start, length):
+    spec, stop = HoradamSpec(a, b, p, 0), start + length
+    if start < 0:
+        with pytest.raises(ZeroDenominator):
+            horadam_range(spec, start, stop)
+        with pytest.raises(ZeroDenominator):
+            horadam_at(spec, start)
+    else:
+        expected = [naive_w(spec, n) for n in range(start, stop + 1)]
+        assert horadam_range(spec, start, stop) == expected
+
+
+def _count_steps(monkeypatch, work, n):
+    calls, step = [], horadam._step
+    with monkeypatch.context() as patch:
+        patch.setattr(horadam, "_step", lambda *args: calls.append(args) or step(*args))
+        work(n)
+    return len(calls)
+
+
+@pytest.mark.parametrize("work", [
+    lambda n: horadam_range(HoradamSpec(Fraction(1, 3), 2, 3, Fraction(1, 2)), -n, n),
+    lambda n: closed_form.closed_form_series(EquationSpec.minus(2, 3), Fraction(-1, 2), n),
+    lambda n: identity_battery(HoradamSpec.canonical(2, 3), n),
+], ids=["horadam_range", "closed_form_series", "identity_battery"])
+def test_recurrence_steps_grow_linearly(monkeypatch, work):
+    # Counts of the core step, not time: a per-index walk would grow 16-fold.
+    small, large = (_count_steps(monkeypatch, work, n) for n in (20, 80))
+    assert 0 < small and large <= 4 * small
+
+
+def test_identity_battery_rows_and_validation():
+    spec = HoradamSpec.canonical(2, 3)
+    rows = identity_battery(spec, 6)
+    assert [(kind, checks) for kind, checks, _ in rows] == [
+        (IdentityKind.CONVOLUTION, 15), (IdentityKind.CASSINI, 6), (IdentityKind.DOCAGNE, 15),
+        (IdentityKind.JOHNSON, 1536), (IdentityKind.PHI_POWER, 6)]
+    assert all(worst == 0 for _, _, worst in rows)
+    # Johnson tuples read W down to index -10, through the backward walk.
+    assert check_identity(IdentityKind.JOHNSON, spec, (0, 0, 7, -7, 3)) == 0
+    with pytest.raises(ValueError):
+        identity_battery(spec, 0)
+    with pytest.raises(SpecNotCanonical):
+        identity_battery(HoradamSpec(1, 1, 1, 1), 5)
 
 
 def test_spec_invariant_rejects_double_root():
