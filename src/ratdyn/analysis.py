@@ -2,11 +2,14 @@
 
 Equilibria are roots of x**(nu+1) + sign*p*x - q (sign +1 on the plus
 branch, -1 on minus), located by sign-bracketed bisection and polished by
-Newton steps.  Two-cycles are found as sign changes of the second-iterate
-displacement g(x) = f(f(x)) - x, with the sign of g evaluated in exact
-rational arithmetic; this makes the existence decision immune to floating
-noise near degenerate tangencies, where a float root-finder can stall on a
-pseudo-root.
+Newton steps.  Every two-cycle comes from one search, _cycle_search: a scan
+of a rational grid for a sign change of an exact sign predicate, exact
+bisection, then Newton polish on the cycle system.  A region supplies only
+its predicate and grid: g(x) = f(f(x)) - x above the equilibrium on the plus
+branch (mirrored for odd nu on minus), and a one-variable reduction of the
+cycle equations in the mixed-sign region for even nu on minus.  Exact signs
+make the existence decision immune to floating noise near degenerate
+tangencies, where a float root-finder can stall on a pseudo-root.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
 from .errors import NotAnEquilibrium
@@ -210,28 +213,6 @@ def _second_iterate_sign(eq: EquationSpec, x: Fraction) -> Optional[int]:
     return _sign_of(eq.q / den2 - x)
 
 
-def _exact_bisect_cycle(
-    eq: EquationSpec, lo: Fraction, hi: Fraction, width: Fraction, iterations: int = 80
-) -> Fraction:
-    """Shrink [lo, hi] with sign(g(lo)) > 0 > sign(g(hi)) onto a root of g."""
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        s = _second_iterate_sign(eq, mid)
-        if s is None or s == 0:
-            return mid
-        if s > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < width:
-            break
-    return (lo + hi) / 2
-
-
-def _bisect_width(tol: float) -> Fraction:
-    return Fraction(min(tol, 1e-12))
-
-
 def _cycle_newton(eq: EquationSpec, phi: float, psi: float, rounds: int = 8) -> Tuple[float, float]:
     """Polish the pair on the full 2x2 cycle system for machine-level residuals."""
     p, q, nu, s = float(eq.p), float(eq.q), eq.nu, eq.sign
@@ -258,47 +239,46 @@ def _cycle_residual(eq: EquationSpec, phi: float, psi: float) -> float:
     )
 
 
-def _positive_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
-    """Two-cycle of the plus branch inside (equilibrium, q/p].
+def _cycle_search(
+    eq: EquationSpec,
+    sign: Callable[[Fraction], Optional[int]],
+    grid: Sequence[Fraction],
+    tol: float,
+) -> Optional[PeriodTwoCycle]:
+    """Two-cycle through a root of an exact sign predicate.
 
-    On positive values the map is strictly decreasing, so its second iterate
-    is increasing and any cycle straddles the equilibrium; a cycle exists iff
-    g > 0 somewhere above it.  The scan evaluates exact signs on a rational
-    grid, so a degenerate tangency (second iterate touching the diagonal at
-    the equilibrium alone) can never produce a false positive.
+    Scans the ascending grid for the first zero of `sign` or the first
+    consecutive (+, -) pair, skipping points where `sign` is None (outside
+    the region), bisects that bracket exactly to width min(tol, 1e-12) and
+    finishes the root as phi.  No bracket on the grid means no cycle.
     """
-    p, q = eq.p, eq.q
-    xbar = equilibria(eq)[0].value
-    hi = q / p
-    xbar_f = Fraction(xbar)
-    if xbar_f >= hi:
-        return None
-    width = hi - xbar_f
-
-    s_hi = _second_iterate_sign(eq, hi)
-    if s_hi == 0:
-        return _finish_cycle(eq, hi)
-
-    offsets = [Fraction(1, 10 ** k) for k in range(9, 0, -1)]
-    offsets += [Fraction(j, 64) for j in range(1, 64)]
-    lo_pt: Optional[Fraction] = None
-    hi_pt: Optional[Fraction] = None
-    for tau in sorted(set(offsets)):
-        point = xbar_f + width * tau
-        s = _second_iterate_sign(eq, point)
+    lo: Optional[Fraction] = None  # last grid point with sign +1
+    for point in grid:
+        s = sign(point)
+        if s is None:
+            continue
         if s == 0:
             return _finish_cycle(eq, point)
-        if s is not None and s > 0:
-            lo_pt = point
-        elif lo_pt is not None:
-            hi_pt = point
+        if s < 0 and lo is not None:
+            hi = point
             break
-    if lo_pt is None:
+        lo = point if s > 0 else None
+    else:
         return None
-    if hi_pt is None:
-        hi_pt = hi
-    root = _exact_bisect_cycle(eq, lo_pt, hi_pt, _bisect_width(tol))
-    return _finish_cycle(eq, root)
+
+    width = Fraction(min(tol, 1e-12))
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s is None or s == 0:
+            return _finish_cycle(eq, mid)
+        if s > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < width:
+            break
+    return _finish_cycle(eq, (lo + hi) / 2)
 
 
 def _finish_cycle(eq: EquationSpec, root: Fraction) -> Optional[PeriodTwoCycle]:
@@ -325,6 +305,27 @@ def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
         return (-q / p, -q / (p + ratio_pow))
     den = -p + ratio_pow
     return (-q / p, q / den if den != 0.0 else float("inf"))
+
+
+def _positive_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
+    """Two-cycle of the plus branch inside (equilibrium, q/p].
+
+    On positive values the map is strictly decreasing, so its second iterate
+    is increasing and any cycle straddles the equilibrium; a cycle exists iff
+    g > 0 somewhere above it.  The grid ends at q/p, where g < 0 strictly
+    (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive grid point always
+    has a bracket.  Signs are exact, so a degenerate tangency (second
+    iterate touching the diagonal at the equilibrium alone) can never
+    produce a false positive.
+    """
+    xbar = Fraction(equilibria(eq)[0].value)
+    hi = eq.q / eq.p
+    if xbar >= hi:
+        return None
+    offsets = {Fraction(1, 10 ** k) for k in range(1, 10)}
+    offsets |= {Fraction(j, 64) for j in range(1, 65)}
+    grid = [xbar + (hi - xbar) * tau for tau in sorted(offsets)]
+    return _cycle_search(eq, lambda x: _second_iterate_sign(eq, x), grid, tol)
 
 
 def _mixed_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
@@ -361,49 +362,7 @@ def _mixed_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
         grid.append(Fraction(-(edge + span * (96 - j) / 96.0)).limit_denominator(10 ** 12))
     for k in range(1, 10):
         grid.append(Fraction(-(edge * (1.0 + 10.0 ** -k))).limit_denominator(10 ** 12))
-    grid = sorted(set(grid))  # ascending: from far-left toward the edge
-
-    prev_pt: Optional[Fraction] = None
-    prev_sign: Optional[int] = None
-    bracket: Optional[Tuple[Fraction, Fraction]] = None
-    for point in grid:
-        s = psi_sign(point)
-        if s is None:
-            continue
-        if s == 0:
-            bracket = (point, point)
-            break
-        if prev_sign == 1 and s == -1:
-            bracket = (prev_pt, point)
-            break
-        prev_pt, prev_sign = point, s
-    if bracket is None:
-        return None
-
-    lo, hi = bracket
-    if lo != hi:
-        width = _bisect_width(tol)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            s = psi_sign(mid)
-            if s is None or s == 0:
-                lo = hi = mid
-                break
-            if s > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < width:
-                break
-    alpha = float((lo + hi) / 2)
-    beta = float(q) / (alpha ** nu - float(p))
-    alpha, beta = _cycle_newton(eq, alpha, beta)
-    if abs(alpha - beta) <= CYCLE_SEPARATION:
-        return None
-    residual = _cycle_residual(eq, alpha, beta)
-    return PeriodTwoCycle(
-        phi=alpha, psi=beta, residual=residual, approx_form=_approx_form(eq)
-    )
+    return _cycle_search(eq, psi_sign, sorted(set(grid)), tol)
 
 
 def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwoCycle]:

@@ -1,8 +1,8 @@
 """Command-line interface: deterministic CSV/JSON export of every operation.
 
-Exit codes: 0 success, 1 failed identity suite, 2 flag errors (argparse),
-3 singular or forbidden input.  Exact rationals render as num/den strings,
-floats with 17 significant digits; both round-trip losslessly.
+Exit codes: 0 success, 1 failed identity suite, 2 flag errors (argparse) or
+a float overflow, 3 singular or forbidden input.  Exact rationals render as
+num/den strings, floats with 17 significant digits; both round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -243,6 +243,9 @@ def run(argv=None) -> int:
         return EXIT_SINGULAR
     except (RatdynError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -245,6 +245,10 @@ def test_no_cycle_at_flip_boundary():
     assert solve_period_two(EquationSpec.plus(1, 2, 2)) is None
     assert solve_period_two(EquationSpec.plus(2, 3, 3)) is None
     assert solve_period_two(EquationSpec.plus(3, 4, 4)) is None
+    assert solve_period_two(EquationSpec.plus(4, 5, 5)) is None
+    # the odd-nu minus branch mirrors the plus branch, tangency included
+    assert solve_period_two(EquationSpec.minus(2, 3, 3)) is None
+    assert solve_period_two(EquationSpec.minus(4, 5, 5)) is None
 
 
 def test_cycle_residual_and_quotient_identity():
@@ -281,6 +285,29 @@ def test_minus_even_mixed_cycle():
     assert f(cycle.phi) == pytest.approx(cycle.psi, rel=1e-9)
     assert f(cycle.psi) == pytest.approx(cycle.phi, rel=1e-9)
     assert cycle.phi == pytest.approx(-1.9067, abs=2e-3)
+
+
+def test_cycle_existence_matches_criterion_on_random_rationals():
+    # plus branch, and its odd-nu minus mirror: a prime two-cycle exists iff
+    # nu^nu p^(nu+1) < q^nu (nu-1)^(nu+1) (negative Schwarzian; equality is
+    # the flip tangency).  Minus branch, even nu: the mixed-sign cycle always
+    # exists (intermediate value theorem on the one-variable cycle map).
+    rng = random.Random(20151)
+    for _ in range(100):
+        p = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+        q = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+        nu = rng.randint(1, 12)
+        expected = nu ** nu * p ** (nu + 1) < q ** nu * (nu - 1) ** (nu + 1)
+        cases = [(EquationSpec.plus(p, q, nu), expected)]
+        cases.append((EquationSpec.minus(p, q, nu), expected if nu % 2 else True))
+        for eq, exists in cases:
+            cycle = solve_period_two(eq)
+            assert (cycle is not None) == exists, (eq, expected)
+            if cycle is None:
+                continue
+            assert cycle.residual < 1e-10 * max(1.0, float(q)), eq
+            if eq.branch is Branch.MINUS and nu % 2 == 0:
+                assert cycle.phi < 0 < cycle.psi, eq
 
 
 def test_smallest_even_cycle_exponent():

@@ -6,10 +6,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ratdyn.cli import run
+
+# `python -m ratdyn` finds the package in its working directory.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, argv):
@@ -243,6 +247,7 @@ def test_unknown_flag_exits_two():
          "--p", "1", "--q", "1", "--nu", "1", "--x0", "1", "--steps", "5",
          "--bogus", "1"],
         capture_output=True,
+        cwd=SRC,
     )
     assert result.returncode == 2
 
@@ -252,6 +257,7 @@ def test_bad_rational_exits_two():
         [sys.executable, "-m", "ratdyn", "simulate", "--branch", "plus",
          "--p", "zebra", "--q", "1", "--nu", "1", "--x0", "1", "--steps", "5"],
         capture_output=True,
+        cwd=SRC,
     )
     assert result.returncode == 2
 
@@ -261,6 +267,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "ratdyn", "horadam", "--p", "1", "--q", "1",
          "--from", "0", "--to", "15"],
         capture_output=True,
+        cwd=SRC,
         text=True,
     )
     assert result.returncode == 0

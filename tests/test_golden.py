@@ -73,7 +73,20 @@ CASES = {
     "period2_json": "period2 --branch plus --p 1 --q 2 --nu 6 --format json",
     "period2_none_csv": "period2 --branch plus --p 3 --q 4 --nu 2",
     "period2_none_json": "period2 --branch plus --p 3 --q 4 --nu 2 --format json",
+    # period2 in each search region: odd-nu mirror, mixed-sign, tangency mirror, loose tol
+    "period2_minus_odd_csv": "period2 --branch minus --p 1 --q 2 --nu 5",
+    "period2_minus_odd_json": "period2 --branch minus --p 1 --q 2 --nu 5 --format json",
+    "period2_mixed_csv": "period2 --branch minus --p 3 --q 1 --nu 2",
+    "period2_mixed_json": "period2 --branch minus --p 3 --q 1 --nu 2 --format json",
+    "period2_minus_tangency": "period2 --branch minus --p 2 --q 3 --nu 3",
+    "period2_plus_loose_tol": "period2 --branch plus --p 1 --q 4 --nu 12 --tol 1e-4",
     "horadam_bad_range": "horadam --p 1 --q 1 --from 5 --to 2",
+    # float overflow: exit 2, one error line, nothing on stdout
+    "overflow_period2_minus": "period2 --branch minus --p 1/10 --q 10 --nu 200",
+    "overflow_period2_plus": "period2 --branch plus --p 1/10 --q 10 --nu 200",
+    "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
+    "overflow_simulate_float":
+        "simulate --branch plus --p 1 --q 1 --nu 200 --x0 100 --steps 100 --plane float",
 }
 
 
