@@ -335,8 +335,11 @@ def _mixed_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
     and is a root of psi_fn(alpha) = alpha*(B**nu - p) - q with
     B = q/(alpha**nu - p).  No equilibrium can enter this region
     (alpha**nu > p forces the equilibrium polynomial negative), so any sign
-    change is a genuine prime cycle.
+    change is a genuine prime cycle.  Its image B has 0 < B**nu < p, so
+    |alpha| = q/(p - B**nu) > q/p: a float overflow of (q/p)**nu, which every
+    found cycle needs, is raised here before the exact scan.
     """
+    _approx_form(eq)  # raises that OverflowError, if any
     p, q, nu = eq.p, eq.q, eq.nu
 
     def psi_sign(alpha: Fraction) -> Optional[int]:

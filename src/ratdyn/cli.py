@@ -1,8 +1,12 @@
 """Command-line interface: deterministic CSV/JSON export of every operation.
 
-Exit codes: 0 success, 1 failed identity suite, 2 flag errors (argparse) or
-a float overflow, 3 singular or forbidden input.  Exact rationals render as
-num/den strings, floats with 17 significant digits; both round-trip losslessly.
+Each subcommand returns one `Table`, and `run` writes the rendered document
+to stdout once, after it has been computed: a run prints its whole document or
+nothing.  `simulate` stopped at a singularity is a complete document with its
+`# status=` line and exit 3.  Exit codes: 0 success, 1 failed identity suite,
+2 flag errors, a float overflow, or an exact value too large to print, 3
+singular or forbidden input.  Exact rationals render as num/den strings,
+floats with 17 significant digits; both round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple, Optional, Tuple
 
 from . import analysis, closed_form, dynamics
 from .equation import Branch, EquationSpec
@@ -26,8 +31,6 @@ EXIT_SINGULAR = 3
 
 
 def fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, bool):
@@ -59,112 +62,108 @@ def _branch_arg(text: str) -> Branch:
         raise argparse.ArgumentTypeError("branch must be 'plus' or 'minus'") from exc
 
 
-def _emit_series(pairs, args, status=None, meta=None) -> None:
-    if args.format == "json":
-        payload = {"series": [{"n": n, "value": fmt(v)} for n, v in pairs]}
-        if status is not None:
-            payload["status"] = status
-        if meta:
-            payload["meta"] = meta
-        print(json.dumps(payload, sort_keys=True))
-        return
-    if meta:
-        for key in sorted(meta):
-            print(f"# {key}={meta[key]}")
-    if status is not None:
-        print(f"# status={status['kind']}"
-              + (f" step={status['step']}" if status.get("step") is not None else ""))
-    print("n,value")
-    for n, v in pairs:
-        print(f"{n},{fmt(v)}")
+class Table(NamedTuple):
+    """One subcommand's result.  `rows` is an iterable of row tuples (a JSON
+    array under `key`), or one row tuple or None (a JSON object or null; CSV
+    prints `none`).  `meta` and `status` add `#` lines or JSON keys."""
+
+    key: str
+    columns: Tuple[str, ...]
+    rows: object
+    meta: Optional[dict] = None
+    status: Optional[dict] = None
 
 
-def _emit_rows(args, key, columns, rows) -> None:
-    """A small table as CSV under a header, or as JSON {key: [one object per row]}."""
-    if args.format == "json":
-        print(json.dumps({key: [dict(zip(columns, row)) for row in rows]}, sort_keys=True))
-        return
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(map(str, row)))
+def _json_cell(value):
+    return value if type(value) is int else fmt(value)  # indices and counts stay numbers
 
 
-def _cmd_horadam(args) -> int:
+def render(table: Table, args) -> str:
+    """The whole CSV or JSON document of `table`, newline-terminated."""
+    one = table.rows is None or isinstance(table.rows, tuple)
+    rows = [table.rows] if one else table.rows
+    try:
+        if getattr(args, "format", "csv") == "json":
+            records = [None if row is None else dict(zip(table.columns, map(_json_cell, row)))
+                       for row in rows]
+            payload = {table.key: records[0] if one else records}
+            if table.status is not None:
+                payload["status"] = table.status
+            if table.meta:
+                payload["meta"] = {key: fmt(value) for key, value in table.meta.items()}
+            return json.dumps(payload, sort_keys=True) + "\n"
+        lines = [f"# {key}={fmt(value)}" for key, value in sorted((table.meta or {}).items())]
+        if table.status is not None:
+            step = table.status["step"]
+            lines.append(f"# status={table.status['kind']}"
+                         + ("" if step is None else f" step={step}"))
+        lines.append(",".join(table.columns))
+        lines.extend("none" if row is None else ",".join(map(fmt, row)) for row in rows)
+        lines.append("")
+        return "\n".join(lines)
+    except ValueError as exc:  # CPython's int->str digit limit, the only ValueError here
+        hint = "; use --plane float" if "plane" in args else ""
+        raise RatdynError(
+            f"exact value exceeds {sys.get_int_max_str_digits()} digits{hint}") from exc
+
+
+def _cmd_horadam(args) -> Tuple[int, Table]:
     spec = HoradamSpec(args.a, args.b, args.p, args.q)
     values = horadam_range(spec, args.start, args.stop)
-    _emit_series(list(zip(range(args.start, args.stop + 1), values)), args)
-    return EXIT_OK
+    return EXIT_OK, Table("series", ("n", "value"), zip(range(args.start, args.stop + 1), values))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     plane = dynamics.Plane(args.plane)
     x0 = args.x0 if plane is dynamics.Plane.EXACT else float(args.x0)
     orbit = dynamics.iterate(eq, x0, args.steps, plane)
     status = {"kind": orbit.status.kind.value, "step": orbit.status.step}
-    _emit_series(list(enumerate(orbit.values)), args, status=status)
-    return EXIT_OK if orbit.status.ok else EXIT_SINGULAR
+    rc = EXIT_OK if orbit.status.ok else EXIT_SINGULAR
+    return rc, Table("series", ("n", "value"), enumerate(orbit.values), status=status)
 
 
-def _cmd_closed_form(args) -> int:
+def _cmd_closed_form(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     values = closed_form.closed_form_series(eq, args.x0, args.n)
-    _emit_series(list(enumerate(values)), args)
-    return EXIT_OK
+    return EXIT_OK, Table("series", ("n", "value"), enumerate(values))
 
 
-def _cmd_forbidden(args) -> int:
+def _cmd_forbidden(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     points = closed_form.forbidden_points(eq, args.depth)
-    _emit_rows(args, "forbidden", ("m", "value"), [(pt.m, fmt(pt.value)) for pt in points])
-    return EXIT_OK
+    return EXIT_OK, Table("forbidden", ("m", "value"), [(pt.m, pt.value) for pt in points])
 
 
-def _cmd_products(args) -> int:
+def _cmd_products(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     result = closed_form.product_analysis(eq, args.x0, args.steps)
-    predicted = "divergent" if result.predicted_limit is None else fmt(result.predicted_limit)
-    meta = {
-        "alternating": fmt(result.alternating),
-        "predicted_limit": predicted,
-        "regime": result.regime.value,
-    }
-    _emit_series(list(enumerate(result.partials)), args, meta=meta)
-    return EXIT_OK
+    limit = "divergent" if result.predicted_limit is None else result.predicted_limit
+    meta = {"alternating": result.alternating, "predicted_limit": limit,
+            "regime": result.regime.value}
+    return EXIT_OK, Table("series", ("n", "value"), enumerate(result.partials), meta=meta)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
+    columns = ("value", "multiplier", "classification", "bracket")
     reports = [analysis.classify_stability(eq, rep) for rep in analysis.equilibria(eq)]
-    rows = [
-        (fmt(rep.value), fmt(rep.multiplier), rep.classification.value, rep.bracket.value)
-        for rep in reports
-    ]
-    _emit_rows(args, "equilibria", ("value", "multiplier", "classification", "bracket"), rows)
-    return EXIT_OK
+    rows = [(r.value, r.multiplier, r.classification.value, r.bracket.value) for r in reports]
+    return EXIT_OK, Table("equilibria", columns, rows)
 
 
-def _cmd_period2(args) -> int:
+def _cmd_period2(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     cycle = analysis.solve_period_two(eq, args.tol)
-    columns = ("phi", "psi", "residual", "approx_phi", "approx_psi")
-    row = None if cycle is None else tuple(
-        fmt(v) for v in (cycle.phi, cycle.psi, cycle.residual, *cycle.approx_form))
-    if args.format == "json":
-        print(json.dumps({"cycle": None if row is None else dict(zip(columns, row))},
-                         sort_keys=True))
-    else:
-        print(",".join(columns))
-        print("none" if row is None else ",".join(row))
-    return EXIT_OK
+    row = None if cycle is None else (cycle.phi, cycle.psi, cycle.residual, *cycle.approx_form)
+    return EXIT_OK, Table("cycle", ("phi", "psi", "residual", "approx_phi", "approx_psi"), row)
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> Tuple[int, Table]:
     rows = identity_battery(HoradamSpec.canonical(args.p, args.q), args.nmax)
-    print("kind,checks,max_abs_residual")
-    for kind, checks, worst in rows:
-        print(f"{kind.value},{checks},{fmt(worst)}")
-    return EXIT_OK if all(worst == 0 for _, _, worst in rows) else EXIT_IDENTITY_FAILURE
+    rc = EXIT_OK if all(worst == 0 for _, _, worst in rows) else EXIT_IDENTITY_FAILURE
+    return rc, Table("identities", ("kind", "checks", "max_abs_residual"),
+                     [(kind.value, checks, worst) for kind, checks, worst in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,24 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse `argv`, compute, render, and only then write stdout, once."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rc, table = args.fn(args)
+        document = render(table, args)
     except SingularInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (RatdynError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RatdynError, ValueError, OverflowError) as exc:
+        overflow = "float overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {overflow}{exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:
-        print(f"error: float overflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    return run(argv)
+    sys.stdout.write(document)
+    return rc
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -4,9 +4,9 @@ The cases are every invocation in the README "Example invocations" table plus
 horadam, closed-form and identities runs that pin the recurrence layer.  The
 expected files live in tests/golden/: `<name>.out` holds stdout and
 `exit.json` holds each case's exit code and stderr.  After a deliberate change
-of output, rewrite them with
+of output, rewrite the named cases' goldens (every case's with no names) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from ratdyn.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 CASES = {
     # README "Example invocations"
@@ -60,7 +63,7 @@ CASES = {
         "closed-form --branch minus --p 3 --q 5 --x0=-1/2 --n 25 --format json",
     "closed_form_forbidden": "closed-form --branch plus --p 1 --q 1 --x0=-3/2 --n 10",
     "identities_fibonacci": "identities --p 1 --q 1 --nmax 25",
-    # the other emitters and error paths
+    # the other table shapes and error paths
     "simulate_singular_csv": "simulate --branch plus --p 1 --q 1 --nu 1 --x0 -2 --steps 10",
     "simulate_singular_json":
         "simulate --branch plus --p 1 --q 1 --nu 1 --x0 -2 --steps 10 --format json",
@@ -87,38 +90,65 @@ CASES = {
     "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
     "overflow_simulate_float":
         "simulate --branch plus --p 1 --q 1 --nu 200 --x0 100 --steps 100 --plane float",
+    # an exact iterate past CPython's int->str digit limit: exit 2, nothing on stdout
+    "simulate_exact_too_large": "simulate --branch plus --p 1 --q 2 --nu 2 --x0 3 --steps 14",
 }
 
 
+class _Recorder(io.StringIO):
+    """A StringIO that also keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 def invoke(argv):
-    """(exit code, stdout, stderr) of one in-process CLI run."""
-    out, err = io.StringIO(), io.StringIO()
+    """(exit code, stdout, stderr, stdout writes) of one in-process CLI run."""
+    out, err = _Recorder(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = run(argv)
         except SystemExit as exc:
             rc = exc.code
-    return rc, out.getvalue(), err.getvalue()
+    return rc, out.getvalue(), err.getvalue(), out.writes
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     expected = json.loads((GOLDEN / "exit.json").read_text())[name]
-    rc, out, err = invoke(shlex.split(CASES[name]))
+    rc, out, err, writes = invoke(shlex.split(CASES[name]))
     assert rc == expected["rc"]
     assert err.encode() == expected["stderr"].encode()
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    # the whole document in one write, after the computation has succeeded
+    assert len([text for text in writes if text]) <= 1
 
 
-def regenerate() -> None:
+def test_readme_examples_are_golden_cases():
+    section = README.read_text().split("### Example invocations", 1)[1].split("\n## ", 1)[0]
+    commands = re.findall(r"`ratdyn ([^`]+)`", section)
+    missing = set(commands) - set(CASES.values())
+    assert commands and not missing
+
+
+def regenerate(names) -> None:
+    """Rewrite the goldens of `names`, or of every case when `names` is empty."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"error: unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name, command in sorted(CASES.items()):
-        rc, out, err = invoke(shlex.split(command))
+    codes = json.loads((GOLDEN / "exit.json").read_text()) if names else {}
+    for name in names or sorted(CASES):
+        rc, out, err, _ = invoke(shlex.split(CASES[name]))
         (GOLDEN / f"{name}.out").write_bytes(out.encode())
         codes[name] = {"rc": rc, "stderr": err}
     (GOLDEN / "exit.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
