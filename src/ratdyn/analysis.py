@@ -2,14 +2,16 @@
 
 Equilibria are roots of x**(nu+1) + sign*p*x - q (sign +1 on the plus
 branch, -1 on minus), located by sign-bracketed bisection and polished by
-Newton steps.  Every two-cycle comes from one search, _cycle_search: a scan
-of a rational grid for a sign change of an exact sign predicate, exact
-bisection, then Newton polish on the cycle system.  A region supplies only
-its predicate and grid: g(x) = f(f(x)) - x above the equilibrium on the plus
-branch (mirrored for odd nu on minus), and a one-variable reduction of the
-cycle equations in the mixed-sign region for even nu on minus.  Exact signs
-make the existence decision immune to floating noise near degenerate
-tangencies, where a float root-finder can stall on a pseudo-root.
+Newton steps.  Whether a prime two-cycle exists is decided exactly, before
+any search, by the criterion in solve_period_two.  The one search,
+_cycle_search, then only locates the cycle: a scan of a rational grid for a
+sign change of a sign predicate, bisection, then Newton polish on the cycle
+system.  A region supplies only its predicate and grid: g(x) = f(f(x)) - x
+above the equilibrium on the plus branch (mirrored for odd nu on minus), and
+a one-variable reduction of the cycle equations in the mixed-sign region for
+even nu on minus.  Each sign is evaluated first on an outward-rounded float
+enclosure (ratdyn.interval); where that cannot prove the sign it abstains and
+the same predicate runs on Fractions, so every sign the search sees is exact.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .equation import Branch, EquationSpec
 from .errors import NotAnEquilibrium
 from .horadam import binet_roots
+from .interval import Interval, Undecided
 
 MARGINAL_BAND = 1e-12
 CYCLE_SEPARATION = 1e-8
+
+SignPredicate = Callable[[EquationSpec, object], Optional[int]]
 
 
 class Bracket(Enum):
@@ -114,6 +119,10 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
             value = (-float(p) + binet_roots(float(p), float(q)).discriminant ** 0.5) / 2.0
         else:
             hi = float(max(Fraction(1), q / p)) + 1.0
+            try:
+                hi ** (nu + 1)
+            except OverflowError:  # every positive root has x**(nu+1) < q and p*x < q
+                hi = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
             value = _bisect(lambda x: equilibrium_polynomial(eq, x), 0.0, hi)
         return [EquilibriumReport(_polish(eq, value), bracket)]
 
@@ -193,16 +202,12 @@ class PeriodTwoCycle:
     approx_form: Tuple[float, float]
 
 
-def _sign_of(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+def _sign_of(value) -> int:
+    return (value > 0) - (value < 0)
 
 
-def _second_iterate_sign(eq: EquationSpec, x: Fraction) -> Optional[int]:
-    """Exact sign of f(f(x)) - x, or None when the evaluation crosses a pole."""
+def _second_iterate_sign(eq: EquationSpec, x) -> Optional[int]:
+    """Sign of f(f(x)) - x, or None when the evaluation crosses a pole."""
     den1 = eq.denominator(x)
     if den1 == 0:
         return None
@@ -239,26 +244,29 @@ def _cycle_residual(eq: EquationSpec, phi: float, psi: float) -> float:
     )
 
 
-def _cycle_search(
-    eq: EquationSpec,
-    sign: Callable[[Fraction], Optional[int]],
-    grid: Sequence[Fraction],
-    tol: float,
-) -> Optional[PeriodTwoCycle]:
-    """Two-cycle through a root of an exact sign predicate.
+def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> Optional[int]:
+    """The exact value of a region's sign predicate (None outside the region)
+    at x: decided on an interval enclosure of x when that proves it, else by
+    running the predicate on x itself."""
+    try:
+        return predicate(eq, Interval.enclose(x))
+    except Undecided:
+        return predicate(eq, x)
 
-    Scans the ascending grid for the first zero of `sign` or the first
-    consecutive (+, -) pair, skipping points where `sign` is None (outside
-    the region), bisects that bracket exactly to width min(tol, 1e-12) and
-    finishes the root as phi.  No bracket on the grid means no cycle.
-    """
+
+def _cycle_search(
+    eq: EquationSpec, predicate: SignPredicate, grid: Sequence[Fraction], tol: float
+) -> Optional[Fraction]:
+    """Cycle point phi: the first zero of the certified sign on the ascending
+    grid, or its first consecutive (+, -) pair (skipping None) bisected to
+    width min(tol, 1e-12).  No bracket on the grid means no root."""
     lo: Optional[Fraction] = None  # last grid point with sign +1
     for point in grid:
-        s = sign(point)
+        s = _certified_sign(predicate, eq, point)
         if s is None:
             continue
         if s == 0:
-            return _finish_cycle(eq, point)
+            return point
         if s < 0 and lo is not None:
             hi = point
             break
@@ -269,19 +277,23 @@ def _cycle_search(
     width = Fraction(min(tol, 1e-12))
     for _ in range(80):
         mid = (lo + hi) / 2
-        s = sign(mid)
+        s = _certified_sign(predicate, eq, mid)
         if s is None or s == 0:
-            return _finish_cycle(eq, mid)
+            return mid
         if s > 0:
             lo = mid
         else:
             hi = mid
         if hi - lo < width:
             break
-    return _finish_cycle(eq, (lo + hi) / 2)
+    return (lo + hi) / 2
 
 
-def _finish_cycle(eq: EquationSpec, root: Fraction) -> Optional[PeriodTwoCycle]:
+def _finish_cycle(
+    eq: EquationSpec, root: Optional[Fraction], approx_form: Tuple[float, float]
+) -> Optional[PeriodTwoCycle]:
+    if root is None:
+        return None
     phi = float(root)
     den = eq.sign * float(eq.p) + phi ** eq.nu
     if den == 0.0:
@@ -291,9 +303,7 @@ def _finish_cycle(eq: EquationSpec, root: Fraction) -> Optional[PeriodTwoCycle]:
     if abs(phi - psi) <= CYCLE_SEPARATION:
         return None
     residual = _cycle_residual(eq, phi, psi)
-    return PeriodTwoCycle(
-        phi=phi, psi=psi, residual=residual, approx_form=_approx_form(eq)
-    )
+    return PeriodTwoCycle(phi=phi, psi=psi, residual=residual, approx_form=approx_form)
 
 
 def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
@@ -307,53 +317,40 @@ def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
     return (-q / p, q / den if den != 0.0 else float("inf"))
 
 
-def _positive_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
-    """Two-cycle of the plus branch inside (equilibrium, q/p].
-
-    On positive values the map is strictly decreasing, so its second iterate
-    is increasing and any cycle straddles the equilibrium; a cycle exists iff
-    g > 0 somewhere above it.  The grid ends at q/p, where g < 0 strictly
-    (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive grid point always
-    has a bracket.  Signs are exact, so a degenerate tangency (second
-    iterate touching the diagonal at the equilibrium alone) can never
-    produce a false positive.
-    """
+def _positive_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
+    """Cycle point of the plus branch inside (equilibrium, q/p].  The map is
+    decreasing on positive values, so the cycle straddles the equilibrium
+    x = q/(p + x**nu) < q/p.  The grid ends at q/p, where g < 0 strictly
+    (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive point has a bracket."""
     xbar = Fraction(equilibria(eq)[0].value)
     hi = eq.q / eq.p
-    if xbar >= hi:
-        return None
     offsets = {Fraction(1, 10 ** k) for k in range(1, 10)}
     offsets |= {Fraction(j, 64) for j in range(1, 65)}
     grid = [xbar + (hi - xbar) * tau for tau in sorted(offsets)]
-    return _cycle_search(eq, lambda x: _second_iterate_sign(eq, x), grid, tol)
+    return _cycle_search(eq, _second_iterate_sign, grid, tol)
 
 
-def _mixed_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
-    """Mixed-sign two-cycle of the minus branch for even nu.
+def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
+    """Sign of alpha*(B**nu - p) - q with B = q/(alpha**nu - p), or None
+    outside the mixed-cycle region alpha**nu > p."""
+    den = alpha ** eq.nu - eq.p
+    if den <= 0:
+        return None
+    b = eq.q / den
+    return _sign_of(alpha * (b ** eq.nu - eq.p) - eq.q)
 
-    The negative point alpha satisfies alpha**nu > p (its image is positive)
-    and is a root of psi_fn(alpha) = alpha*(B**nu - p) - q with
-    B = q/(alpha**nu - p).  No equilibrium can enter this region
-    (alpha**nu > p forces the equilibrium polynomial negative), so any sign
-    change is a genuine prime cycle.  Its image B has 0 < B**nu < p, so
-    |alpha| = q/(p - B**nu) > q/p: a float overflow of (q/p)**nu, which every
-    found cycle needs, is raised here before the exact scan.
-    """
-    _approx_form(eq)  # raises that OverflowError, if any
+
+def _mixed_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
+    """Negative point alpha of the mixed-sign two-cycle, minus branch, even
+    nu: alpha**nu > p (its image is positive) and _psi_sign changes sign at
+    alpha.  No equilibrium can enter this region (alpha**nu > p forces the
+    equilibrium polynomial negative), so any root is a genuine prime cycle."""
     p, q, nu = eq.p, eq.q, eq.nu
-
-    def psi_sign(alpha: Fraction) -> Optional[int]:
-        den = alpha ** nu - p
-        if den <= 0:
-            return None  # outside the mixed-cycle region
-        b = q / den
-        return _sign_of(alpha * (b ** nu - p) - q)
-
     edge = float(p) ** (1.0 / nu)
     far = max(float(q / p) + 2.0, edge + 2.0, 4.0)
     for _ in range(40):
         left = Fraction(-far).limit_denominator(10 ** 9)
-        if psi_sign(left) == 1:
+        if _certified_sign(_psi_sign, eq, left) == 1:
             break
         far *= 2.0
     else:
@@ -365,41 +362,44 @@ def _mixed_cycle(eq: EquationSpec, tol: float) -> Optional[PeriodTwoCycle]:
         grid.append(Fraction(-(edge + span * (96 - j) / 96.0)).limit_denominator(10 ** 12))
     for k in range(1, 10):
         grid.append(Fraction(-(edge * (1.0 + 10.0 ** -k))).limit_denominator(10 ** 12))
-    return _cycle_search(eq, psi_sign, sorted(set(grid)), tol)
+    return _cycle_search(eq, _psi_sign, sorted(set(grid)), tol)
 
 
 def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwoCycle]:
-    """Prime two-cycle of the map, or None when no cycle exists in the
-    searched region (positive values on the plus branch, their mirror for
-    odd nu on minus, the mixed-sign region for even nu on minus).
+    """Prime two-cycle of the map, or None when none exists in the studied
+    region (positive values on the plus branch, their mirror for odd nu on
+    minus, the mixed-sign region for even nu on minus).
 
-    At a flip tangency, where the multiplier is exactly -1 and the second
-    iterate touches the diagonal only at the equilibrium (for example
-    (p,q,nu) = (1,2,2), where f(f(x)) - x has numerator
-    -(x-1)^3 (x^2+x+2)), there is no prime two-cycle and the result is None."""
+    Existence is decided first, exactly.  On the plus branch, mirrored for odd
+    nu on minus, the map is decreasing with negative Schwarzian derivative, so
+    a cycle exists iff the equilibrium is unstable: iff nu^nu p^(nu+1) <
+    q^nu (nu-1)^(nu+1) (Singer, SIAM J. Appl. Math. 1978).  Equality is the
+    flip tangency, for example (1,2,2), where f(f(x)) - x has numerator
+    -(x-1)^3 (x^2+x+2): no prime cycle.  For even nu on minus the mixed-sign
+    cycle always exists (intermediate value theorem).  The search only
+    locates the cycle.  Every cycle reports approx_form, so its float
+    overflow is raised before the search."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if eq.branch is Branch.PLUS:
-        return _positive_cycle(eq, tol)
-    if eq.nu % 2 == 1:
-        conj = _positive_cycle(EquationSpec.plus(eq.p, eq.q, eq.nu), tol)
-        if conj is None:
-            return None
-        phi, psi = -conj.phi, -conj.psi
-        return PeriodTwoCycle(
-            phi=phi,
-            psi=psi,
-            residual=_cycle_residual(eq, phi, psi),
-            approx_form=_approx_form(eq),
-        )
-    return _mixed_cycle(eq, tol)
+    p, q, nu = eq.p, eq.q, eq.nu
+    mixed = eq.branch is Branch.MINUS and nu % 2 == 0
+    if not mixed and not nu ** nu * p ** (nu + 1) < q ** nu * (nu - 1) ** (nu + 1):
+        return None
+    approx_form = _approx_form(eq)
+    if mixed:
+        return _finish_cycle(eq, _mixed_root(eq, tol), approx_form)
+    plus = EquationSpec.plus(p, q, nu)
+    cycle = _finish_cycle(plus, _positive_root(plus, tol), approx_form)
+    if eq.branch is Branch.PLUS or cycle is None:
+        return cycle
+    phi, psi = -cycle.phi, -cycle.psi
+    return dataclasses.replace(cycle, phi=phi, psi=psi, residual=_cycle_residual(eq, phi, psi))
 
 
 def smallest_even_cycle_exponent(p, q, cap: int = 64) -> Optional[int]:
     """Smallest even nu <= cap for which the minus branch has a prime
-    two-cycle; the existence statement being searched is non-constructive,
-    so the cap is an explicit implementation bound."""
-    for nu in range(2, cap + 1, 2):
-        if solve_period_two(EquationSpec.minus(p, q, nu)) is not None:
-            return nu
-    return None
+    two-cycle.  For every even nu the mixed-sign cycle exists (intermediate
+    value theorem on the one-variable cycle map of _mixed_root), so this is
+    2 when cap >= 2 and None otherwise."""
+    EquationSpec.minus(p, q, 2)  # validates p and q
+    return 2 if cap >= 2 else None

@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ratdyn import analysis
 from ratdyn.analysis import (
     Bracket,
     Stability,
@@ -21,6 +24,7 @@ from ratdyn.analysis import (
 from ratdyn.dynamics import Plane, detect_period, iterate
 from ratdyn.equation import Branch, EquationSpec
 from ratdyn.errors import NotAnEquilibrium
+from ratdyn.interval import Interval, Undecided
 
 
 def brute_force_two_cycle(eq, grid=1e-4):
@@ -116,6 +120,15 @@ def test_equilibrium_residuals_random():
         eq = EquationSpec(branch, p, q, nu)
         for report in equilibria(eq):
             assert abs(equilibrium_polynomial(eq, report.value)) < 1e-10 * max(1.0, float(q))
+
+
+def test_plus_equilibrium_where_the_default_bracket_overflows():
+    # max(1, q/p) + 1 = 101 overflows 101**401; the root lies below q**(1/401)
+    eq = EquationSpec.plus(Fraction(1, 10), 10, 400)
+    (report,) = equilibria(eq)
+    assert 1.0 < report.value < 10 ** (1 / 401)
+    assert abs(equilibrium_polynomial(eq, report.value)) < 1e-10 * 10
+    assert report.bracket is Bracket.BEYOND_ONE
 
 
 def test_bracket_trichotomy_random():
@@ -310,11 +323,126 @@ def test_cycle_existence_matches_criterion_on_random_rationals():
                 assert cycle.phi < 0 < cycle.psi, eq
 
 
+def test_cycle_existence_matches_sympy_root_isolation():
+    # Independent oracle for nu <= 6: a prime cycle exists iff the numerator of
+    # f(f(x)) - x, with every factor it shares with the equilibrium polynomial
+    # divided out, has a real root in the studied region.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    cells = [(1, 2), (2, 3), (3, 4), (1, 1), (3, 1), (Fraction(1, 2), 2), (2, 5)]
+    for p, q in cells:
+        for nu in range(1, 7):
+            for branch in (Branch.PLUS, Branch.MINUS):
+                eq = EquationSpec(branch, p, q, nu)
+                P, Q = (sympy.Rational(v.numerator, v.denominator) for v in (eq.p, eq.q))
+                f = lambda y: Q / (eq.sign * P + y ** nu)
+                num = sympy.Poly(sympy.fraction(sympy.cancel(f(f(x)) - x))[0], x)
+                fixed = sympy.Poly(x ** (nu + 1) + eq.sign * P * x - Q, x)
+                while (common := sympy.gcd(num, fixed)).degree() > 0:
+                    num = sympy.quo(num, common)
+                if branch is Branch.PLUS:
+                    inside = lambda r: r > 0
+                elif nu % 2:
+                    inside = lambda r: r < 0
+                else:
+                    inside = lambda r: r < 0 and r ** nu > eq.p
+                as_fraction = lambda r: Fraction(int(r.p), int(r.q))
+                found = False
+                for (lo, hi), _ in num.intervals() if num.degree() > 0 else []:
+                    while inside(as_fraction(lo)) != inside(as_fraction(hi)):
+                        lo, hi = num.refine_root(lo, hi, eps=(hi - lo) / 16)
+                    found = found or inside(as_fraction(lo))
+                assert found == (solve_period_two(eq) is not None), eq
+
+
 def test_smallest_even_cycle_exponent():
-    # the mixed-sign cycle already exists at nu = 2 (intermediate-value
-    # argument on the one-variable cycle map), so the search stops immediately
+    # the mixed-sign cycle exists for every even nu (intermediate-value
+    # argument on the one-variable cycle map), so the answer is 2
     assert smallest_even_cycle_exponent(1, 2) == 2
     assert smallest_even_cycle_exponent(3, 4) == 2
+    assert smallest_even_cycle_exponent(3, 4, cap=1) is None
+    with pytest.raises(ValueError):
+        smallest_even_cycle_exponent(0, 4)
+
+
+# --- certified signs --------------------------------------------------------------
+
+PREDICATES = {"second_iterate": analysis._second_iterate_sign, "psi": analysis._psi_sign}
+
+
+def _filtered_sign(predicate, eq, x):
+    """The predicate on an enclosure of x, or Undecided when it abstains."""
+    try:
+        return predicate(eq, Interval.enclose(x))
+    except Undecided:
+        return Undecided
+
+
+def test_certified_signs_equal_exact_signs_on_acceptance_grid():
+    decided = total = 0
+    for p in (1, 2, 3):
+        for nu in range(1, 9):
+            for branch in (Branch.PLUS, Branch.MINUS):
+                eq = EquationSpec(branch, p, p + 1, nu)
+                for k in range(-40, 41):
+                    x = Fraction(k, 8)
+                    for predicate in PREDICATES.values():
+                        filtered = _filtered_sign(predicate, eq, x)
+                        total += 1
+                        if filtered is not Undecided:
+                            decided += 1
+                            assert filtered == predicate(eq, x), (eq, x, predicate)
+    assert decided > 0.9 * total
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    p=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    q=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    nu=st.integers(1, 40),
+    branch=st.sampled_from(Branch),
+    x=st.fractions(min_value=-6, max_value=6, max_denominator=10 ** 9),
+    name=st.sampled_from(sorted(PREDICATES)),
+)
+def test_certified_signs_equal_exact_signs_on_random_rationals(p, q, nu, branch, x, name):
+    eq, predicate = EquationSpec(branch, p, q, nu), PREDICATES[name]
+    filtered = _filtered_sign(predicate, eq, x)
+    assert filtered is Undecided or filtered == predicate(eq, x)
+
+
+def test_enclosure_abstains_where_the_exact_sign_is_degenerate():
+    # g(1) = 0 exactly at the flip tangency (1,2,2)
+    tangent = EquationSpec.plus(1, 2, 2)
+    assert _filtered_sign(analysis._second_iterate_sign, tangent, Fraction(1)) is Undecided
+    assert analysis._certified_sign(analysis._second_iterate_sign, tangent, Fraction(1)) == 0
+    # alpha**nu - p = 0 at alpha = -2 on minus (4,1,2): the region edge
+    edge = EquationSpec.minus(4, 1, 2)
+    assert _filtered_sign(analysis._psi_sign, edge, Fraction(-2)) is Undecided
+    assert analysis._certified_sign(analysis._psi_sign, edge, Fraction(-2)) is None
+
+
+def _sign_evaluations(monkeypatch, eq):
+    """(all, exact) sign-predicate evaluations made by solve_period_two(eq)."""
+    kinds = []
+    with monkeypatch.context() as patch:
+        for name in ("_second_iterate_sign", "_psi_sign"):
+            predicate = getattr(analysis, name)
+            patch.setattr(analysis, name,
+                          lambda eq, x, predicate=predicate: kinds.append(type(x)) or predicate(eq, x))
+        solve_period_two(eq)
+    return len(kinds), kinds.count(Fraction)
+
+
+def test_period_two_sign_work(monkeypatch):
+    # Counts of predicate evaluations, not time.  The criterion decides
+    # no-cycle and tangency cells without a sign; at nu = 200 an exact sign
+    # costs ~0.3 s of Fraction powers, so the enclosure must decide nearly all.
+    for eq in (EquationSpec.plus(3, 1, 48), EquationSpec.plus(1, 2, 2),
+               EquationSpec.plus(2, 3, 3), EquationSpec.plus(3, 4, 4)):
+        assert _sign_evaluations(monkeypatch, eq) == (0, 0), eq
+    for eq in (EquationSpec.minus(3, 1, 200), EquationSpec.plus(1, 2, 200)):
+        total, exact = _sign_evaluations(monkeypatch, eq)
+        assert total > 0 and exact <= 4, (eq, total, exact)
 
 
 def test_period_two_tol_validation():

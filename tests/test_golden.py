@@ -83,13 +83,18 @@ CASES = {
     "period2_mixed_json": "period2 --branch minus --p 3 --q 1 --nu 2 --format json",
     "period2_minus_tangency": "period2 --branch minus --p 2 --q 3 --nu 3",
     "period2_plus_loose_tol": "period2 --branch plus --p 1 --q 4 --nu 12 --tol 1e-4",
+    # large nu: a minus-branch cycle, a plus-branch cycle and a criterion-false cell
+    "period2_minus_nu200": "period2 --branch minus --p 3 --q 1 --nu 200",
+    "period2_plus_nu200": "period2 --branch plus --p 1 --q 2 --nu 200",
+    "period2_none_nu48": "period2 --branch plus --p 3 --q 1 --nu 48",
     "horadam_bad_range": "horadam --p 1 --q 1 --from 5 --to 2",
     # float overflow: exit 2, one error line, nothing on stdout
     "overflow_period2_minus": "period2 --branch minus --p 1/10 --q 10 --nu 200",
     "overflow_period2_plus": "period2 --branch plus --p 1/10 --q 10 --nu 200",
-    "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
     "overflow_simulate_float":
         "simulate --branch plus --p 1 --q 1 --nu 200 --x0 100 --steps 100 --plane float",
+    # where the default equilibrium bracket overflows, a tighter one answers
+    "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
     # an exact iterate past CPython's int->str digit limit: exit 2, nothing on stdout
     "simulate_exact_too_large": "simulate --branch plus --p 1 --q 2 --nu 2 --x0 3 --steps 14",
 }
