@@ -136,8 +136,11 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
             value = _bisect(lambda x: equilibrium_polynomial(eq, x), -1.0, 0.0)
         else:
             left = 2.0
-            while equilibrium_polynomial(eq, -left) <= 0.0:
-                left *= 2.0
+            try:
+                while equilibrium_polynomial(eq, -left) <= 0.0:
+                    left *= 2.0
+            except OverflowError:  # the root -a has a**(nu+1) = q - p*a, so a < q/p, q**(1/(nu+1))
+                left = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
             value = _bisect(lambda x: equilibrium_polynomial(eq, x), -left, -1.0)
         bracket = Bracket.IN_MINUS_UNIT if q < p + 1 else Bracket.BELOW_MINUS_ONE
         return [EquilibriumReport(_polish(eq, value), bracket)]
@@ -149,8 +152,11 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
         return []
     inner = _polish(eq, _bisect(lambda x: equilibrium_polynomial(eq, x), -1.0, 0.0))
     left = 2.0
-    while equilibrium_polynomial(eq, -left) >= 0.0:
-        left *= 2.0
+    try:
+        while equilibrium_polynomial(eq, -left) >= 0.0:
+            left *= 2.0
+    except OverflowError:  # the outer root -a has a**(nu+1) = p*a - q < p*a, so a < p**(1/nu)
+        left = float(p) ** (1.0 / nu)
     outer = _polish(eq, _bisect(lambda x: equilibrium_polynomial(eq, x), -left, -1.0))
     return [
         EquilibriumReport(inner, Bracket.IN_MINUS_UNIT),

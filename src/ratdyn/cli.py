@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Tuple
 
 from . import analysis, closed_form, dynamics
@@ -74,8 +75,26 @@ class Table(NamedTuple):
     status: Optional[dict] = None
 
 
-def _json_cell(value):
-    return value if type(value) is int else fmt(value)  # indices and counts stay numbers
+def _json_cell(value) -> str:
+    """One cell as JSON text: indices and counts stay numbers, the rest are strings."""
+    return str(value) if type(value) is int else encode_basestring_ascii(fmt(value))
+
+
+def _json_document(table: Table, one: bool, rows) -> str:
+    """The bytes of `json.dumps(payload, sort_keys=True)`, with each row filled
+    into one template of the sorted columns instead of a dict per row."""
+    order = sorted(range(len(table.columns)), key=table.columns.__getitem__)
+    template = "{{%s}}" % ", ".join(
+        f"{encode_basestring_ascii(table.columns[i])}: {{{i}}}" for i in order)
+    records = ["null" if row is None else template.format(*map(_json_cell, row)) for row in rows]
+    members = {table.key: records[0] if one else "[" + ", ".join(records) + "]"}
+    if table.status is not None:
+        members["status"] = json.dumps(table.status, sort_keys=True)
+    if table.meta:
+        members["meta"] = json.dumps({key: fmt(value) for key, value in table.meta.items()},
+                                     sort_keys=True)
+    return "{%s}\n" % ", ".join(
+        f"{encode_basestring_ascii(key)}: {text}" for key, text in sorted(members.items()))
 
 
 def render(table: Table, args) -> str:
@@ -84,14 +103,7 @@ def render(table: Table, args) -> str:
     rows = [table.rows] if one else table.rows
     try:
         if getattr(args, "format", "csv") == "json":
-            records = [None if row is None else dict(zip(table.columns, map(_json_cell, row)))
-                       for row in rows]
-            payload = {table.key: records[0] if one else records}
-            if table.status is not None:
-                payload["status"] = table.status
-            if table.meta:
-                payload["meta"] = {key: fmt(value) for key, value in table.meta.items()}
-            return json.dumps(payload, sort_keys=True) + "\n"
+            return _json_document(table, one, rows)
         lines = [f"# {key}={fmt(value)}" for key, value in sorted((table.meta or {}).items())]
         if table.status is not None:
             step = table.status["step"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ratdyn.cli import run
+from ratdyn.cli import Table, fmt, render, run
 
 # `python -m ratdyn` finds the package in its working directory.
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,6 +98,53 @@ def test_simulate_json_status(capsys):
     payload = json.loads(out)
     assert payload["status"] == {"kind": "hit_singularity", "step": 2}
     assert payload["series"][0] == {"n": 0, "value": "-2"}
+
+
+def _json_by_dumps(table):
+    """Reference JSON document: one dict per row, serialized by json.dumps."""
+    one = table.rows is None or isinstance(table.rows, tuple)
+    rows = [table.rows] if one else table.rows
+
+    def cell(value):
+        return value if type(value) is int else fmt(value)
+
+    records = [None if row is None else dict(zip(table.columns, map(cell, row))) for row in rows]
+    payload = {table.key: records[0] if one else records}
+    if table.status is not None:
+        payload["status"] = table.status
+    if table.meta:
+        payload["meta"] = {key: fmt(value) for key, value in table.meta.items()}
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+CELLS = (0, -7, 10 ** 30, True, False, Fraction(22, 7), Fraction(-3, 4), Fraction(5), 0.1,
+         -2.5e-300, math.inf, -math.inf, math.nan, "unstable")
+CYCLE = ("phi", "psi", "residual", "approx_phi", "approx_psi")  # sorted order differs
+
+
+@pytest.mark.parametrize("table", [
+    Table("series", ("n", "value"), list(enumerate(CELLS))),
+    Table("series", ("n", "value"), []),
+    Table("series", ("n", "value"), [(0, 1.5)], status={"kind": "completed", "step": None}),
+    Table("series", ("n", "value"), [(0, -1.0)], status={"kind": "near_singular", "step": 1}),
+    Table("series", ("n", "value"), [], status={"kind": "hit_singularity", "step": 1}),
+    Table("series", ("n", "value"), [(0, Fraction(1, 2))],
+          meta={"alternating": True, "predicted_limit": "divergent", "regime": "r"}),
+    Table("series", ("n", "value"), [(1, 2)], meta={"predicted_limit": Fraction(-2, 3)},
+          status={"kind": "completed", "step": None}),
+    Table("series", ("n", "value"), [], meta={}),
+    Table("cycle", CYCLE, CELLS[:5]),
+    Table("cycle", CYCLE, (math.nan, -math.inf, math.inf, Fraction(-1, 3), 4)),
+    Table("cycle", CYCLE, None),
+    Table("equilibria", ("value", "multiplier", "classification", "bracket"),
+          [CELLS[i:i + 4] for i in range(0, len(CELLS) - 3)]),
+    Table("identities", ("kind", "checks", "max_abs_residual"), [("cassini", 25, 0)]),
+])
+def test_json_render_equals_dumps_of_the_payload(table):
+    expected = _json_by_dumps(table)
+    if isinstance(table.rows, list):  # the CLI passes one-pass iterators such as enumerate
+        table = table._replace(rows=iter(table.rows))
+    assert render(table, argparse.Namespace(format="json")) == expected
 
 
 def test_closed_form_forbidden_exit_code(capsys):
@@ -185,6 +234,17 @@ def test_analyze_empty_list_is_valid(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"equilibria": []}
+
+
+@pytest.mark.parametrize("p, q, nu", [("1", "3", "1101"), ("3", "1", "1100")])
+def test_analyze_minus_outer_root_where_the_doubling_bracket_overflows(capsys, p, q, nu):
+    # (-2.0)**(nu+1) overflows; the root below -1 lies within a proven bound
+    code, out, err = invoke(capsys, ["analyze", "--branch", "minus", "--p", p, "--q", q,
+                                     "--nu", nu, "--format", "json"])
+    assert (code, err) == (0, "")
+    outer = json.loads(out)["equilibria"][-1]
+    assert -1.01 < float(outer["value"]) < -1.0
+    assert (outer["bracket"], outer["classification"]) == ("below_minus_one", "unstable")
 
 
 def test_period2_csv(capsys):

@@ -95,6 +95,73 @@ def test_exact_and_float_planes_agree():
             assert abs(fa - b) <= 1e-9 * max(1.0, abs(fa))
 
 
+OVERFLOW = "overflow"
+
+
+def _stepped_orbit(eq, x0, steps, plane):
+    """Reference orbit: one `step` call per iterate.
+    Returns (values, status kind, stop step); an OverflowError propagates."""
+    x = Fraction(x0) if plane is Plane.EXACT else float(x0)
+    values = [x]
+    for k in range(1, steps + 1):
+        try:
+            x = step(eq, x)
+        except Singularity:
+            return values, StatusKind.HIT_SINGULARITY, k
+        except NearSingularity:
+            return values, StatusKind.NEAR_SINGULAR, k
+        values.append(x)
+    return values, StatusKind.COMPLETED, None
+
+
+def _assert_same_orbit(eq, x0, steps, plane, key):
+    """`iterate` equals the reference under `key`, stop step and status
+    included; returns the status kind, or OVERFLOW with the same error text."""
+    try:
+        values, kind, stop = _stepped_orbit(eq, x0, steps, plane)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as raised:
+            iterate(eq, x0, steps, plane)
+        assert str(raised.value) == str(exc)
+        return OVERFLOW
+    orbit = iterate(eq, x0, steps, plane)
+    assert list(map(key, orbit.values)) == list(map(key, values)), (eq, x0)
+    assert (orbit.status.kind, orbit.status.step) == (kind, stop), (eq, x0)
+    return kind
+
+
+def test_float_iterate_matches_repeated_step():
+    seen = set()
+    for branch in (EquationSpec.plus, EquationSpec.minus):
+        for nu in range(1, 9):
+            for p in (Fraction(1, 10), 1, 2, 3, Fraction(7, 3)):
+                for q in (Fraction(1, 10), 1, 2, 3, Fraction(7, 3)):
+                    eq = branch(p, q, nu)
+                    shift = eq.sign * float(eq.p)
+                    starts = [0.5, 1.5, -1 / 3, 3.0, 1e300]  # 1e300**nu overflows for nu >= 2
+                    if nu % 2 or shift < 0:
+                        root = abs(shift) ** (1 / nu)  # x**nu = -shift, up to rounding
+                        starts += [root if shift < 0 else -root]
+                        # its preimage, when real: stops one step later
+                        pre = float(eq.q) / starts[-1] - shift
+                        if nu % 2 or pre > 0:
+                            starts += [math.copysign(abs(pre) ** (1 / nu), pre)]
+                    for x0 in starts:
+                        seen.add(_assert_same_orbit(eq, x0, 40, Plane.FLOAT, float.hex))
+    assert seen == {StatusKind.COMPLETED, StatusKind.NEAR_SINGULAR, OVERFLOW}
+
+
+def test_exact_iterate_matches_repeated_step():
+    seen = set()
+    for branch in (EquationSpec.plus, EquationSpec.minus):
+        for nu, steps in ((1, 30), (2, 8)):
+            for p, q in ((1, 1), (2, 7), (Fraction(7, 3), Fraction(1, 10))):
+                eq = branch(p, q, nu)
+                for x0 in (Fraction(1, 2), Fraction(-3, 2), Fraction(-2), Fraction(1), 3):
+                    seen.add(_assert_same_orbit(eq, x0, steps, Plane.EXACT, repr))
+    assert seen == {StatusKind.COMPLETED, StatusKind.HIT_SINGULARITY}
+
+
 # --- envelopes -------------------------------------------------------------------
 
 

@@ -93,6 +93,11 @@ CASES = {
     "overflow_period2_plus": "period2 --branch plus --p 1/10 --q 10 --nu 200",
     "overflow_simulate_float":
         "simulate --branch plus --p 1 --q 1 --nu 200 --x0 100 --steps 100 --plane float",
+    # float JSON documents: a completed orbit, and a near-singular stop with its status
+    "simulate_float_json": "simulate --branch minus --p 2 --q 3 --nu 5 --x0=-1001/1000"
+                           " --steps 300 --plane float --format json",
+    "simulate_float_near_singular_json": "simulate --branch plus --p 1 --q 1 --nu 1 --x0=-1"
+                                         " --steps 100 --plane float --format json",
     # where the default equilibrium bracket overflows, a tighter one answers
     "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
     # an exact iterate past CPython's int->str digit limit: exit 2, nothing on stdout
