@@ -7,6 +7,11 @@ nothing.  `simulate` stopped at a singularity is a complete document with its
 2 flag errors, a float overflow, or an exact value too large to print, 3
 singular or forbidden input.  Exact rationals render as num/den strings,
 floats with 17 significant digits; both round-trip losslessly.
+
+A table holds columns, not rows.  `render` turns each column into text in one
+pass: a C-level `format`/`str` map when the column is all floats or all ints,
+`fmt` per cell otherwise.  It joins each CSV line or JSON record from those
+texts, so a long orbit builds no per-row tuple.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import analysis, closed_form, dynamics
 from .equation import Branch, EquationSpec
-from .errors import RatdynError, SingularInput
+from .errors import DigitLimit, RatdynError, SingularInput
 # bench/trace_run.py wraps this module's `horadam_range` and `check_identity`.
 from .horadam import HoradamSpec, check_identity, horadam_range, identity_battery  # noqa: F401
 
@@ -64,13 +70,16 @@ def _branch_arg(text: str) -> Branch:
 
 
 class Table(NamedTuple):
-    """One subcommand's result.  `rows` is an iterable of row tuples (a JSON
-    array under `key`), or one row tuple or None (a JSON object or null; CSV
-    prints `none`).  `meta` and `status` add `#` lines or JSON keys."""
+    """One subcommand's result, held by column.  `columns` maps each column
+    name, in CSV order, to its cells: sequences of one length, such as a
+    `range` of indices beside the values a layer returned, so no row tuple is
+    built.  The rows form a JSON array under `key`; with `single` there is at
+    most one row, a JSON object, and none is `null` in JSON and `none` in CSV.
+    `meta` and `status` add `#` lines or JSON keys."""
 
     key: str
-    columns: Tuple[str, ...]
-    rows: object
+    columns: Dict[str, Sequence]
+    single: bool = False
     meta: Optional[dict] = None
     status: Optional[dict] = None
 
@@ -80,14 +89,29 @@ def _json_cell(value) -> str:
     return str(value) if type(value) is int else encode_basestring_ascii(fmt(value))
 
 
-def _json_document(table: Table, one: bool, rows) -> str:
-    """The bytes of `json.dumps(payload, sort_keys=True)`, with each row filled
-    into one template of the sorted columns instead of a dict per row."""
-    order = sorted(range(len(table.columns)), key=table.columns.__getitem__)
-    template = "{{%s}}" % ", ".join(
-        f"{encode_basestring_ascii(table.columns[i])}: {{{i}}}" for i in order)
-    records = ["null" if row is None else template.format(*map(_json_cell, row)) for row in rows]
-    members = {table.key: records[0] if one else "[" + ", ".join(records) + "]"}
+def _column_texts(cells: Sequence, json_text: bool) -> Iterator[str]:
+    """`cells` as CSV (`fmt`) or JSON (`_json_cell`) texts.  A column of only
+    floats or only ints (not bools) is formatted in one C-level pass."""
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        return map(str, cells)
+    if kinds == {float}:
+        texts = map(format, cells, repeat(".17g"))
+        return map(encode_basestring_ascii, texts) if json_text else texts
+    return map(_json_cell if json_text else fmt, cells)
+
+
+def _json_document(table: Table, texts) -> str:
+    """The bytes of `json.dumps(payload, sort_keys=True)`.  A row is joined
+    from its cell texts in sorted column order and the key text before each."""
+    by_name = dict(zip(table.columns, texts))
+    pieces = []
+    for name in sorted(by_name):
+        pieces += [repeat((", " if pieces else "{") + encode_basestring_ascii(name) + ": "),
+                   by_name[name]]
+    records = map("".join, zip(*pieces, repeat("}")))
+    members = {table.key: next(records, "null") if table.single
+               else "[" + ", ".join(records) + "]"}
     if table.status is not None:
         members["status"] = json.dumps(table.status, sort_keys=True)
     if table.meta:
@@ -99,52 +123,54 @@ def _json_document(table: Table, one: bool, rows) -> str:
 
 def render(table: Table, args) -> str:
     """The whole CSV or JSON document of `table`, newline-terminated."""
-    one = table.rows is None or isinstance(table.rows, tuple)
-    rows = [table.rows] if one else table.rows
-    try:
-        if getattr(args, "format", "csv") == "json":
-            return _json_document(table, one, rows)
+    json_text = getattr(args, "format", "csv") == "json"
+    try:  # the cells are formatted lazily, as the document is joined
+        texts = [_column_texts(cells, json_text) for cells in table.columns.values()]
+        if json_text:
+            return _json_document(table, texts)
         lines = [f"# {key}={fmt(value)}" for key, value in sorted((table.meta or {}).items())]
         if table.status is not None:
             step = table.status["step"]
             lines.append(f"# status={table.status['kind']}"
                          + ("" if step is None else f" step={step}"))
         lines.append(",".join(table.columns))
-        lines.extend("none" if row is None else ",".join(map(fmt, row)) for row in rows)
+        records = map(",".join, zip(*texts))
+        lines.extend([next(records, "none")] if table.single else records)
         lines.append("")
         return "\n".join(lines)
     except ValueError as exc:  # CPython's int->str digit limit, the only ValueError here
-        hint = "; use --plane float" if "plane" in args else ""
-        raise RatdynError(
-            f"exact value exceeds {sys.get_int_max_str_digits()} digits{hint}") from exc
+        raise DigitLimit(sys.get_int_max_str_digits()) from exc
 
 
 def _cmd_horadam(args) -> Tuple[int, Table]:
     spec = HoradamSpec(args.a, args.b, args.p, args.q)
     values = horadam_range(spec, args.start, args.stop)
-    return EXIT_OK, Table("series", ("n", "value"), zip(range(args.start, args.stop + 1), values))
+    return EXIT_OK, Table("series", {"n": range(args.start, args.stop + 1), "value": values})
 
 
 def _cmd_simulate(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     plane = dynamics.Plane(args.plane)
     x0 = args.x0 if plane is dynamics.Plane.EXACT else float(args.x0)
-    orbit = dynamics.iterate(eq, x0, args.steps, plane)
+    orbit = dynamics.iterate(eq, x0, args.steps, plane,
+                             max_digits=sys.get_int_max_str_digits())
     status = {"kind": orbit.status.kind.value, "step": orbit.status.step}
     rc = EXIT_OK if orbit.status.ok else EXIT_SINGULAR
-    return rc, Table("series", ("n", "value"), enumerate(orbit.values), status=status)
+    return rc, Table("series", {"n": range(len(orbit.values)), "value": orbit.values},
+                     status=status)
 
 
 def _cmd_closed_form(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     values = closed_form.closed_form_series(eq, args.x0, args.n)
-    return EXIT_OK, Table("series", ("n", "value"), enumerate(values))
+    return EXIT_OK, Table("series", {"n": range(len(values)), "value": values})
 
 
 def _cmd_forbidden(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     points = closed_form.forbidden_points(eq, args.depth)
-    return EXIT_OK, Table("forbidden", ("m", "value"), [(pt.m, pt.value) for pt in points])
+    return EXIT_OK, Table("forbidden", {"m": [pt.m for pt in points],
+                                        "value": [pt.value for pt in points]})
 
 
 def _cmd_products(args) -> Tuple[int, Table]:
@@ -153,29 +179,35 @@ def _cmd_products(args) -> Tuple[int, Table]:
     limit = "divergent" if result.predicted_limit is None else result.predicted_limit
     meta = {"alternating": result.alternating, "predicted_limit": limit,
             "regime": result.regime.value}
-    return EXIT_OK, Table("series", ("n", "value"), enumerate(result.partials), meta=meta)
+    return EXIT_OK, Table("series", {"n": range(len(result.partials)), "value": result.partials},
+                          meta=meta)
 
 
 def _cmd_analyze(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
-    columns = ("value", "multiplier", "classification", "bracket")
     reports = [analysis.classify_stability(eq, rep) for rep in analysis.equilibria(eq)]
-    rows = [(r.value, r.multiplier, r.classification.value, r.bracket.value) for r in reports]
-    return EXIT_OK, Table("equilibria", columns, rows)
+    return EXIT_OK, Table("equilibria", {
+        "value": [r.value for r in reports],
+        "multiplier": [r.multiplier for r in reports],
+        "classification": [r.classification.value for r in reports],
+        "bracket": [r.bracket.value for r in reports]})
 
 
 def _cmd_period2(args) -> Tuple[int, Table]:
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     cycle = analysis.solve_period_two(eq, args.tol)
-    row = None if cycle is None else (cycle.phi, cycle.psi, cycle.residual, *cycle.approx_form)
-    return EXIT_OK, Table("cycle", ("phi", "psi", "residual", "approx_phi", "approx_psi"), row)
+    row = () if cycle is None else (cycle.phi, cycle.psi, cycle.residual, *cycle.approx_form)
+    names = ("phi", "psi", "residual", "approx_phi", "approx_psi")
+    return EXIT_OK, Table("cycle", {name: row[i:i + 1] for i, name in enumerate(names)},
+                          single=True)
 
 
 def _cmd_identities(args) -> Tuple[int, Table]:
     rows = identity_battery(HoradamSpec.canonical(args.p, args.q), args.nmax)
     rc = EXIT_OK if all(worst == 0 for _, _, worst in rows) else EXIT_IDENTITY_FAILURE
-    return rc, Table("identities", ("kind", "checks", "max_abs_residual"),
-                     [(kind.value, checks, worst) for kind, checks, worst in rows])
+    return rc, Table("identities", {"kind": [kind.value for kind, _, _ in rows],
+                                    "checks": [checks for _, checks, _ in rows],
+                                    "max_abs_residual": [worst for _, _, worst in rows]})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +287,8 @@ def run(argv=None) -> int:
         return EXIT_SINGULAR
     except (RatdynError, ValueError, OverflowError) as exc:
         overflow = "float overflow: " if isinstance(exc, OverflowError) else ""
-        print(f"error: {overflow}{exc}", file=sys.stderr)
+        hint = "; use --plane float" if isinstance(exc, DigitLimit) and "plane" in args else ""
+        print(f"error: {overflow}{exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(document)
     return rc

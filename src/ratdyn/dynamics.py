@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .equation import Branch, EquationSpec
-from .errors import NearSingularity, OrbitTooShort, Singularity, WrongBranch
+from .errors import DigitLimit, NearSingularity, OrbitTooShort, Singularity, WrongBranch
 
 NEAR_SINGULAR_FACTOR = 1e-12
 
@@ -74,12 +74,16 @@ class Orbit:
         return len(self.values) - 1
 
 
-def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT) -> Orbit:
+def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
+            max_digits: int = 0) -> Orbit:
     """Iterate up to `steps` times from x0, recording values until done or singular.
 
     Failures are recorded in the orbit status rather than raised; on
     HIT_SINGULARITY(k) / NEAR_SINGULAR(k) the value at index k is undefined
-    and the recorded values end at index k-1.
+    and the recorded values end at index k-1.  With `max_digits` > 0 the
+    exact plane raises DigitLimit at the first iterate whose numerator or
+    denominator certainly has more than `max_digits` digits, instead of
+    computing the steps after it.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -87,10 +91,13 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT) -> Orb
     if plane is Plane.EXACT:
         x: Value = x0 if isinstance(x0, Fraction) else Fraction(x0)
         shift, q, guard, stop = eq.sign * eq.p, eq.q, 0, StatusKind.HIT_SINGULARITY
+        # an integer of more bits than this is >= 2**budget > 10**max_digits,
+        # since 3.3219280949 > log2(10)
+        budget = -(-max_digits * 33219280949 // 10 ** 10)
     else:
         x = float(x0)
         shift, q, stop = eq.sign * float(eq.p), float(eq.q), StatusKind.NEAR_SINGULAR
-        guard = NEAR_SINGULAR_FACTOR * max(float(eq.p), 1.0)
+        guard, budget = NEAR_SINGULAR_FACTOR * max(float(eq.p), 1.0), 0
     values: List[Value] = [x]
     append = values.append
     status = OrbitStatus(StatusKind.COMPLETED)
@@ -103,6 +110,8 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT) -> Orb
             break
         x = q / den
         append(x)
+        if budget and max(x.numerator.bit_length(), x.denominator.bit_length()) > budget:
+            raise DigitLimit(max_digits)
     return Orbit(eq=eq, x0=x0, values=tuple(values), status=status, plane=plane)
 
 

@@ -5,6 +5,13 @@ class RatdynError(Exception):
     """Base class for package-specific errors."""
 
 
+class DigitLimit(RatdynError):
+    """An exact value has more digits than a limit, such as CPython's int->str limit."""
+
+    def __init__(self, limit):
+        super().__init__(f"exact value exceeds {limit} digits")
+
+
 class NonRealRoots(RatdynError):
     """The characteristic discriminant p^2 + 4q is not positive."""
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ratdyn import cli
 from ratdyn.cli import Table, fmt, render, run
 
 # `python -m ratdyn` finds the package in its working directory.
@@ -100,16 +102,20 @@ def test_simulate_json_status(capsys):
     assert payload["series"][0] == {"n": 0, "value": "-2"}
 
 
+def _rows(table):
+    """The row tuples of a column table, as the reference writers read them."""
+    return list(zip(*table.columns.values()))
+
+
 def _json_by_dumps(table):
     """Reference JSON document: one dict per row, serialized by json.dumps."""
-    one = table.rows is None or isinstance(table.rows, tuple)
-    rows = [table.rows] if one else table.rows
+    rows = _rows(table)
 
     def cell(value):
         return value if type(value) is int else fmt(value)
 
-    records = [None if row is None else dict(zip(table.columns, map(cell, row))) for row in rows]
-    payload = {table.key: records[0] if one else records}
+    records = [dict(zip(table.columns, map(cell, row))) for row in rows]
+    payload = {table.key: (records[0] if records else None) if table.single else records}
     if table.status is not None:
         payload["status"] = table.status
     if table.meta:
@@ -117,34 +123,111 @@ def _json_by_dumps(table):
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _csv_per_cell(table):
+    """Reference CSV document: the per-row writer, `fmt` called on every cell."""
+    rows = _rows(table)
+    lines = [f"# {key}={fmt(value)}" for key, value in sorted((table.meta or {}).items())]
+    if table.status is not None:
+        step = table.status["step"]
+        lines.append(f"# status={table.status['kind']}"
+                     + ("" if step is None else f" step={step}"))
+    lines.append(",".join(table.columns))
+    if table.single and not rows:
+        lines.append("none")
+    lines.extend(",".join(map(fmt, row)) for row in rows)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _table(key, names, rows, **kw):
+    """A column table holding `rows`."""
+    return Table(key, {name: [row[i] for row in rows] for i, name in enumerate(names)}, **kw)
+
+
+def _record(names, row):
+    """A period-two style table: one record, or none when `row` is None."""
+    return _table("cycle", names, [] if row is None else [row], single=True)
+
+
 CELLS = (0, -7, 10 ** 30, True, False, Fraction(22, 7), Fraction(-3, 4), Fraction(5), 0.1,
          -2.5e-300, math.inf, -math.inf, math.nan, "unstable")
 CYCLE = ("phi", "psi", "residual", "approx_phi", "approx_psi")  # sorted order differs
+SERIES = ("n", "value")
+_rng = random.Random(8)
+FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan, 0.0, -math.inf,
+          *(_rng.uniform(-1, 1) * 10.0 ** _rng.randint(-320, 300) for _ in range(993)))
 
-
-@pytest.mark.parametrize("table", [
-    Table("series", ("n", "value"), list(enumerate(CELLS))),
-    Table("series", ("n", "value"), []),
-    Table("series", ("n", "value"), [(0, 1.5)], status={"kind": "completed", "step": None}),
-    Table("series", ("n", "value"), [(0, -1.0)], status={"kind": "near_singular", "step": 1}),
-    Table("series", ("n", "value"), [], status={"kind": "hit_singularity", "step": 1}),
-    Table("series", ("n", "value"), [(0, Fraction(1, 2))],
-          meta={"alternating": True, "predicted_limit": "divergent", "regime": "r"}),
-    Table("series", ("n", "value"), [(1, 2)], meta={"predicted_limit": Fraction(-2, 3)},
+TABLES = [
+    _table("series", SERIES, list(enumerate(CELLS))),
+    _table("series", SERIES, []),
+    _table("series", SERIES, [(0, 1.5)], status={"kind": "completed", "step": None}),
+    _table("series", SERIES, [(0, -1.0)], status={"kind": "near_singular", "step": 1}),
+    _table("series", SERIES, [], status={"kind": "hit_singularity", "step": 1}),
+    _table("series", SERIES, [(0, Fraction(1, 2))],
+           meta={"alternating": True, "predicted_limit": "divergent", "regime": "r"}),
+    _table("series", SERIES, [(1, 2)], meta={"predicted_limit": Fraction(-2, 3)},
+           status={"kind": "completed", "step": None}),
+    _table("series", SERIES, [], meta={}),
+    _record(CYCLE, CELLS[:5]),
+    _record(CYCLE, (math.nan, -math.inf, math.inf, Fraction(-1, 3), 4)),
+    _record(CYCLE, None),
+    _table("equilibria", ("value", "multiplier", "classification", "bracket"),
+           [CELLS[i:i + 4] for i in range(0, len(CELLS) - 3)]),
+    _table("identities", ("kind", "checks", "max_abs_residual"), [("cassini", 25, 0)]),
+    # column kinds the one-pass formatting must tell apart
+    Table("series", {"n": range(len(FLOATS)), "value": FLOATS},
           status={"kind": "completed", "step": None}),
-    Table("series", ("n", "value"), [], meta={}),
-    Table("cycle", CYCLE, CELLS[:5]),
-    Table("cycle", CYCLE, (math.nan, -math.inf, math.inf, Fraction(-1, 3), 4)),
-    Table("cycle", CYCLE, None),
-    Table("equilibria", ("value", "multiplier", "classification", "bracket"),
-          [CELLS[i:i + 4] for i in range(0, len(CELLS) - 3)]),
-    Table("identities", ("kind", "checks", "max_abs_residual"), [("cassini", 25, 0)]),
-])
+    Table("series", {"n": range(-20, -7), "value": [Fraction(k, 3) for k in range(13)]}),
+    Table("series", {"n": range(4), "value": [1, Fraction(1, 2), -3, Fraction(-7, 3)]}),
+    Table("flags", {"flag": (True, False, True), "count": (1, 0, 2 ** 70)}),
+]
+
+
+@pytest.mark.parametrize("table", TABLES)
 def test_json_render_equals_dumps_of_the_payload(table):
-    expected = _json_by_dumps(table)
-    if isinstance(table.rows, list):  # the CLI passes one-pass iterators such as enumerate
-        table = table._replace(rows=iter(table.rows))
-    assert render(table, argparse.Namespace(format="json")) == expected
+    assert render(table, argparse.Namespace(format="json")) == _json_by_dumps(table)
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_csv_render_equals_per_cell_reference(table):
+    assert render(table, argparse.Namespace(format="csv")) == _csv_per_cell(table)
+
+
+@pytest.mark.parametrize("fmt_flag", ["csv", "json"])
+def test_float_series_renders_without_a_call_per_cell(monkeypatch, capsys, fmt_flag):
+    # Counts calls, not time: the value column is formatted in one pass.
+    calls = []
+    real_fmt = cli.fmt
+
+    def counting(value):
+        calls.append(value)
+        return real_fmt(value)
+
+    monkeypatch.setattr(cli, "fmt", counting)
+    code, out, _ = invoke(capsys, [
+        "simulate", "--branch", "plus", "--p", "2", "--q", "7", "--nu", "6", "--x0", "3",
+        "--steps", "1000", "--plane", "float", "--format", fmt_flag])
+    assert code == 0 and out.count("\n") == (1 if fmt_flag == "json" else 1003)
+    assert calls == []
+
+
+def test_simulate_refuses_an_exact_orbit_at_the_digit_limit(monkeypatch, capsys):
+    # Counts exact steps, not time: the refusal comes at step 14 of 24, where
+    # an iterate first certainly has more digits than the int->str limit.
+    powers = [0]
+    real_pow = Fraction.__pow__
+
+    def counting(*args):
+        powers[0] += 1
+        return real_pow(*args)
+
+    monkeypatch.setattr(Fraction, "__pow__", counting)
+    code, out, err = invoke(capsys, ["simulate", "--branch", "plus", "--p", "1", "--q", "2",
+                                     "--nu", "2", "--x0", "3", "--steps", "24"])
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == f"error: exact value exceeds {limit} digits; use --plane float\n"
+    assert powers[0] == 14
 
 
 def test_closed_form_forbidden_exit_code(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from ratdyn.dynamics import (
     step,
 )
 from ratdyn.equation import EquationSpec
-from ratdyn.errors import NearSingularity, OrbitTooShort, Singularity, WrongBranch
+from ratdyn.errors import DigitLimit, NearSingularity, OrbitTooShort, Singularity, WrongBranch
 
 
 # --- step ---------------------------------------------------------------------
@@ -160,6 +161,59 @@ def test_exact_iterate_matches_repeated_step():
                 for x0 in (Fraction(1, 2), Fraction(-3, 2), Fraction(-2), Fraction(1), 3):
                     seen.add(_assert_same_orbit(eq, x0, steps, Plane.EXACT, repr))
     assert seen == {StatusKind.COMPLETED, StatusKind.HIT_SINGULARITY}
+
+
+
+def _count_powers(monkeypatch):
+    """Count exact powers, one per exact iterate step."""
+    count = [0]
+    real_pow = Fraction.__pow__
+
+    def counting(*args):
+        count[0] += 1
+        return real_pow(*args)
+
+    monkeypatch.setattr(Fraction, "__pow__", counting)
+    return count
+
+
+def _digits(x: Fraction) -> int:
+    return max(len(str(abs(x.numerator))), len(str(x.denominator)))
+
+
+def test_exact_iterate_stops_at_the_digit_limit(monkeypatch):
+    # Counts steps, not time.  Bit lengths double per step (8653 at step 13,
+    # 17305 at step 14), and more than 4300 digits is certain past 14285 bits.
+    eq = EquationSpec.plus(1, 2, 2)
+    assert iterate(eq, Fraction(3), 13, max_digits=4300).status.ok
+    assert iterate(eq, Fraction(3), 16).status.ok  # no limit by default
+    powers = _count_powers(monkeypatch)
+    with pytest.raises(DigitLimit, match=r"^exact value exceeds 4300 digits$"):
+        iterate(eq, Fraction(3), 24, max_digits=4300)
+    assert powers[0] == 14
+
+
+@pytest.mark.parametrize("eq, x0, steps", [
+    (EquationSpec.plus(1, 2, 2), Fraction(3), 16),
+    (EquationSpec.minus(3, 1, 2), Fraction(4, 3), 16),
+    (EquationSpec.plus(2, 5, 3), Fraction(5, 2), 10),
+])
+def test_exact_iterate_refuses_only_unprintable_iterates(monkeypatch, eq, x0, steps):
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # to count the digits of every iterate
+        digits = list(map(_digits, iterate(eq, x0, steps).values))
+        assert len(digits) == steps + 1
+        for limit in (640, 1000, 4300):
+            first = next(k for k, d in enumerate(digits) if d > limit)
+            powers = _count_powers(monkeypatch)
+            with pytest.raises(DigitLimit, match=f"exceeds {limit} digits"):
+                iterate(eq, x0, steps, max_digits=limit)
+            # never an iterate that prints; at most one step past the first that does not
+            assert digits[powers[0]] > limit and powers[0] in (first, first + 1)
+            assert iterate(eq, x0, first - 1, max_digits=limit).status.ok
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 # --- envelopes -------------------------------------------------------------------

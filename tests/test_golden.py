@@ -102,6 +102,8 @@ CASES = {
     "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
     # an exact iterate past CPython's int->str digit limit: exit 2, nothing on stdout
     "simulate_exact_too_large": "simulate --branch plus --p 1 --q 2 --nu 2 --x0 3 --steps 14",
+    "simulate_exact_too_large_steps24":
+        "simulate --branch plus --p 1 --q 2 --nu 2 --x0 3 --steps 24",
 }
 
 
