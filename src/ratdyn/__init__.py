@@ -6,64 +6,29 @@ The package keeps two numeric planes everywhere: exact rationals
 for limits and roots that are irrational in general.
 """
 
-from .analysis import (
-    Bracket,
-    EquilibriumReport,
-    PeriodTwoCycle,
-    Stability,
-    classify_stability,
-    equilibria,
-    linear_stability_criterion,
-    smallest_even_cycle_exponent,
-    solve_period_two,
-)
-from .closed_form import (
-    ForbiddenPoint,
-    ProductAnalysis,
-    Regime,
-    RootChoice,
-    asymptotic_limit,
-    conjugate_orbit_check,
-    docagne_product,
-    excluded_points,
-    fixed_solution,
-    forbidden_depth,
-    forbidden_points,
-    johnson_product,
-    near_excluded_point,
-    product_analysis,
-    product_closed_form,
-    reconstruct_horadam,
-    solve_closed_form,
-)
-from .dynamics import (
-    BoundsEnvelope,
-    Orbit,
-    OscillationProfile,
-    PeriodDetection,
-    Plane,
-    Side,
-    StatusKind,
-    bounds_envelope,
-    detect_period,
-    iterate,
-    oscillation_profile,
-    reflected_bounds,
-    step,
-)
-from .equation import Branch, EquationSpec
-from .horadam import (
-    HoradamSpec,
-    IdentityKind,
-    QuadraticElement,
-    QuadraticRoots,
-    binet_roots,
-    check_identity,
-    horadam_at,
-    horadam_range,
-    phi_power,
-    ratio_estimate,
-)
+from importlib import import_module
+
+# Each public name, by the module that defines it.  A module is imported on
+# the first access to one of its names, so importing the package, as
+# `import ratdyn.cli` does, loads no layer.
+_EXPORTS = {
+    "analysis": ("Bracket", "EquilibriumReport", "PeriodTwoCycle", "Stability",
+                 "classify_stability", "equilibria", "linear_stability_criterion",
+                 "smallest_even_cycle_exponent", "solve_period_two"),
+    "closed_form": ("ForbiddenPoint", "ProductAnalysis", "Regime", "RootChoice",
+                    "asymptotic_limit", "conjugate_orbit_check", "docagne_product",
+                    "excluded_points", "fixed_solution", "forbidden_depth", "forbidden_points",
+                    "johnson_product", "near_excluded_point", "product_analysis",
+                    "product_closed_form", "reconstruct_horadam", "solve_closed_form"),
+    "dynamics": ("BoundsEnvelope", "Orbit", "OscillationProfile", "PeriodDetection", "Plane",
+                 "Side", "StatusKind", "bounds_envelope", "detect_period", "iterate",
+                 "oscillation_profile", "reflected_bounds", "step"),
+    "equation": ("Branch", "EquationSpec"),
+    "horadam": ("HoradamSpec", "IdentityKind", "QuadraticElement", "QuadraticRoots",
+                "binet_roots", "check_identity", "horadam_at", "horadam_range", "phi_power",
+                "ratio_estimate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -120,3 +85,17 @@ __all__ = [
     "solve_period_two",
     "step",
 ]
+
+
+def __getattr__(name):
+    """Resolve a public name from its module on first access (PEP 562)."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,11 +16,9 @@ the same predicate runs on Fractions, so every sign the search sees is exact.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
 from .errors import NotAnEquilibrium
@@ -48,8 +46,7 @@ class Stability(Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """An equilibrium value with its location bracket; multiplier and
     classification are filled in by classify_stability."""
 
@@ -185,7 +182,7 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
         classification = Stability.UNSTABLE
     else:
         classification = Stability.MARGINALLY_STABLE
-    return dataclasses.replace(report, multiplier=multiplier, classification=classification)
+    return report._replace(multiplier=multiplier, classification=classification)
 
 
 def linear_stability_criterion(coeffs: Sequence[float]) -> bool:
@@ -194,8 +191,7 @@ def linear_stability_criterion(coeffs: Sequence[float]) -> bool:
     return sum(abs(float(c)) for c in coeffs) < 1.0
 
 
-@dataclass(frozen=True)
-class PeriodTwoCycle:
+class PeriodTwoCycle(NamedTuple):
     """A prime two-cycle (phi, psi); residual is the worst defect of the two
     defining equations value*(sign*p + other**nu) = q.  approx_form holds the
     closed candidates (q/p, q/(p+(q/p)**nu)) and their branch variants; they
@@ -399,7 +395,7 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     if eq.branch is Branch.PLUS or cycle is None:
         return cycle
     phi, psi = -cycle.phi, -cycle.psi
-    return dataclasses.replace(cycle, phi=phi, psi=psi, residual=_cycle_residual(eq, phi, psi))
+    return cycle._replace(phi=phi, psi=psi, residual=_cycle_residual(eq, phi, psi))
 
 
 def smallest_even_cycle_exponent(p, q, cap: int = 64) -> Optional[int]:

@@ -11,7 +11,9 @@ floats with 17 significant digits; both round-trip losslessly.
 A table holds columns, not rows.  `render` turns each column into text in one
 pass: a C-level `format`/`str` map when the column is all floats or all ints,
 `fmt` per cell otherwise.  It joins each CSV line or JSON record from those
-texts, so a long orbit builds no per-row tuple.
+texts, so a long orbit builds no per-row tuple, and joins the rows a block at
+a time, so only one block of row strings is alive beside the document.  The
+layers are imported by the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import analysis, closed_form, dynamics
 from .equation import Branch, EquationSpec
 from .errors import DigitLimit, RatdynError, SingularInput
 # bench/trace_run.py wraps this module's `horadam_range` and `check_identity`.
@@ -35,6 +36,8 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
+
+BLOCK_ROWS = 4096  # rows joined at a time by `render`
 
 
 def fmt(value) -> str:
@@ -101,6 +104,15 @@ def _column_texts(cells: Sequence, json_text: bool) -> Iterator[str]:
     return map(_json_cell if json_text else fmt, cells)
 
 
+def _joined(rows: Iterator[str], sep: str) -> List[str]:
+    """Pieces whose concatenation is `sep.join(rows)`.  Rows are joined
+    BLOCK_ROWS at a time, so only one block of row strings is alive at once."""
+    pieces: List[str] = []
+    while block := list(islice(rows, BLOCK_ROWS)):
+        pieces += [sep, sep.join(block)] if pieces else [sep.join(block)]
+    return pieces
+
+
 def _json_document(table: Table, texts) -> str:
     """The bytes of `json.dumps(payload, sort_keys=True)`.  A row is joined
     from its cell texts in sorted column order and the key text before each."""
@@ -110,15 +122,18 @@ def _json_document(table: Table, texts) -> str:
         pieces += [repeat((", " if pieces else "{") + encode_basestring_ascii(name) + ": "),
                    by_name[name]]
     records = map("".join, zip(*pieces, repeat("}")))
-    members = {table.key: next(records, "null") if table.single
-               else "[" + ", ".join(records) + "]"}
+    members = {table.key: [next(records, "null")] if table.single
+               else ["[", *_joined(records, ", "), "]"]}
     if table.status is not None:
-        members["status"] = json.dumps(table.status, sort_keys=True)
+        members["status"] = [json.dumps(table.status, sort_keys=True)]
     if table.meta:
-        members["meta"] = json.dumps({key: fmt(value) for key, value in table.meta.items()},
-                                     sort_keys=True)
-    return "{%s}\n" % ", ".join(
-        f"{encode_basestring_ascii(key)}: {text}" for key, text in sorted(members.items()))
+        members["meta"] = [json.dumps({key: fmt(value) for key, value in table.meta.items()},
+                                      sort_keys=True)]
+    document = []
+    for key, value in sorted(members.items()):
+        document += [", " if document else "{", encode_basestring_ascii(key), ": ", *value]
+    document.append("}\n")
+    return "".join(document)
 
 
 def render(table: Table, args) -> str:
@@ -135,9 +150,8 @@ def render(table: Table, args) -> str:
                          + ("" if step is None else f" step={step}"))
         lines.append(",".join(table.columns))
         records = map(",".join, zip(*texts))
-        lines.extend([next(records, "none")] if table.single else records)
-        lines.append("")
-        return "\n".join(lines)
+        body = [next(records, "none")] if table.single else _joined(records, "\n")
+        return "".join([*(line + "\n" for line in lines), *body, "\n" if body else ""])
     except ValueError as exc:  # CPython's int->str digit limit, the only ValueError here
         raise DigitLimit(sys.get_int_max_str_digits()) from exc
 
@@ -149,6 +163,8 @@ def _cmd_horadam(args) -> Tuple[int, Table]:
 
 
 def _cmd_simulate(args) -> Tuple[int, Table]:
+    from . import dynamics
+
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     plane = dynamics.Plane(args.plane)
     x0 = args.x0 if plane is dynamics.Plane.EXACT else float(args.x0)
@@ -161,12 +177,16 @@ def _cmd_simulate(args) -> Tuple[int, Table]:
 
 
 def _cmd_closed_form(args) -> Tuple[int, Table]:
+    from . import closed_form
+
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     values = closed_form.closed_form_series(eq, args.x0, args.n)
     return EXIT_OK, Table("series", {"n": range(len(values)), "value": values})
 
 
 def _cmd_forbidden(args) -> Tuple[int, Table]:
+    from . import closed_form
+
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     points = closed_form.forbidden_points(eq, args.depth)
     return EXIT_OK, Table("forbidden", {"m": [pt.m for pt in points],
@@ -174,6 +194,8 @@ def _cmd_forbidden(args) -> Tuple[int, Table]:
 
 
 def _cmd_products(args) -> Tuple[int, Table]:
+    from . import closed_form
+
     eq = EquationSpec(args.branch, args.p, args.q, 1)
     result = closed_form.product_analysis(eq, args.x0, args.steps)
     limit = "divergent" if result.predicted_limit is None else result.predicted_limit
@@ -184,6 +206,8 @@ def _cmd_products(args) -> Tuple[int, Table]:
 
 
 def _cmd_analyze(args) -> Tuple[int, Table]:
+    from . import analysis
+
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     reports = [analysis.classify_stability(eq, rep) for rep in analysis.equilibria(eq)]
     return EXIT_OK, Table("equilibria", {
@@ -194,6 +218,8 @@ def _cmd_analyze(args) -> Tuple[int, Table]:
 
 
 def _cmd_period2(args) -> Tuple[int, Table]:
+    from . import analysis
+
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
     cycle = analysis.solve_period_two(eq, args.tol)
     row = () if cycle is None else (cycle.phi, cycle.psi, cycle.residual, *cycle.approx_form)

@@ -15,10 +15,9 @@ limit values, which involve the irrational roots phi_plus/phi_minus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import dynamics
 from .equation import Branch, EquationSpec, Rational, as_fraction
@@ -57,8 +56,7 @@ def rational_phi_plus(p: Fraction, q: Fraction) -> Optional[Fraction]:
     return (p + root) / 2
 
 
-@dataclass(frozen=True)
-class ForbiddenPoint:
+class ForbiddenPoint(NamedTuple):
     """Initial condition that reaches a zero denominator after exactly m steps."""
 
     m: int
@@ -203,8 +201,7 @@ class Regime(Enum):
     P_LESS_QM1 = "PLessQm1"
 
 
-@dataclass(frozen=True)
-class ProductAnalysis:
+class ProductAnalysis(NamedTuple):
     """Partial products of an orbit plus the regime-determined limit prediction.
 
     regime is fixed by sign(p - (q-1)) alone.  predicted_limit is exact:

@@ -12,7 +12,6 @@ and one divide: about 0.25 µs, against ~3 µs through `step`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -36,8 +35,7 @@ class StatusKind(Enum):
     NEAR_SINGULAR = "near_singular"
 
 
-@dataclass(frozen=True)
-class OrbitStatus:
+class OrbitStatus(NamedTuple):
     kind: StatusKind
     step: Optional[int] = None
 
@@ -59,8 +57,7 @@ def step(eq: EquationSpec, x: Value) -> Value:
     return float(eq.q) / den
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A recorded trajectory, its termination status and the plane it ran in."""
 
     eq: EquationSpec
@@ -115,8 +112,7 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
     return Orbit(eq=eq, x0=x0, values=tuple(values), status=status, plane=plane)
 
 
-@dataclass(frozen=True)
-class BoundsEnvelope:
+class BoundsEnvelope(NamedTuple):
     """Positive-orbit envelope lo = q/(p + (q/p)**nu), hi = q/p for the plus branch."""
 
     lo: Fraction
@@ -151,8 +147,7 @@ class Side(Enum):
     AT = "at"
 
 
-@dataclass(frozen=True)
-class OscillationProfile:
+class OscillationProfile(NamedTuple):
     """Per-step side of a reference value plus run-length encoded semicycles."""
 
     center: float

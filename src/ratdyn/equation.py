@@ -9,10 +9,9 @@ the exact plane honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -29,30 +28,38 @@ class Branch(Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class EquationSpec:
-    """One equation x(n+1) = q / (sign*p + x(n)**nu) with p, q > 0 and nu >= 1."""
-
+class _EquationFields(NamedTuple):
     branch: Branch
     p: Fraction
     q: Fraction
     nu: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "q", as_fraction(self.q))
-        if self.p <= 0 or self.q <= 0:
+
+class EquationSpec(_EquationFields):
+    """One equation x(n+1) = q / (sign*p + x(n)**nu) with p, q > 0 and nu >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, branch: Branch, p: Rational, q: Rational, nu: int = 1) -> "EquationSpec":
+        p, q = as_fraction(p), as_fraction(q)
+        if p <= 0 or q <= 0:
             raise ValueError("p and q must be positive")
-        if not isinstance(self.nu, int) or self.nu < 1:
+        if not isinstance(nu, int) or nu < 1:
             raise ValueError("nu must be an integer >= 1")
+        return super().__new__(cls, branch, p, q, nu)
+
+    @classmethod
+    def _make(cls, iterable) -> "EquationSpec":
+        """Checked like the constructor, so `_replace` coerces and validates too."""
+        return cls(*iterable)
 
     @classmethod
     def plus(cls, p: Rational, q: Rational, nu: int = 1) -> "EquationSpec":
-        return cls(Branch.PLUS, as_fraction(p), as_fraction(q), nu)
+        return cls(Branch.PLUS, p, q, nu)
 
     @classmethod
     def minus(cls, p: Rational, q: Rational, nu: int = 1) -> "EquationSpec":
-        return cls(Branch.MINUS, as_fraction(p), as_fraction(q), nu)
+        return cls(Branch.MINUS, p, q, nu)
 
     @property
     def sign(self) -> int:

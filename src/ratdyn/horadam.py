@@ -13,11 +13,10 @@ W(n-1) = (W(n+1) - p*W(n)) / q, which needs q != 0.  For canonical seeds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Tuple, Union
+from typing import Iterator, NamedTuple, Tuple, Union
 
 from .equation import Rational, as_fraction
 from .errors import (
@@ -28,25 +27,33 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class HoradamSpec:
-    """Recurrence data (a, b; p, q): seeds W0 = a, W1 = b and coefficients p, q."""
-
+class _HoradamFields(NamedTuple):
     a: Fraction
     b: Fraction
     p: Fraction
     q: Fraction
 
-    def __post_init__(self):
-        for name in ("a", "b", "p", "q"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if self.p * self.p + 4 * self.q == 0:
+
+class HoradamSpec(_HoradamFields):
+    """Recurrence data (a, b; p, q): seeds W0 = a, W1 = b and coefficients p, q."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Rational, b: Rational, p: Rational, q: Rational) -> "HoradamSpec":
+        a, b, p, q = as_fraction(a), as_fraction(b), as_fraction(p), as_fraction(q)
+        if p * p + 4 * q == 0:
             raise ValueError("p^2 + 4q must be nonzero (characteristic roots coincide)")
+        return super().__new__(cls, a, b, p, q)
+
+    @classmethod
+    def _make(cls, iterable) -> "HoradamSpec":
+        """Checked like the constructor, so `_replace` coerces and validates too."""
+        return cls(*iterable)
 
     @classmethod
     def canonical(cls, p: Rational, q: Rational) -> "HoradamSpec":
         """The (0, 1; p, q) spec that ratio and identity statements assume."""
-        return cls(Fraction(0), Fraction(1), as_fraction(p), as_fraction(q))
+        return cls(0, 1, p, q)
 
     @property
     def is_canonical(self) -> bool:
@@ -90,8 +97,7 @@ def canonical_table(p: Rational, q: Rational, upto: int) -> list:
     return horadam_range(HoradamSpec.canonical(p, q), 0, upto)
 
 
-@dataclass(frozen=True)
-class QuadraticElement:
+class QuadraticElement(NamedTuple):
     """Element u + v*phi of the ring where phi**2 = p*phi + q, coordinates exact.
 
     Multiplication follows from the defining relation:
@@ -125,6 +131,13 @@ class QuadraticElement:
             self.q,
         )
 
+    def _refuse_tuple_arithmetic(self, other):
+        """`n * element` and `tuple + element`, which tuple's repeat and
+        concatenation would otherwise answer with a longer tuple."""
+        raise TypeError(f"unsupported operand {type(other).__name__!r} for QuadraticElement")
+
+    __rmul__ = __radd__ = _refuse_tuple_arithmetic
+
     def evaluate(self, root: float) -> float:
         """Numeric value u + v*root at a floating characteristic root."""
         return float(self.u) + float(self.v) * root
@@ -157,8 +170,7 @@ def phi_power(p: Rational, q: Rational, n: int) -> QuadraticElement:
     return acc
 
 
-@dataclass(frozen=True)
-class QuadraticRoots:
+class QuadraticRoots(NamedTuple):
     """Floating characteristic data for x**2 = p*x + q."""
 
     phi_plus: float
