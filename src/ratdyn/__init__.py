@@ -32,59 +32,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "Bracket",
-    "BoundsEnvelope",
-    "EquationSpec",
-    "EquilibriumReport",
-    "ForbiddenPoint",
-    "HoradamSpec",
-    "IdentityKind",
-    "Orbit",
-    "OscillationProfile",
-    "PeriodDetection",
-    "PeriodTwoCycle",
-    "Plane",
-    "ProductAnalysis",
-    "QuadraticElement",
-    "QuadraticRoots",
-    "Regime",
-    "RootChoice",
-    "Side",
-    "Stability",
-    "StatusKind",
-    "asymptotic_limit",
-    "binet_roots",
-    "bounds_envelope",
-    "check_identity",
-    "classify_stability",
-    "conjugate_orbit_check",
-    "detect_period",
-    "docagne_product",
-    "equilibria",
-    "excluded_points",
-    "fixed_solution",
-    "forbidden_depth",
-    "forbidden_points",
-    "horadam_at",
-    "horadam_range",
-    "iterate",
-    "johnson_product",
-    "linear_stability_criterion",
-    "near_excluded_point",
-    "oscillation_profile",
-    "phi_power",
-    "product_analysis",
-    "product_closed_form",
-    "ratio_estimate",
-    "reconstruct_horadam",
-    "reflected_bounds",
-    "smallest_even_cycle_exponent",
-    "solve_closed_form",
-    "solve_period_two",
-    "step",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

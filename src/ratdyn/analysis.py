@@ -65,15 +65,16 @@ def _polynomial_derivative(eq: EquationSpec, x: float) -> float:
     return (eq.nu + 1) * x ** eq.nu + eq.sign * float(eq.p)
 
 
-def _bisect(f, lo: float, hi: float, iterations: int = 100) -> float:
-    flo = f(lo)
+def _bisect(eq: EquationSpec, lo: float, hi: float, iterations: int = 100) -> float:
+    """A root of the equilibrium polynomial on [lo, hi], which brackets one."""
+    flo = equilibrium_polynomial(eq, lo)
     if flo == 0.0:
         return lo
-    if f(hi) == 0.0:
+    if equilibrium_polynomial(eq, hi) == 0.0:
         return hi
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = equilibrium_polynomial(eq, mid)
         if fm == 0.0:
             return mid
         if (fm > 0.0) == (flo > 0.0):
@@ -120,7 +121,7 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
                 hi ** (nu + 1)
             except OverflowError:  # every positive root has x**(nu+1) < q and p*x < q
                 hi = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
-            value = _bisect(lambda x: equilibrium_polynomial(eq, x), 0.0, hi)
+            value = _bisect(eq, 0.0, hi)
         return [EquilibriumReport(_polish(eq, value), bracket)]
 
     if nu % 2 == 1:
@@ -130,7 +131,7 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
             roots = binet_roots(float(p), float(q))
             value = roots.phi_minus
         elif q < p + 1:
-            value = _bisect(lambda x: equilibrium_polynomial(eq, x), -1.0, 0.0)
+            value = _bisect(eq, -1.0, 0.0)
         else:
             left = 2.0
             try:
@@ -138,7 +139,7 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
                     left *= 2.0
             except OverflowError:  # the root -a has a**(nu+1) = q - p*a, so a < q/p, q**(1/(nu+1))
                 left = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
-            value = _bisect(lambda x: equilibrium_polynomial(eq, x), -left, -1.0)
+            value = _bisect(eq, -left, -1.0)
         bracket = Bracket.IN_MINUS_UNIT if q < p + 1 else Bracket.BELOW_MINUS_ONE
         return [EquilibriumReport(_polish(eq, value), bracket)]
 
@@ -147,14 +148,14 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
         return [EquilibriumReport(-1.0, Bracket.AT_MINUS_ONE)]
     if q > p - 1:
         return []
-    inner = _polish(eq, _bisect(lambda x: equilibrium_polynomial(eq, x), -1.0, 0.0))
+    inner = _polish(eq, _bisect(eq, -1.0, 0.0))
     left = 2.0
     try:
         while equilibrium_polynomial(eq, -left) >= 0.0:
             left *= 2.0
     except OverflowError:  # the outer root -a has a**(nu+1) = p*a - q < p*a, so a < p**(1/nu)
         left = float(p) ** (1.0 / nu)
-    outer = _polish(eq, _bisect(lambda x: equilibrium_polynomial(eq, x), -left, -1.0))
+    outer = _polish(eq, _bisect(eq, -left, -1.0))
     return [
         EquilibriumReport(inner, Bracket.IN_MINUS_UNIT),
         EquilibriumReport(outer, Bracket.BELOW_MINUS_ONE),
@@ -173,8 +174,7 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     x = report.value
     if abs(equilibrium_polynomial(eq, x)) > 1e-8 * max(1.0, float(eq.q)):
         raise NotAnEquilibrium(f"{x} does not satisfy the equilibrium polynomial")
-    den = eq.sign * float(eq.p) + x ** eq.nu
-    multiplier = -float(eq.q) * eq.nu * x ** (eq.nu - 1) / den ** 2
+    multiplier = -float(eq.q) * eq.nu * x ** (eq.nu - 1) / eq.denominator(float(x)) ** 2
     magnitude = abs(multiplier)
     if magnitude < 1.0 - MARGINAL_BAND:
         classification = Stability.LOCALLY_ASYMPTOTICALLY_STABLE
@@ -222,14 +222,14 @@ def _second_iterate_sign(eq: EquationSpec, x) -> Optional[int]:
 
 def _cycle_newton(eq: EquationSpec, phi: float, psi: float, rounds: int = 8) -> Tuple[float, float]:
     """Polish the pair on the full 2x2 cycle system for machine-level residuals."""
-    p, q, nu, s = float(eq.p), float(eq.q), eq.nu, eq.sign
+    q, nu = float(eq.q), eq.nu
     for _ in range(rounds):
-        f1 = phi * (s * p + psi ** nu) - q
-        f2 = psi * (s * p + phi ** nu) - q
-        a11 = s * p + psi ** nu
+        a11 = eq.denominator(psi)
+        a22 = eq.denominator(phi)
+        f1 = phi * a11 - q
+        f2 = psi * a22 - q
         a12 = phi * nu * psi ** (nu - 1)
         a21 = psi * nu * phi ** (nu - 1)
-        a22 = s * p + phi ** nu
         det = a11 * a22 - a12 * a21
         if det == 0.0:
             break
@@ -239,11 +239,8 @@ def _cycle_newton(eq: EquationSpec, phi: float, psi: float, rounds: int = 8) -> 
 
 
 def _cycle_residual(eq: EquationSpec, phi: float, psi: float) -> float:
-    p, q, s = float(eq.p), float(eq.q), eq.sign
-    return max(
-        abs(phi * (s * p + psi ** eq.nu) - q),
-        abs(psi * (s * p + phi ** eq.nu) - q),
-    )
+    q = float(eq.q)
+    return max(abs(phi * eq.denominator(psi) - q), abs(psi * eq.denominator(phi) - q))
 
 
 def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> Optional[int]:
@@ -297,7 +294,7 @@ def _finish_cycle(
     if root is None:
         return None
     phi = float(root)
-    den = eq.sign * float(eq.p) + phi ** eq.nu
+    den = eq.denominator(phi)
     if den == 0.0:
         return None
     psi = float(eq.q) / den
@@ -335,11 +332,10 @@ def _positive_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
 def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
     """Sign of alpha*(B**nu - p) - q with B = q/(alpha**nu - p), or None
     outside the mixed-cycle region alpha**nu > p."""
-    den = alpha ** eq.nu - eq.p
+    den = eq.denominator(alpha)
     if den <= 0:
         return None
-    b = eq.q / den
-    return _sign_of(alpha * (b ** eq.nu - eq.p) - eq.q)
+    return _sign_of(alpha * eq.denominator(eq.q / den) - eq.q)
 
 
 def _mixed_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:

@@ -19,12 +19,10 @@ layers are imported by the subcommands that use them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 from itertools import islice, repeat
-from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
@@ -87,21 +85,26 @@ class Table(NamedTuple):
     status: Optional[dict] = None
 
 
-def _json_cell(value) -> str:
-    """One cell as JSON text: indices and counts stay numbers, the rest are strings."""
-    return str(value) if type(value) is int else encode_basestring_ascii(fmt(value))
+def _json_cell(value, encode) -> str:
+    """One cell as JSON text: indices and counts stay numbers, the rest are
+    strings quoted by `encode`."""
+    return str(value) if type(value) is int else encode(fmt(value))
 
 
 def _column_texts(cells: Sequence, json_text: bool) -> Iterator[str]:
     """`cells` as CSV (`fmt`) or JSON (`_json_cell`) texts.  A column of only
-    floats or only ints (not bools) is formatted in one C-level pass."""
+    floats or only ints (not bools) is formatted in one C-level pass.  Only
+    JSON loads `json`."""
     kinds = set(map(type, cells))
     if kinds == {int}:
         return map(str, cells)
+    if not json_text:
+        return map(format, cells, repeat(".17g")) if kinds == {float} else map(fmt, cells)
+    from json.encoder import encode_basestring_ascii
+
     if kinds == {float}:
-        texts = map(format, cells, repeat(".17g"))
-        return map(encode_basestring_ascii, texts) if json_text else texts
-    return map(_json_cell if json_text else fmt, cells)
+        return map(encode_basestring_ascii, map(format, cells, repeat(".17g")))
+    return map(_json_cell, cells, repeat(encode_basestring_ascii))
 
 
 def _joined(rows: Iterator[str], sep: str) -> List[str]:
@@ -116,6 +119,9 @@ def _joined(rows: Iterator[str], sep: str) -> List[str]:
 def _json_document(table: Table, texts) -> str:
     """The bytes of `json.dumps(payload, sort_keys=True)`.  A row is joined
     from its cell texts in sorted column order and the key text before each."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
     by_name = dict(zip(table.columns, texts))
     pieces = []
     for name in sorted(by_name):

@@ -17,16 +17,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import dynamics
 from .equation import Branch, EquationSpec, Rational, as_fraction
-from .errors import (
-    ForbiddenInitialCondition,
-    InitialAtMinusPhiPlus,
-    Singularity,
-    ZeroDenominator,
-)
+from .errors import ForbiddenInitialCondition, InitialAtMinusPhiPlus, ZeroDenominator
 from .horadam import binet_roots, canonical_table
 
 EXCLUDED_POINT_TOL = 1e-12
@@ -236,17 +233,9 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
         if x0 == blocked:
             raise InitialAtMinusPhiPlus(f"initial condition {x0} is the repelling fixed point")
 
-    partials: List[Fraction] = []
-    x = x0
-    acc = Fraction(1)
-    for m in range(steps + 1):
-        if m > 0:
-            try:
-                x = dynamics.step(eq, x)
-            except Singularity:
-                raise ForbiddenInitialCondition(m)
-        acc *= x
-        partials.append(acc)
+    orbit = dynamics.iterate(eq, x0, steps)
+    if not orbit.status.ok:
+        raise ForbiddenInitialCondition(orbit.status.step)
 
     diff = eq.p - (eq.q - 1)
     if diff > 0:
@@ -269,7 +258,7 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
         regime=regime,
         predicted_limit=predicted,
         alternating=alternating,
-        partials=tuple(partials),
+        partials=tuple(accumulate(orbit.values, mul)),
     )
 
 
@@ -285,13 +274,9 @@ def reconstruct_horadam(p: Rational, q: Rational, k: int, n: int) -> Fraction:
     if n <= k + 1:
         raise ValueError("n must exceed k + 1")
     ws = canonical_table(p, q, k + 1)
-    eq = EquationSpec.plus(p, q)
-    x = q * ws[k] / ws[k + 1]
-    prod = Fraction(1)
-    for _ in range(n - k - 1):
-        x = dynamics.step(eq, x)  # positive orbit, cannot be singular
-        prod *= x
-    return q ** (n - k - 1) * ws[k + 1] / prod
+    # x0 >= 0, so every iterate is positive and the orbit cannot be singular
+    orbit = dynamics.iterate(EquationSpec.plus(p, q), q * ws[k] / ws[k + 1], n - k - 1)
+    return q ** (n - k - 1) * ws[k + 1] / math.prod(orbit.values[1:])
 
 
 def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
@@ -304,13 +289,8 @@ def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     ws = canonical_table(p, q, n + r + 1)
-    eq = EquationSpec.plus(p, q)
-    x = -ws[n + r + 1] / ws[n + r]
-    prod = Fraction(1)
-    for _ in range(n):
-        x = dynamics.step(eq, x)
-        prod *= x
-    return (-1) ** n * prod
+    orbit = dynamics.iterate(EquationSpec.plus(p, q), -ws[n + r + 1] / ws[n + r], n)
+    return (-1) ** n * math.prod(orbit.values[1:])
 
 
 def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .equation import Branch, EquationSpec
+from .equation import Branch, EquationSpec, as_fraction
 from .errors import DigitLimit, NearSingularity, OrbitTooShort, Singularity, WrongBranch
 
 NEAR_SINGULAR_FACTOR = 1e-12
@@ -77,16 +77,17 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
 
     Failures are recorded in the orbit status rather than raised; on
     HIT_SINGULARITY(k) / NEAR_SINGULAR(k) the value at index k is undefined
-    and the recorded values end at index k-1.  With `max_digits` > 0 the
-    exact plane raises DigitLimit at the first iterate whose numerator or
-    denominator certainly has more than `max_digits` digits, instead of
-    computing the steps after it.
+    and the recorded values end at index k-1.  The exact plane converts x0
+    with `as_fraction`, so a float seed raises TypeError there.  With
+    `max_digits` > 0 the exact plane raises DigitLimit at the first iterate
+    whose numerator or denominator certainly has more than `max_digits`
+    digits, instead of computing the steps after it.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     nu = eq.nu
     if plane is Plane.EXACT:
-        x: Value = x0 if isinstance(x0, Fraction) else Fraction(x0)
+        x: Value = as_fraction(x0)
         shift, q, guard, stop = eq.sign * eq.p, eq.q, 0, StatusKind.HIT_SINGULARITY
         # an integer of more bits than this is >= 2**budget > 10**max_digits,
         # since 3.3219280949 > log2(10)
@@ -127,8 +128,7 @@ def bounds_envelope(eq: EquationSpec) -> BoundsEnvelope:
     if eq.branch is not Branch.PLUS:
         raise WrongBranch("envelope is stated for the plus branch; see reflected_bounds")
     hi = eq.q / eq.p
-    lo = eq.q / (eq.p + hi ** eq.nu)
-    return BoundsEnvelope(lo=lo, hi=hi)
+    return BoundsEnvelope(lo=eq.q / eq.denominator(hi), hi=hi)
 
 
 def reflected_bounds(eq: EquationSpec) -> Tuple[Fraction, Fraction]:
@@ -136,8 +136,7 @@ def reflected_bounds(eq: EquationSpec) -> Tuple[Fraction, Fraction]:
     orbits (odd nu)."""
     if eq.branch is not Branch.MINUS:
         raise WrongBranch("reflected envelope applies to the minus branch")
-    hi = eq.q / eq.p
-    lo = eq.q / (eq.p + hi ** eq.nu)
+    lo, hi = bounds_envelope(eq._replace(branch=Branch.PLUS))
     return (-hi, -lo)
 
 

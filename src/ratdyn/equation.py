@@ -67,5 +67,6 @@ class EquationSpec(_EquationFields):
         return 1 if self.branch is Branch.PLUS else -1
 
     def denominator(self, x):
-        """sign*p + x**nu, staying in the arithmetic of x (exact or float)."""
+        """sign*p + x**nu, staying in the arithmetic of x (Fraction, float or
+        Interval)."""
         return x ** self.nu + self.sign * self.p

@@ -339,8 +339,15 @@ def test_product_rejects_repelling_start():
 
 
 def test_product_forbidden_start():
-    with pytest.raises(ForbiddenInitialCondition):
+    with pytest.raises(ForbiddenInitialCondition) as err:
         product_analysis(EquationSpec.plus(1, 1), -2, 10)
+    assert err.value.depth == 2
+    eq = EquationSpec.minus(1, 1)
+    start = forbidden_points(eq, 5)[-1]
+    assert start == (5, Fraction(8, 5))
+    with pytest.raises(ForbiddenInitialCondition) as err:
+        product_analysis(eq, start.value, 10)
+    assert err.value.depth == 5
 
 
 # --- recurrence reconstruction and named products ---------------------------------

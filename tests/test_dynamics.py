@@ -61,6 +61,16 @@ def test_iterate_hits_singularity_at_forbidden_depth():
     assert list(orbit.values) == [-2, -1]
 
 
+def test_exact_plane_refuses_a_float_seed():
+    eq = EquationSpec.plus(1, 2)
+    with pytest.raises(TypeError, match="got float"):
+        iterate(eq, 0.1, 2)
+    with pytest.raises(TypeError, match="got float"):
+        iterate(eq, 0.5, 2, Plane.EXACT)
+    assert iterate(eq, 0.5, 2, Plane.FLOAT).values == (0.5, 2 / 1.5, 2 / (1 + 2 / 1.5))
+    assert iterate(eq, "1/2", 2).values == (Fraction(1, 2), Fraction(4, 3), Fraction(6, 7))
+
+
 def test_iterate_minus_branch_limit():
     orbit = iterate(EquationSpec.minus(2, 1), Fraction(3), 100)
     assert abs(float(orbit.values[-1]) - (1 - math.sqrt(2))) < 1e-9
