@@ -8,12 +8,12 @@ nothing.  `simulate` stopped at a singularity is a complete document with its
 singular or forbidden input.  Exact rationals render as num/den strings,
 floats with 17 significant digits; both round-trip losslessly.
 
-A table holds columns, not rows.  `render` turns each column into text in one
-pass: a C-level `format`/`str` map when the column is all floats or all ints,
-`fmt` per cell otherwise.  It joins each CSV line or JSON record from those
-texts, so a long orbit builds no per-row tuple, and joins the rows a block at
-a time, so only one block of row strings is alive beside the document.  The
-layers are imported by the subcommands that use them.
+A table holds columns, not rows.  `render` gives each column one conversion
+by the types of its cells (`%d` ints, `%.17g` floats, `%s` Fractions, `%s` over
+`fmt` texts otherwise) and formats BLOCK_ROWS rows at a time with one `%` of
+the repeated row template, so a long orbit runs no Python code per cell and
+only one block's cells are alive beside the document.  The layers are
+imported by the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from itertools import islice, repeat
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
 from .errors import DigitLimit, RatdynError, SingularInput
@@ -72,11 +71,11 @@ def _branch_arg(text: str) -> Branch:
 
 class Table(NamedTuple):
     """One subcommand's result, held by column.  `columns` maps each column
-    name, in CSV order, to its cells: sequences of one length, such as a
-    `range` of indices beside the values a layer returned, so no row tuple is
-    built.  The rows form a JSON array under `key`; with `single` there is at
-    most one row, a JSON object, and none is `null` in JSON and `none` in CSV.
-    `meta` and `status` add `#` lines or JSON keys."""
+    name, in CSV order, to its cells: sliceable sequences of one length, such
+    as a `range` beside a layer's list, cut a block at a time into the row
+    template.  The rows form a JSON array under `key`; with `single` there is
+    at most one row, a JSON object, and none is `null` in JSON and `none` in
+    CSV.  `meta` and `status` add `#` lines or JSON keys."""
 
     key: str
     columns: Dict[str, Sequence]
@@ -85,51 +84,47 @@ class Table(NamedTuple):
     status: Optional[dict] = None
 
 
-def _json_cell(value, encode) -> str:
-    """One cell as JSON text: indices and counts stay numbers, the rest are
-    strings quoted by `encode`."""
-    return str(value) if type(value) is int else encode(fmt(value))
-
-
-def _column_texts(cells: Sequence, json_text: bool) -> Iterator[str]:
-    """`cells` as CSV (`fmt`) or JSON (`_json_cell`) texts.  A column of only
-    floats or only ints (not bools) is formatted in one C-level pass.  Only
-    JSON loads `json`."""
-    kinds = set(map(type, cells))
-    if kinds == {int}:
-        return map(str, cells)
-    if not json_text:
-        return map(format, cells, repeat(".17g")) if kinds == {float} else map(fmt, cells)
-    from json.encoder import encode_basestring_ascii
-
-    if kinds == {float}:
-        return map(encode_basestring_ascii, map(format, cells, repeat(".17g")))
-    return map(_json_cell, cells, repeat(encode_basestring_ascii))
-
-
-def _joined(rows: Iterator[str], sep: str) -> List[str]:
-    """Pieces whose concatenation is `sep.join(rows)`.  Rows are joined
-    BLOCK_ROWS at a time, so only one block of row strings is alive at once."""
+def _row_blocks(table: Table, json_text: bool) -> List[str]:
+    """Pieces whose concatenation is every row of `table`: CSV lines joined by
+    newlines, or JSON records (keys sorted) joined by ", ".  A JSON cell that
+    is not an int is a quoted string.  Only JSON loads `json`."""
+    if json_text:
+        from json.encoder import encode_basestring_ascii as encode
+    fields, columns = [], []
+    for name, cells in sorted(table.columns.items()) if json_text else table.columns.items():
+        kinds = {int} if type(cells) is range else set(map(type, cells))
+        text = None
+        if kinds == {int}:
+            conv = "%d"
+        elif kinds == {float} or kinds == {Fraction}:
+            conv = "%.17g" if kinds == {float} else "%s"
+            conv = f'"{conv}"' if json_text else conv
+        else:
+            conv = "%s"  # an int stays a JSON number, any other cell a string
+            text = (lambda v: str(v) if type(v) is int else encode(fmt(v))) if json_text else fmt
+        fields.append(f"{encode(name).replace('%', '%%')}: {conv}" if json_text else conv)
+        columns.append((cells, text))
+    template = "{" + ", ".join(fields) + "}" if json_text else ",".join(fields)
+    sep = ", " if json_text else "\n"
+    width, rows = len(columns), min(map(len, table.columns.values()), default=0)
     pieces: List[str] = []
-    while block := list(islice(rows, BLOCK_ROWS)):
-        pieces += [sep, sep.join(block)] if pieces else [sep.join(block)]
+    for start in range(0, rows, BLOCK_ROWS):
+        count = min(BLOCK_ROWS, rows - start)
+        flat = [None] * (count * width)  # the block's cells, row by row
+        for i, (column, text) in enumerate(columns):
+            part = column[start:start + count]
+            flat[i::width] = part if text is None else map(text, part)
+        block = sep.join([template] * count) % tuple(flat)
+        pieces += [sep, block] if pieces else [block]
     return pieces
 
 
-def _json_document(table: Table, texts) -> str:
-    """The bytes of `json.dumps(payload, sort_keys=True)`.  A row is joined
-    from its cell texts in sorted column order and the key text before each."""
+def _json_document(table: Table, rows: List[str]) -> str:
+    """The bytes of `json.dumps(payload, sort_keys=True)`, around `rows`."""
     import json
     from json.encoder import encode_basestring_ascii
 
-    by_name = dict(zip(table.columns, texts))
-    pieces = []
-    for name in sorted(by_name):
-        pieces += [repeat((", " if pieces else "{") + encode_basestring_ascii(name) + ": "),
-                   by_name[name]]
-    records = map("".join, zip(*pieces, repeat("}")))
-    members = {table.key: [next(records, "null")] if table.single
-               else ["[", *_joined(records, ", "), "]"]}
+    members = {table.key: (rows or ["null"]) if table.single else ["[", *rows, "]"]}
     if table.status is not None:
         members["status"] = [json.dumps(table.status, sort_keys=True)]
     if table.meta:
@@ -145,18 +140,17 @@ def _json_document(table: Table, texts) -> str:
 def render(table: Table, args) -> str:
     """The whole CSV or JSON document of `table`, newline-terminated."""
     json_text = getattr(args, "format", "csv") == "json"
-    try:  # the cells are formatted lazily, as the document is joined
-        texts = [_column_texts(cells, json_text) for cells in table.columns.values()]
+    try:
+        rows = _row_blocks(table, json_text)
         if json_text:
-            return _json_document(table, texts)
+            return _json_document(table, rows)
         lines = [f"# {key}={fmt(value)}" for key, value in sorted((table.meta or {}).items())]
         if table.status is not None:
             step = table.status["step"]
             lines.append(f"# status={table.status['kind']}"
                          + ("" if step is None else f" step={step}"))
         lines.append(",".join(table.columns))
-        records = map(",".join, zip(*texts))
-        body = [next(records, "none")] if table.single else _joined(records, "\n")
+        body = rows or (["none"] if table.single else [])
         return "".join([*(line + "\n" for line in lines), *body, "\n" if body else ""])
     except ValueError as exc:  # CPython's int->str digit limit, the only ValueError here
         raise DigitLimit(sys.get_int_max_str_digits()) from exc
@@ -317,10 +311,12 @@ def run(argv=None) -> int:
     except SingularInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (RatdynError, ValueError, OverflowError) as exc:
-        overflow = "float overflow: " if isinstance(exc, OverflowError) else ""
+    except OverflowError:
+        print("error: float overflow: a value exceeds the float range", file=sys.stderr)
+        return EXIT_USAGE
+    except (RatdynError, ValueError) as exc:
         hint = "; use --plane float" if isinstance(exc, DigitLimit) and "plane" in args else ""
-        print(f"error: {overflow}{exc}{hint}", file=sys.stderr)
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(document)
     return rc

@@ -65,13 +65,14 @@ def forbidden_points(eq: EquationSpec, depth: int) -> List[ForbiddenPoint]:
 
     On the plus branch these are -W(m+1)/W(m); on the minus branch
     +W(m+1)/W(m).  Iterating forward from the depth-m point produces a zero
-    denominator at step m exactly, never earlier.
+    denominator at step m exactly, never earlier.  The ratios follow r(1) = p,
+    r(m) = p + q/r(m-1); p, q > 0 keep every W(m), m >= 1, positive.
     """
     _require_nu_one(eq)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ws = canonical_table(eq.p, eq.q, depth + 1)
-    return [ForbiddenPoint(m, -eq.sign * ws[m + 1] / ws[m]) for m in range(1, depth + 1)]
+    ratios = accumulate(range(1, depth), lambda r, _: eq.p + eq.q / r, initial=eq.p)
+    return [ForbiddenPoint(m, -eq.sign * r) for m, r in enumerate(ratios, 1)]
 
 
 def _denominator(ws: List[Fraction], sign: int, x0: Fraction, m: int) -> Fraction:

@@ -69,4 +69,4 @@ class EquationSpec(_EquationFields):
     def denominator(self, x):
         """sign*p + x**nu, staying in the arithmetic of x (Fraction, float or
         Interval)."""
-        return x ** self.nu + self.sign * self.p
+        return x ** self.nu + self.p if self.branch is Branch.PLUS else x ** self.nu - self.p

@@ -410,6 +410,22 @@ def test_certified_signs_equal_exact_signs_on_random_rationals(p, q, nu, branch,
     assert filtered is Undecided or filtered == predicate(eq, x)
 
 
+def test_denominator_equals_the_signed_sum_bit_for_bit():
+    # x**nu + p or x**nu - p against x**nu + sign*p, on 1,000 Fractions and
+    # their floats and enclosures: -p encloses as the negated enclosure of p
+    rng = random.Random(12)
+    for _ in range(1000):
+        eq = EquationSpec(rng.choice(list(Branch)),
+                          Fraction(rng.randint(1, 99), rng.randint(1, 12)),
+                          Fraction(rng.randint(1, 99), rng.randint(1, 12)), rng.randint(1, 12))
+        x = Fraction(rng.randint(-600, 600), rng.randint(1, 97))
+        for value in (x, float(x), Interval.enclose(x)):
+            new, ref = eq.denominator(value), value ** eq.nu + eq.sign * eq.p
+            if isinstance(value, Interval):
+                new, ref = (new.lo, new.hi), (ref.lo, ref.hi)
+            assert type(new) is type(ref) and repr(new) == repr(ref), (eq, value)
+
+
 def test_enclosure_abstains_where_the_exact_sign_is_degenerate():
     # g(1) = 0 exactly at the flip tangency (1,2,2)
     tangent = EquationSpec.plus(1, 2, 2)

@@ -16,6 +16,7 @@ import pytest
 
 from ratdyn import cli
 from ratdyn.cli import Table, fmt, render, run
+from ratdyn.errors import DigitLimit
 
 # `python -m ratdyn` finds the package in its working directory.
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -156,7 +157,8 @@ CYCLE = ("phi", "psi", "residual", "approx_phi", "approx_psi")  # sorted order d
 SERIES = ("n", "value")
 _rng = random.Random(8)
 FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan, 0.0, -math.inf,
-          *(_rng.uniform(-1, 1) * 10.0 ** _rng.randint(-320, 300) for _ in range(993)))
+          *(_rng.uniform(-1, 1) * 10.0 ** _rng.randint(-320, 300)
+            for _ in range(cli.BLOCK_ROWS + 2)))
 
 TABLES = [
     _table("series", SERIES, list(enumerate(CELLS))),
@@ -181,6 +183,21 @@ TABLES = [
     Table("series", {"n": range(-20, -7), "value": [Fraction(k, 3) for k in range(13)]}),
     Table("series", {"n": range(4), "value": [1, Fraction(1, 2), -3, Fraction(-7, 3)]}),
     Table("flags", {"flag": (True, False, True), "count": (1, 0, 2 ** 70)}),
+    # `%`, quotes and backslashes in names and cells stay text, not conversions
+    Table("flags", {"100%": ("%s", "%", '"q"', "back\\slash"), '%s"\\': (1, 0, -5, 2),
+                    "%d": (0.5, -0.0, math.inf, 1e-300)}),
+    # float series around the real block size
+    *(Table("series", {"n": range(rows), "value": FLOATS[:rows]})
+      for rows in (cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1)),
+    # an all-Fraction column that sorts after an int column listed after it
+    Table("forbidden", {"value": [Fraction(-3, 2), Fraction(10 ** 40, 7), Fraction(0), Fraction(5)],
+                        "m": range(1, 5)}),
+    # no rows, for each column kind
+    Table("series", {"n": range(0), "value": []}),
+    Table("series", {"n": [], "value": ()}, status={"kind": "completed", "step": None}),
+    Table("forbidden", {"m": range(1, 1), "value": []}),
+    Table("kinds", {"int": (), "float": (), "fraction": (), "text": ()}),
+    Table("kinds", {"int": (), "float": (), "fraction": (), "text": ()}, single=True),
 ]
 
 
@@ -201,6 +218,16 @@ def test_render_gives_one_document_at_every_block_size(monkeypatch, fmt_flag):
     for rows in (1, 2, 7):
         monkeypatch.setattr(cli, "BLOCK_ROWS", rows)
         assert [render(table, args) for table in TABLES] == whole
+
+
+@pytest.mark.parametrize("fmt_flag", ["csv", "json"])
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_render_past_the_digit_limit_raises_digit_limit(fmt_flag, kind):
+    # `%d` (ints) and `%s` (Fractions) raise the int->str ValueError of `str`
+    table = Table("series", {"n": range(2),
+                             "value": [kind(1), kind(10 ** sys.get_int_max_str_digits())]})
+    with pytest.raises(DigitLimit):
+        render(table, argparse.Namespace(format=fmt_flag))
 
 
 @pytest.mark.parametrize("fmt_flag", ["csv", "json"])

@@ -32,7 +32,7 @@ from ratdyn.closed_form import (
 from ratdyn.dynamics import Plane, StatusKind, iterate, step
 from ratdyn.equation import Branch, EquationSpec
 from ratdyn.errors import ForbiddenInitialCondition, InitialAtMinusPhiPlus
-from ratdyn.horadam import HoradamSpec, binet_roots, horadam_at
+from ratdyn.horadam import HoradamSpec, binet_roots, canonical_table, horadam_at
 
 SILVER = 1 + math.sqrt(2)
 
@@ -146,6 +146,21 @@ def test_forbidden_points_certified_by_iteration(branch, p, q):
         orbit = iterate(eq, pt.value, pt.m + 5, Plane.EXACT)
         assert orbit.status.kind is StatusKind.HIT_SINGULARITY
         assert orbit.status.step == pt.m
+
+
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), 1, Fraction(5, 3), 3, 7])
+@pytest.mark.parametrize("q", [Fraction(1, 3), 1, Fraction(9, 4), 3])
+def test_forbidden_points_equal_the_table_ratios(branch, p, q):
+    # the ratio recurrence against -sign*W(m+1)/W(m) off the canonical table;
+    # with rational p or q the W(m) are not integers
+    eq = EquationSpec(branch, p, q, 1)
+    ws = canonical_table(eq.p, eq.q, 301)
+    expected = [-eq.sign * ws[m + 1] / ws[m] for m in range(1, 301)]
+    points = forbidden_points(eq, 300)
+    assert [pt.m for pt in points] == list(range(1, 301))
+    assert ([(pt.value.numerator, pt.value.denominator) for pt in points]
+            == [(value.numerator, value.denominator) for value in expected])
 
 
 def test_forbidden_depth_reporting():
