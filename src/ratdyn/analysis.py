@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
-from .errors import NotAnEquilibrium
 from .horadam import binet_roots
 from .interval import Interval, Undecided
 
@@ -173,7 +172,7 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     """
     x = report.value
     if abs(equilibrium_polynomial(eq, x)) > 1e-8 * max(1.0, float(eq.q)):
-        raise NotAnEquilibrium(f"{x} does not satisfy the equilibrium polynomial")
+        raise ValueError(f"{x} does not satisfy the equilibrium polynomial")
     multiplier = -float(eq.q) * eq.nu * x ** (eq.nu - 1) / eq.denominator(float(x)) ** 2
     magnitude = abs(multiplier)
     if magnitude < 1.0 - MARGINAL_BAND:

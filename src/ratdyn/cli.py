@@ -4,9 +4,9 @@ Each subcommand returns one `Table`, and `run` writes the rendered document
 to stdout once, after it has been computed: a run prints its whole document or
 nothing.  `simulate` stopped at a singularity is a complete document with its
 `# status=` line and exit 3.  Exit codes: 0 success, 1 failed identity suite,
-2 flag errors, a float overflow, or an exact value too large to print, 3
-singular or forbidden input.  Exact rationals render as num/den strings,
-floats with 17 significant digits; both round-trip losslessly.
+2 flag errors, a float overflow or underflow, or an exact value too large to
+print, 3 singular or forbidden input.  Exact rationals render as num/den
+strings, floats with 17 significant digits; both round-trip losslessly.
 
 A table holds columns, not rows.  `render` gives each column one conversion
 by the types of its cells (`%d` ints, `%.17g` floats, `%s` Fractions, `%s` over
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
-from .errors import DigitLimit, RatdynError, SingularInput
+from .errors import DigitLimit, SingularInput
 # bench/trace_run.py wraps this module's `horadam_range` and `check_identity`.
 from .horadam import HoradamSpec, check_identity, horadam_range, identity_battery  # noqa: F401
 
@@ -311,10 +311,12 @@ def run(argv=None) -> int:
     except SingularInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except OverflowError:
-        print("error: float overflow: a value exceeds the float range", file=sys.stderr)
+    except (OverflowError, ZeroDivisionError) as exc:  # a float past either end of its range
+        what = ("overflow: a value exceeds" if isinstance(exc, OverflowError)
+                else "underflow: a nonzero value rounds to zero in")
+        print(f"error: float {what} the float range", file=sys.stderr)
         return EXIT_USAGE
-    except (RatdynError, ValueError) as exc:
+    except ValueError as exc:
         hint = "; use --plane float" if isinstance(exc, DigitLimit) and "plane" in args else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from . import dynamics
 from .equation import Branch, EquationSpec, Rational, as_fraction
-from .errors import ForbiddenInitialCondition, InitialAtMinusPhiPlus, ZeroDenominator
+from .errors import ForbiddenInitialCondition, SingularInput, ZeroDenominator
 from .horadam import binet_roots, canonical_table
 
 EXCLUDED_POINT_TOL = 1e-12
@@ -232,7 +232,7 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
     if phi_plus is not None:
         blocked = -phi_plus if eq.branch is Branch.PLUS else phi_plus
         if x0 == blocked:
-            raise InitialAtMinusPhiPlus(f"initial condition {x0} is the repelling fixed point")
+            raise SingularInput(f"initial condition {x0} is the repelling fixed point")
 
     orbit = dynamics.iterate(eq, x0, steps)
     if not orbit.status.ok:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .equation import Branch, EquationSpec, as_fraction
-from .errors import DigitLimit, NearSingularity, OrbitTooShort, Singularity, WrongBranch
+from .errors import DigitLimit, NearSingularity, ZeroDenominator
 
 NEAR_SINGULAR_FACTOR = 1e-12
 
@@ -49,7 +49,7 @@ def step(eq: EquationSpec, x: Value) -> Value:
     if isinstance(x, (Fraction, int)):
         den = x ** eq.nu + eq.sign * eq.p
         if den == 0:
-            raise Singularity("zero denominator")
+            raise ZeroDenominator("zero denominator")
         return eq.q / den
     den = float(x) ** eq.nu + eq.sign * float(eq.p)
     if abs(den) < NEAR_SINGULAR_FACTOR * max(float(eq.p), 1.0):
@@ -126,7 +126,7 @@ class BoundsEnvelope(NamedTuple):
 def bounds_envelope(eq: EquationSpec) -> BoundsEnvelope:
     """Envelope that traps every positive plus-branch orbit from step 1 on."""
     if eq.branch is not Branch.PLUS:
-        raise WrongBranch("envelope is stated for the plus branch; see reflected_bounds")
+        raise ValueError("envelope is stated for the plus branch; see reflected_bounds")
     hi = eq.q / eq.p
     return BoundsEnvelope(lo=eq.q / eq.denominator(hi), hi=hi)
 
@@ -135,7 +135,7 @@ def reflected_bounds(eq: EquationSpec) -> Tuple[Fraction, Fraction]:
     """Mirror envelope [-q/p, -q/(p + (q/p)**nu)] trapping negative minus-branch
     orbits (odd nu)."""
     if eq.branch is not Branch.MINUS:
-        raise WrongBranch("reflected envelope applies to the minus branch")
+        raise ValueError("reflected envelope applies to the minus branch")
     lo, hi = bounds_envelope(eq._replace(branch=Branch.PLUS))
     return (-hi, -lo)
 
@@ -164,7 +164,7 @@ class OscillationProfile(NamedTuple):
 def oscillation_profile(orbit: Orbit, center, at_tol=0) -> OscillationProfile:
     """Classify each recorded value against `center` and compress into semicycles."""
     if orbit.steps_completed < 3:
-        raise OrbitTooShort("need at least 3 completed steps to profile oscillation")
+        raise ValueError("need at least 3 completed steps to profile oscillation")
     sides: List[Side] = []
     for v in orbit.values:
         diff = v - center
@@ -201,9 +201,7 @@ def detect_period(
         raise ValueError("max_period must be >= 1")
     values = orbit.values
     if len(values) < 3 * max_period + burn_in:
-        raise OrbitTooShort(
-            f"need at least {3 * max_period + burn_in} values, have {len(values)}"
-        )
+        raise ValueError(f"need at least {3 * max_period + burn_in} values, have {len(values)}")
     for period in range(1, max_period + 1):
         if all(abs(values[i + period] - values[i]) < tol for i in range(burn_in, len(values) - period)):
             phase = burn_in

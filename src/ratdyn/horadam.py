@@ -19,12 +19,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Tuple, Union
 
 from .equation import Rational, as_fraction
-from .errors import (
-    IndexConstraintViolated,
-    NonRealRoots,
-    SpecNotCanonical,
-    ZeroDenominator,
-)
+from .errors import ZeroDenominator
 
 
 class _HoradamFields(NamedTuple):
@@ -159,7 +154,7 @@ def phi_power(p: Rational, q: Rational, n: int) -> QuadraticElement:
     phi-power identity checks the recurrence against independent arithmetic.
     """
     if n < 0:
-        raise IndexConstraintViolated("phi_power requires n >= 0")
+        raise ValueError("phi_power requires n >= 0")
     acc = QuadraticElement.one(p, q)
     base = QuadraticElement.phi(p, q)
     while n:
@@ -190,12 +185,12 @@ def binet_roots(p, q, a=0, b=1) -> QuadraticRoots:
     """Both roots (p +- sqrt(p^2+4q))/2 plus the coefficients A = b - a*phi_minus,
     B = b - a*phi_plus used in the closed form for W(n).
 
-    Raises NonRealRoots when p^2 + 4q <= 0 (cannot happen for p, q > 0).
+    Raises ValueError when p^2 + 4q <= 0 (cannot happen for p, q > 0).
     """
     p, q, a, b = float(p), float(q), float(a), float(b)
     disc = p * p + 4.0 * q
     if disc <= 0.0:
-        raise NonRealRoots(f"p^2 + 4q = {disc} is not positive")
+        raise ValueError(f"p^2 + 4q = {disc} is not positive")
     root = math.sqrt(disc)
     phi_plus = (p + root) / 2.0
     phi_minus = (p - root) / 2.0
@@ -221,7 +216,7 @@ def _identity_terms(spec: HoradamSpec):
     table per direction, extended by stepping its walk on, so each term is
     computed once."""
     if not spec.is_canonical:
-        raise SpecNotCanonical("identity checks are stated for seeds (0, 1)")
+        raise ValueError("identity checks are stated for seeds (0, 1)")
     ahead, behind = ([], _walk(spec)), ([], _walk(spec, True))
 
     def w(i: int) -> Fraction:
@@ -263,25 +258,25 @@ def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], w
     if kind is IdentityKind.CONVOLUTION:
         n, k = indices
         if k < 0 or n <= k + 1:
-            raise IndexConstraintViolated("convolution requires n > k+1 and k >= 0")
+            raise ValueError("convolution requires n > k+1 and k >= 0")
         return w(n) - (w(k + 1) * w(n - k) + q * w(k) * w(n - k - 1))
 
     if kind is IdentityKind.CASSINI:
         (n,) = indices
         if n <= 0:
-            raise IndexConstraintViolated("cassini requires n > 0")
+            raise ValueError("cassini requires n > 0")
         return w(n - 1) * w(n + 1) - w(n) ** 2 + (-q) ** (n - 1)
 
     if kind is IdentityKind.DOCAGNE:
         n, r = indices
         if n < 1 or r < 1:
-            raise IndexConstraintViolated("docagne requires n, r >= 1")
+            raise ValueError("docagne requires n, r >= 1")
         return w(n + r) * w(n + 1) - w(n + r + 1) * w(n) - (-1) ** n * q ** n * w(r)
 
     if kind is IdentityKind.JOHNSON:
         k, l, m, n, r = indices
         if k + l != m + n:
-            raise IndexConstraintViolated("johnson requires k + l = m + n")
+            raise ValueError("johnson requires k + l = m + n")
         lhs = w(k) * w(l) - w(m) * w(n)
         rhs = (-q) ** r * (w(k - r) * w(l - r) - w(m - r) * w(n - r))
         return lhs - rhs
@@ -289,7 +284,7 @@ def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], w
     if kind is IdentityKind.PHI_POWER:
         (n,) = indices
         if n < 1:
-            raise IndexConstraintViolated("phi_power check requires n >= 1")
+            raise ValueError("phi_power check requires n >= 1")
         element = phi_power(spec.p, spec.q, n)
         return (element.u - q * w(n - 1), element.v - w(n))
 

@@ -23,7 +23,6 @@ from ratdyn.analysis import (
 )
 from ratdyn.dynamics import Plane, detect_period, iterate
 from ratdyn.equation import Branch, EquationSpec
-from ratdyn.errors import NotAnEquilibrium
 from ratdyn.interval import Interval, Undecided
 
 
@@ -188,7 +187,7 @@ def test_classify_rejects_non_equilibrium():
     eq = EquationSpec.plus(1, 2, 3)
     from ratdyn.analysis import EquilibriumReport
 
-    with pytest.raises(NotAnEquilibrium):
+    with pytest.raises(ValueError, match="does not satisfy the equilibrium polynomial"):
         classify_stability(eq, EquilibriumReport(0.5, Bracket.IN_UNIT_INTERVAL))
 
 

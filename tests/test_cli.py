@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ratdyn import cli
+from ratdyn import cli, errors
 from ratdyn.cli import Table, fmt, render, run
 from ratdyn.errors import DigitLimit
 
@@ -438,6 +438,16 @@ def test_period2_rejects_bad_tol_at_parse_time(capsys, tol):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"argument --tol: must be a finite positive number, got {tol!r}" in captured.err
+
+
+def test_each_error_class_is_in_one_exit_code_family():
+    """`run` maps a ValueError to exit 2 and a SingularInput to exit 3, so every
+    class of `ratdyn.errors` but the two bases must be exactly one of them."""
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    assert errors.DigitLimit in classes
+    for cls in set(classes) - {errors.RatdynError, errors.SingularInput}:
+        assert issubclass(cls, errors.SingularInput) != issubclass(cls, ValueError), cls
 
 
 def test_unknown_flag_exits_two():

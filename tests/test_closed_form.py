@@ -31,7 +31,7 @@ from ratdyn.closed_form import (
 )
 from ratdyn.dynamics import Plane, StatusKind, iterate, step
 from ratdyn.equation import Branch, EquationSpec
-from ratdyn.errors import ForbiddenInitialCondition, InitialAtMinusPhiPlus
+from ratdyn.errors import ForbiddenInitialCondition, SingularInput
 from ratdyn.horadam import HoradamSpec, binet_roots, canonical_table, horadam_at
 
 SILVER = 1 + math.sqrt(2)
@@ -347,9 +347,9 @@ def test_product_cauchy_convergence_in_stable_regimes():
 
 
 def test_product_rejects_repelling_start():
-    with pytest.raises(InitialAtMinusPhiPlus):
+    with pytest.raises(SingularInput, match="is the repelling fixed point"):
         product_analysis(EquationSpec.plus(1, 2), -2, 10)  # phi_plus = 2 exactly
-    with pytest.raises(InitialAtMinusPhiPlus):
+    with pytest.raises(SingularInput, match="is the repelling fixed point"):
         product_analysis(EquationSpec.minus(1, 2), 2, 10)
 
 

@@ -26,6 +26,8 @@ from ratdyn.cli import run
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 
+TINY = "1/1" + "0" * 400  # 10**-400, below the smallest positive float
+
 CASES = {
     # README "Example invocations"
     "readme_simulate_plus_p2_q7": "simulate --branch plus --p 2 --q 7 --nu 1 --x0 3 --steps 40",
@@ -100,6 +102,10 @@ CASES = {
                                          " --steps 100 --plane float --format json",
     # where the default equilibrium bracket overflows, a tighter one answers
     "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
+    # p = 10**-400 is 0.0 as a float, and at p = q = 10**-400 the squared
+    # denominator underflows: exit 2, one error line, nothing on stdout
+    "underflow_period2": f"period2 --branch plus --p {TINY} --q 1 --nu 2",
+    "underflow_analyze": f"analyze --branch plus --p {TINY} --q {TINY} --nu 2",
     # an exact iterate past CPython's int->str digit limit: exit 2, nothing on stdout
     "simulate_exact_too_large": "simulate --branch plus --p 1 --q 2 --nu 2 --x0 3 --steps 14",
     "simulate_exact_too_large_steps24":
