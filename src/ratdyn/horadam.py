@@ -1,9 +1,11 @@
 """Exact engine for second-order linear recurrences W(n+1) = p*W(n) + q*W(n-1).
 
 All sequence values are computed over ``fractions.Fraction``, so identity
-checks can demand residuals that are exactly zero.  Floating point enters
-only through the characteristic roots of x**2 = p*x + q (``binet_roots``),
-which are irrational for generic parameters.
+checks can demand residuals that are exactly zero.  A check scales the terms
+it reads by the lcm d of their denominators and evaluates its residual as an
+integer numerator over a known denominator, so "exactly zero" means a zero
+integer.  Floating point enters only through the characteristic roots of
+x**2 = p*x + q (``binet_roots``), which are irrational for generic parameters.
 
 Negative indices are defined by running the recurrence backwards,
 W(n-1) = (W(n+1) - p*W(n)) / q, which needs q != 0.  For canonical seeds
@@ -211,21 +213,54 @@ class IdentityKind(Enum):
     PHI_POWER = "phi_power"
 
 
-def _identity_terms(spec: HoradamSpec):
-    """i -> W(i) of a canonical spec for one identity check or one battery: a
-    table per direction, extended by stepping its walk on, so each term is
-    computed once."""
+def _reads(kind: IdentityKind, indices: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The indices i whose W(i) one check of `kind` reads, once its index
+    precondition holds."""
+    if kind is IdentityKind.CONVOLUTION:
+        n, k = indices
+        if k < 0 or n <= k + 1:
+            raise ValueError("convolution requires n > k+1 and k >= 0")
+        return n, k + 1, n - k, k, n - k - 1
+    if kind is IdentityKind.CASSINI:
+        (n,) = indices
+        if n <= 0:
+            raise ValueError("cassini requires n > 0")
+        return n - 1, n, n + 1
+    if kind is IdentityKind.DOCAGNE:
+        n, r = indices
+        if n < 1 or r < 1:
+            raise ValueError("docagne requires n, r >= 1")
+        return n + r, n + 1, n + r + 1, n, r
+    if kind is IdentityKind.JOHNSON:
+        k, l, m, n, r = indices
+        if k + l != m + n:
+            raise ValueError("johnson requires k + l = m + n")
+        return k, l, m, n, k - r, l - r, m - r, n - r
+    if kind is IdentityKind.PHI_POWER:
+        (n,) = indices
+        if n < 1:
+            raise ValueError("phi_power check requires n >= 1")
+        return n - 1, n
+    raise ValueError(f"unknown identity kind: {kind!r}")
+
+
+def _scaled_terms(spec: HoradamSpec, lo: int, hi: int) -> Tuple[dict, int]:
+    """({i: d*W(i)}, d) for lo <= i <= hi of a canonical spec, where d is the
+    lcm of those terms' denominators, so every entry is an int.  The terms
+    come from one `horadam_range` sweep per direction."""
     if not spec.is_canonical:
         raise ValueError("identity checks are stated for seeds (0, 1)")
-    ahead, behind = ([], _walk(spec)), ([], _walk(spec, True))
+    terms = horadam_range(spec, lo, hi)
+    d = math.lcm(*(w.denominator for w in terms))
+    return {i: w.numerator * (d // w.denominator) for i, w in enumerate(terms, lo)}, d
 
-    def w(i: int) -> Fraction:
-        table, walk = ahead if i >= 0 else behind
-        while len(table) <= abs(i):
-            table.append(next(walk))
-        return table[abs(i)]
 
-    return w
+_ZERO = Fraction(0)
+
+
+def _exact(num: int, den: int) -> Fraction:
+    """num/den, with the gcd normalisation skipped for the zero a holding identity gives."""
+    return Fraction(num, den) if num else _ZERO
 
 
 def check_identity(
@@ -248,55 +283,57 @@ def check_identity(
     The phi-power law carries the factor q on W(n-1); dropping it is only
     valid when q = 1.
     """
-    return _residual(kind, spec, indices, _identity_terms(spec))
+    reads = _reads(kind, indices)
+    return _residual(kind, spec, indices, *_scaled_terms(spec, min(reads), max(reads)))
 
 
-def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], w):
-    """check_identity with W(i) read as w(i)."""
-    q = spec.q
+def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], s: dict, d: int):
+    """check_identity's residual for indices that meet their kind's precondition
+    (see `_reads`), with W(i) = s[i]/d.
+
+    Writing q = qn/qd, each residual is computed as an integer numerator over
+    a known denominator: the identity multiplied through by d*d and the power
+    of qd it carries.  So a residual is exactly zero when its integer
+    numerator is, and only a nonzero one is reduced to a Fraction.
+    """
+    qn, qd = spec.q.numerator, spec.q.denominator
 
     if kind is IdentityKind.CONVOLUTION:
         n, k = indices
-        if k < 0 or n <= k + 1:
-            raise ValueError("convolution requires n > k+1 and k >= 0")
-        return w(n) - (w(k + 1) * w(n - k) + q * w(k) * w(n - k - 1))
+        num = qd * (d * s[n] - s[k + 1] * s[n - k]) - qn * s[k] * s[n - k - 1]
+        return _exact(num, d * d * qd)
 
     if kind is IdentityKind.CASSINI:
         (n,) = indices
-        if n <= 0:
-            raise ValueError("cassini requires n > 0")
-        return w(n - 1) * w(n + 1) - w(n) ** 2 + (-q) ** (n - 1)
+        num = qd ** (n - 1) * (s[n - 1] * s[n + 1] - s[n] ** 2) + d * d * (-qn) ** (n - 1)
+        return _exact(num, d * d * qd ** (n - 1))
 
     if kind is IdentityKind.DOCAGNE:
         n, r = indices
-        if n < 1 or r < 1:
-            raise ValueError("docagne requires n, r >= 1")
-        return w(n + r) * w(n + 1) - w(n + r + 1) * w(n) - (-1) ** n * q ** n * w(r)
+        num = qd ** n * (s[n + r] * s[n + 1] - s[n + r + 1] * s[n]) - (-qn) ** n * d * s[r]
+        return _exact(num, d * d * qd ** n)
 
     if kind is IdentityKind.JOHNSON:
         k, l, m, n, r = indices
-        if k + l != m + n:
-            raise ValueError("johnson requires k + l = m + n")
-        lhs = w(k) * w(l) - w(m) * w(n)
-        rhs = (-q) ** r * (w(k - r) * w(l - r) - w(m - r) * w(n - r))
-        return lhs - rhs
+        # (-q)**r = a/b, for r < 0 too
+        a, b = ((-qn) ** r, qd ** r) if r >= 0 else ((-qd) ** -r, qn ** -r)
+        if not b:
+            raise ZeroDivisionError("(-q)**r with q = 0 and r < 0")
+        num = b * (s[k] * s[l] - s[m] * s[n]) - a * (s[k - r] * s[l - r] - s[m - r] * s[n - r])
+        return _exact(num, d * d * b)
 
-    if kind is IdentityKind.PHI_POWER:
-        (n,) = indices
-        if n < 1:
-            raise ValueError("phi_power check requires n >= 1")
-        element = phi_power(spec.p, spec.q, n)
-        return (element.u - q * w(n - 1), element.v - w(n))
-
-    raise ValueError(f"unknown identity kind: {kind!r}")
+    (n,) = indices  # PHI_POWER, checked on the ring, which never reads W
+    u, v, _, _ = phi_power(spec.p, spec.q, n)
+    return (_exact(u.numerator * qd * d - qn * s[n - 1] * u.denominator, u.denominator * qd * d),
+            _exact(v.numerator * d - s[n] * v.denominator, v.denominator * d))
 
 
 def identity_battery(spec: HoradamSpec, nmax: int) -> list:
     """(kind, checks, largest |residual|) per kind over a deterministic battery
-    of index tuples bounded by nmax.  Every W(i) comes from one `_identity_terms`
-    table shared by the whole battery.
+    of index tuples bounded by nmax.  Every residual is an exact integer over
+    one common denominator of the terms the battery reads (see `_residual`),
+    so a reported zero is exactly zero; the largest one is a Fraction.
     """
-    w = _identity_terms(spec)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     batches = {
@@ -307,13 +344,17 @@ def identity_battery(spec: HoradamSpec, nmax: int) -> list:
                                for k in range(8) for l in range(8) for m in range(8)],
         IdentityKind.PHI_POWER: [(n,) for n in range(1, nmax + 1)],
     }
+    # Johnson reads from W(-10) (k = l = 0, m = 7, r = 3) to W(14) (k = l = 7, m = 0),
+    # the other kinds from W(0) to W(nmax + 1).
+    s, d = _scaled_terms(spec, -10, max(nmax + 1, 14))
     rows = []
     for kind, tuples in batches.items():
-        worst = Fraction(0)
+        worst = _ZERO
         for indices in tuples:
-            residual = _residual(kind, spec, indices, w)
+            residual = _residual(kind, spec, indices, s, d)
             for part in residual if isinstance(residual, tuple) else (residual,):
-                worst = max(worst, abs(part))
+                if part:
+                    worst = max(worst, abs(part))
         rows.append((kind, len(tuples), worst))
     return rows
 

@@ -65,6 +65,9 @@ CASES = {
         "closed-form --branch minus --p 3 --q 5 --x0=-1/2 --n 25 --format json",
     "closed_form_forbidden": "closed-form --branch plus --p 1 --q 1 --x0=-3/2 --n 10",
     "identities_fibonacci": "identities --p 1 --q 1 --nmax 25",
+    # q = 0 has no backward walk, and every battery reads W below 0: exit 3,
+    # refused before any output
+    "identities_q_zero": "identities --p 1 --q 0 --nmax 5",
     # the other table shapes and error paths
     "simulate_singular_csv": "simulate --branch plus --p 1 --q 1 --nu 1 --x0 -2 --steps 10",
     "simulate_singular_json":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -329,6 +330,126 @@ def test_identity_index_constraints():
         check_identity(IdentityKind.JOHNSON, FIB_SPEC, (1, 2, 3, 4, 1))
     with pytest.raises(ValueError, match="^phi_power check requires"):
         check_identity(IdentityKind.PHI_POWER, FIB_SPEC, (0,))
+
+
+# --- integer residuals against the Fraction formulas ---------------------------
+
+
+def reference_terms(spec):
+    """i -> W(i) through horadam_at, each i computed once."""
+    return functools.lru_cache(maxsize=None)(lambda i: horadam_at(spec, i))
+
+
+def reference_residual(kind, spec, indices, w=None):
+    """LHS - RHS of one identity in Fraction arithmetic, W(i) read as w(i)."""
+    w, q = w or reference_terms(spec), spec.q
+    if kind is IdentityKind.CONVOLUTION:
+        n, k = indices
+        return w(n) - (w(k + 1) * w(n - k) + q * w(k) * w(n - k - 1))
+    if kind is IdentityKind.CASSINI:
+        (n,) = indices
+        return w(n - 1) * w(n + 1) - w(n) ** 2 + (-q) ** (n - 1)
+    if kind is IdentityKind.DOCAGNE:
+        n, r = indices
+        return w(n + r) * w(n + 1) - w(n + r + 1) * w(n) - (-1) ** n * q ** n * w(r)
+    if kind is IdentityKind.JOHNSON:
+        k, l, m, n, r = indices
+        return w(k) * w(l) - w(m) * w(n) - (-q) ** r * (w(k - r) * w(l - r) - w(m - r) * w(n - r))
+    (n,) = indices
+    element = phi_power(spec.p, q, n)
+    return (element.u - q * w(n - 1), element.v - w(n))
+
+
+def battery_tuples(nmax):
+    """The index tuples of `identity_battery(spec, nmax)`, per kind."""
+    return {
+        IdentityKind.CONVOLUTION: [(n, k) for n in range(2, nmax + 1) for k in range(n - 1)],
+        IdentityKind.CASSINI: [(n,) for n in range(1, nmax + 1)],
+        IdentityKind.DOCAGNE: [(n, r) for n in range(1, nmax + 1) for r in range(1, nmax + 1 - n)],
+        IdentityKind.JOHNSON: [(k, l, m, k + l - m, r) for r in range(1, 4)
+                               for k in range(8) for l in range(8) for m in range(8)],
+        IdentityKind.PHI_POWER: [(n,) for n in range(1, nmax + 1)],
+    }
+
+
+def reference_battery(spec, nmax):
+    rows, w = [], reference_terms(spec)
+    for kind, tuples in battery_tuples(nmax).items():
+        parts = []
+        for indices in tuples:
+            residual = reference_residual(kind, spec, indices, w)
+            parts += residual if isinstance(residual, tuple) else (residual,)
+        rows.append((kind, len(tuples), max((abs(part) for part in parts), default=Fraction(0))))
+    return rows
+
+
+def assert_same_rows(rows, expected):
+    assert [(kind, checks) for kind, checks, _ in rows] == [row[:2] for row in expected]
+    for (_, _, worst), (_, _, expected_worst) in zip(rows, expected):
+        assert type(worst) is Fraction and worst == expected_worst
+
+
+GRID_P = (0, 1, 3, Fraction(1, 2), Fraction(5, 3))
+GRID_Q = (1, 2, Fraction(3, 4), Fraction(-7, 2), Fraction(9, 4))
+
+
+def test_battery_matches_the_fraction_reference():
+    # Every (p, q) cell once, at an nmax drawn from a fixed list; each nmax is used.
+    rng = random.Random(20261018)
+    nmaxes = [1, 2, 6, 13, 40] * 5
+    rng.shuffle(nmaxes)
+    cells = [(p, q) for p in GRID_P for q in GRID_Q if p * p + 4 * q != 0]
+    for (p, q), nmax in zip(cells, nmaxes):
+        spec = HoradamSpec.canonical(p, q)
+        assert_same_rows(identity_battery(spec, nmax), reference_battery(spec, nmax))
+
+
+def test_check_identity_matches_the_fraction_reference():
+    rng = random.Random(20261019)
+    for p in GRID_P:
+        for q in GRID_Q:
+            spec = HoradamSpec.canonical(p, q)
+            k = rng.randint(0, 10)
+            kk, ll, mm = (rng.randint(-10, 12) for _ in range(3))
+            checks = [
+                (IdentityKind.CONVOLUTION, (rng.randint(k + 2, k + 14), k)),
+                (IdentityKind.CASSINI, (rng.randint(1, 25),)),
+                (IdentityKind.DOCAGNE, (rng.randint(1, 12), rng.randint(1, 12))),
+                (IdentityKind.JOHNSON, (kk, ll, mm, kk + ll - mm, rng.randint(-3, 6))),
+                (IdentityKind.PHI_POWER, (rng.randint(1, 30),)),
+            ]
+            for kind, indices in checks:
+                residual = check_identity(kind, spec, indices)
+                assert residual == reference_residual(kind, spec, indices)
+                for part in residual if isinstance(residual, tuple) else (residual,):
+                    assert type(part) is Fraction
+    # (-q)**r has no value at q = 0 and r < 0, even where both brackets vanish
+    with pytest.raises(ZeroDivisionError):
+        check_identity(IdentityKind.JOHNSON, HoradamSpec.canonical(1, 0), (3, 1, 2, 2, -1))
+
+
+def test_residuals_of_a_perturbed_walk_match_the_reference(monkeypatch):
+    # One term off by 1/7 on each side of 0 (W(5) and W(-4)), so no identity
+    # holds and every residual takes the nonzero path.  The step stays a
+    # function of its arguments, so the table and horadam_at see the same terms.
+    spec = HoradamSpec.canonical(Fraction(5, 3), Fraction(9, 4))
+    before = {(horadam_at(spec, 3), horadam_at(spec, 4)), (horadam_at(spec, -2), horadam_at(spec, -3))}
+    step = horadam._step
+
+    def perturbed(p, q, w0, w1):
+        w2 = step(p, q, w0, w1)[1]
+        return w1, w2 + Fraction(1, 7) if (w0, w1) in before else w2
+
+    monkeypatch.setattr(horadam, "_step", perturbed)
+    w = reference_terms(spec)
+    assert w(5) - (spec.p * w(4) + spec.q * w(3)) == Fraction(1, 7)
+    assert w(-4) - (w(-2) - spec.p * w(-3)) / spec.q == Fraction(1, 7)
+    rows, expected = identity_battery(spec, 8), reference_battery(spec, 8)
+    assert_same_rows(rows, expected)
+    assert all(worst != 0 for _, _, worst in expected)
+    for kind, tuples in battery_tuples(8).items():
+        for indices in tuples[::7]:
+            assert check_identity(kind, spec, indices) == reference_residual(kind, spec, indices)
 
 
 # --- ratios ------------------------------------------------------------------
