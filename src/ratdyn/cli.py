@@ -12,14 +12,18 @@ A table holds columns, not rows.  `render` gives each column one conversion
 by the types of its cells (`%d` ints, `%.17g` floats, `%s` Fractions, `%s` over
 `fmt` texts otherwise) and formats BLOCK_ROWS rows at a time with one `%` of
 the repeated row template, so a long orbit runs no Python code per cell and
-only one block's cells are alive beside the document.  The layers are
-imported by the subcommands that use them.
+only one block's cells are alive beside the document.  A float block whose
+cells repeat two objects, as the tail of an orbit that `dynamics.iterate`
+found periodic, formats those two once and places their texts under `%s`;
+the test is by identity, since 0.0 == -0.0 but they print differently.  The
+layers are imported by the subcommands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -90,7 +94,7 @@ def _row_blocks(table: Table, json_text: bool) -> List[str]:
     is not an int is a quoted string.  Only JSON loads `json`."""
     if json_text:
         from json.encoder import encode_basestring_ascii as encode
-    fields, columns = [], []
+    columns = []
     for name, cells in sorted(table.columns.items()) if json_text else table.columns.items():
         kinds = {int} if type(cells) is range else set(map(type, cells))
         text = None
@@ -102,18 +106,25 @@ def _row_blocks(table: Table, json_text: bool) -> List[str]:
         else:
             conv = "%s"  # an int stays a JSON number, any other cell a string
             text = (lambda v: str(v) if type(v) is int else encode(fmt(v))) if json_text else fmt
-        fields.append(f"{encode(name).replace('%', '%%')}: {conv}" if json_text else conv)
-        columns.append((cells, text))
-    template = "{" + ", ".join(fields) + "}" if json_text else ",".join(fields)
+        head = f"{encode(name).replace('%', '%%')}: " if json_text else ""
+        columns.append((cells, head, conv, text, kinds == {float}))
     sep = ", " if json_text else "\n"
     width, rows = len(columns), min(map(len, table.columns.values()), default=0)
     pieces: List[str] = []
     for start in range(0, rows, BLOCK_ROWS):
         count = min(BLOCK_ROWS, rows - start)
         flat = [None] * (count * width)  # the block's cells, row by row
-        for i, (column, text) in enumerate(columns):
+        fields = []
+        for i, (column, head, conv, text, floats) in enumerate(columns):
             part = column[start:start + count]
+            if floats and count > 2 and all(map(operator.is_, part[2:], part)):
+                # a periodic orbit's tail (see dynamics.iterate): two objects,
+                # each formatted once.  By identity, not value: 0.0 == -0.0.
+                pair = format(part[0], ".17g"), format(part[1], ".17g")
+                part, conv = (pair * (count // 2 + 1))[:count], conv.replace(".17g", "s")
             flat[i::width] = part if text is None else map(text, part)
+            fields.append(head + conv)
+        template = "{" + ", ".join(fields) + "}" if json_text else ",".join(fields)
         block = sep.join([template] * count) % tuple(flat)
         pieces += [sep, block] if pieces else [block]
     return pieces

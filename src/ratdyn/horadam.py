@@ -18,7 +18,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, NamedTuple, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .equation import Rational, as_fraction
 from .errors import ZeroDenominator
@@ -287,9 +287,11 @@ def check_identity(
     return _residual(kind, spec, indices, *_scaled_terms(spec, min(reads), max(reads)))
 
 
-def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], s: dict, d: int):
+def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], s: dict, d: int,
+              power: Optional[QuadraticElement] = None):
     """check_identity's residual for indices that meet their kind's precondition
-    (see `_reads`), with W(i) = s[i]/d.
+    (see `_reads`), with W(i) = s[i]/d.  A PHI_POWER check of (n,) reads
+    phi**n from `power` when given, else from `phi_power`.
 
     Writing q = qn/qd, each residual is computed as an integer numerator over
     a known denominator: the identity multiplied through by d*d and the power
@@ -323,7 +325,7 @@ def _residual(kind: IdentityKind, spec: HoradamSpec, indices: Tuple[int, ...], s
         return _exact(num, d * d * b)
 
     (n,) = indices  # PHI_POWER, checked on the ring, which never reads W
-    u, v, _, _ = phi_power(spec.p, spec.q, n)
+    u, v, _, _ = phi_power(spec.p, spec.q, n) if power is None else power
     return (_exact(u.numerator * qd * d - qn * s[n - 1] * u.denominator, u.denominator * qd * d),
             _exact(v.numerator * d - s[n] * v.denominator, v.denominator * d))
 
@@ -332,7 +334,9 @@ def identity_battery(spec: HoradamSpec, nmax: int) -> list:
     """(kind, checks, largest |residual|) per kind over a deterministic battery
     of index tuples bounded by nmax.  Every residual is an exact integer over
     one common denominator of the terms the battery reads (see `_residual`),
-    so a reported zero is exactly zero; the largest one is a Fraction.
+    so a reported zero is exactly zero; the largest one is a Fraction.  The
+    phi-power checks take phi**n from a running product, one ring product
+    per n.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -347,11 +351,14 @@ def identity_battery(spec: HoradamSpec, nmax: int) -> list:
     # Johnson reads from W(-10) (k = l = 0, m = 7, r = 3) to W(14) (k = l = 7, m = 0),
     # the other kinds from W(0) to W(nmax + 1).
     s, d = _scaled_terms(spec, -10, max(nmax + 1, 14))
+    phi, power = QuadraticElement.phi(spec.p, spec.q), QuadraticElement.one(spec.p, spec.q)
     rows = []
     for kind, tuples in batches.items():
         worst = _ZERO
         for indices in tuples:
-            residual = _residual(kind, spec, indices, s, d)
+            if kind is IdentityKind.PHI_POWER:
+                power *= phi  # phi**n for the tuples (1,), (2,), ... in turn
+            residual = _residual(kind, spec, indices, s, d, power)
             for part in residual if isinstance(residual, tuple) else (residual,):
                 if part:
                     worst = max(worst, abs(part))

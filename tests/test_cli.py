@@ -160,6 +160,25 @@ FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan, 0.0, -math.i
           *(_rng.uniform(-1, 1) * 10.0 ** _rng.randint(-320, 300)
             for _ in range(cli.BLOCK_ROWS + 2)))
 
+
+def _cycle_tail(head, pair, rows):
+    """`rows` float cells: those of `head`, then the two objects of `pair` in
+    turn, as the tail of an orbit that `dynamics.iterate` found periodic."""
+    return [*head, *(pair[i % 2] for i in range(rows - len(head)))]
+
+
+ZEROS = (0.0, -0.0)  # equal values, different texts
+PERIODIC = [
+    _cycle_tail(FLOATS[7:1000], (2.5, -1 / 3), 2 * cli.BLOCK_ROWS + 3),  # cycle starts mid-block
+    *(_cycle_tail((), (2.5, -1 / 3), rows)
+      for rows in (cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1)),
+    _cycle_tail((1.5,), (0.75, 0.75), cli.BLOCK_ROWS + 5),  # period one
+    _cycle_tail((), (math.inf, math.nan), 7),
+    _cycle_tail((), ZEROS, cli.BLOCK_ROWS + 1),
+    # equal values two rows apart but not the same objects: 0, 1, -0, 1, ...
+    [(ZEROS[0], 1.0, ZEROS[1], 1.0)[i % 4] for i in range(cli.BLOCK_ROWS + 1)],
+]
+
 TABLES = [
     _table("series", SERIES, list(enumerate(CELLS))),
     _table("series", SERIES, []),
@@ -189,6 +208,10 @@ TABLES = [
     # float series around the real block size
     *(Table("series", {"n": range(rows), "value": FLOATS[:rows]})
       for rows in (cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1)),
+    # periodic float tails, and one beside a column that is not periodic
+    *(Table("series", {"n": range(len(cells)), "value": cells},
+            status={"kind": "completed", "step": None}) for cells in PERIODIC),
+    Table("pair", {"y": PERIODIC[0], "x": (FLOATS * 2)[:len(PERIODIC[0])]}),
     # an all-Fraction column that sorts after an int column listed after it
     Table("forbidden", {"value": [Fraction(-3, 2), Fraction(10 ** 40, 7), Fraction(0), Fraction(5)],
                         "m": range(1, 5)}),

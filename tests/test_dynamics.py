@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from ratdyn.dynamics import (
+    _CYCLE_CHECK_STEPS,
+    NEAR_SINGULAR_FACTOR,
     Plane,
     Side,
     StatusKind,
@@ -172,6 +174,123 @@ def test_exact_iterate_matches_repeated_step():
                     seen.add(_assert_same_orbit(eq, x0, steps, Plane.EXACT, repr))
     assert seen == {StatusKind.COMPLETED, StatusKind.HIT_SINGULARITY}
 
+
+
+def _orbit_to_the_end(eq, x0, steps, plane):
+    """Reference orbit that steps to the end, with no cycle stop: the map and
+    stop tests of `step`, with p, q and the guard converted once.
+    Returns (values, status kind, stop step)."""
+    if plane is Plane.EXACT:
+        x, shift, q, guard = Fraction(x0), eq.sign * eq.p, eq.q, 0
+        kind = StatusKind.HIT_SINGULARITY
+    else:
+        x, shift, q = float(x0), eq.sign * float(eq.p), float(eq.q)
+        guard, kind = NEAR_SINGULAR_FACTOR * max(float(eq.p), 1.0), StatusKind.NEAR_SINGULAR
+    values = [x]
+    for k in range(1, steps + 1):
+        den = x ** eq.nu + shift
+        if den == 0 or abs(den) < guard:
+            return values, kind, k
+        x = q / den
+        values.append(x)
+    return values, StatusKind.COMPLETED, None
+
+
+def _assert_stepped(eq, x0, steps, plane):
+    """`iterate` equals the reference orbit: values by repr (so -0.0 is not
+    0.0) and status.  Returns the orbit."""
+    values, kind, stop = _orbit_to_the_end(eq, x0, steps, plane)
+    orbit = iterate(eq, x0, steps, plane)
+    assert list(map(repr, orbit.values)) == list(map(repr, values)), (eq, x0)
+    assert (orbit.status.kind, orbit.status.step) == (kind, stop), (eq, x0)
+    return orbit
+
+
+def _cycle_start(values):
+    """The first k >= 2 with values[k] == values[k-2], or None."""
+    return next((k for k in range(2, len(values)) if values[k] == values[k - 2]), None)
+
+
+def _assert_shared_tail(values, k):
+    """From the first cycle test at or after the cycle start k, the tail
+    repeats two objects."""
+    tested = -(-k // _CYCLE_CHECK_STEPS) * _CYCLE_CHECK_STEPS
+    assert tested + 1 < len(values)
+    assert all(values[j] is values[j - 2] for j in range(tested + 1, len(values)))
+
+
+BENCH_X0 = (1.001, 0.5, 2.0, 1.5)  # the orbits workload's float seeds, negated on minus
+TANGENCY = [EquationSpec.plus(1, 2, 2), EquationSpec.plus(2, 3, 3), EquationSpec.minus(2, 3, 3)]
+
+
+def test_iterate_equals_the_stepped_orbit_on_the_bench_float_grid():
+    cells = periodic = 0
+    for branch, sign, nus in ((EquationSpec.plus, 1, (2, 3, 4, 5, 6)),
+                              (EquationSpec.minus, -1, (3, 5, 7))):
+        for nu in nus:
+            for p in (1, 2, 3):
+                for q in (1, 2, 3, 5):
+                    eq = branch(p, q, nu)
+                    for x0 in BENCH_X0:
+                        orbit = _assert_stepped(eq, sign * x0, 3000, Plane.FLOAT)
+                        assert orbit.status.ok
+                        k = _cycle_start(orbit.values)
+                        cells += 1
+                        if k is not None:
+                            _assert_shared_tail(orbit.values, k)
+                            periodic += 1
+                        else:
+                            assert eq in TANGENCY
+    assert (cells, periodic) == (384, 372)
+
+
+def test_iterate_equals_the_stepped_orbit_at_every_length_around_a_cycle_test():
+    # plus (2, 3, 4) from 3/2 repeats exactly from a step below _CYCLE_CHECK_STEPS
+    eq = EquationSpec.plus(2, 3, 4)
+    start = _cycle_start(_orbit_to_the_end(eq, 1.5, 3000, Plane.FLOAT)[0])
+    assert 2 < start < _CYCLE_CHECK_STEPS
+    for steps in (0, 1, 2, 3, start - 1, start, start + 1, _CYCLE_CHECK_STEPS - 1,
+                  _CYCLE_CHECK_STEPS, _CYCLE_CHECK_STEPS + 1, 2 * _CYCLE_CHECK_STEPS + 1):
+        assert len(_assert_stepped(eq, 1.5, steps, Plane.FLOAT).values) == steps + 1
+
+
+@pytest.mark.parametrize("eq", TANGENCY)
+def test_iterate_equals_the_stepped_orbit_at_the_flip_tangency(eq):
+    # convergence is algebraically slow here: no exact cycle in 20000 steps
+    for x0 in BENCH_X0:
+        orbit = _assert_stepped(eq, eq.sign * x0, 20000, Plane.FLOAT)
+        assert orbit.status.ok and _cycle_start(orbit.values) is None
+
+
+def test_iterate_keeps_the_sign_of_zero_in_a_cycle():
+    # x(1) = 10**-30 / -10**300 underflows to -0.0; then x(2) == x(0) as values
+    # though not as bits, and the tail must repeat x(1), x(2), not x(0)
+    eq = EquationSpec.minus(10 ** 300, Fraction(1, 10 ** 30), 3)
+    orbit = _assert_stepped(eq, 0.0, 3000, Plane.FLOAT)
+    assert list(map(repr, orbit.values)) == ["0.0"] + ["-0.0"] * 3000
+    _assert_shared_tail(orbit.values, 2)
+
+
+@pytest.mark.parametrize("eq, x0, plane", [
+    (EquationSpec.plus(1, 2), Fraction(1), Plane.EXACT),  # 2/(1 + 1) = 1
+    (EquationSpec.plus(1, 2), 1.0, Plane.FLOAT),
+    (EquationSpec.plus(2, 8), Fraction(2), Plane.EXACT),  # 8/(2 + 2) = 2
+    (EquationSpec.plus(1, 2, 2), Fraction(1), Plane.EXACT),  # the tangency's own fixed point
+    (EquationSpec.minus(2, 3, 3), Fraction(-1), Plane.EXACT),  # 3/((-1)**3 - 2) = -1
+])
+def test_iterate_equals_the_stepped_orbit_at_a_fixed_point(eq, x0, plane):
+    orbit = _assert_stepped(eq, x0, 3000, plane)
+    assert orbit.status.ok and len(set(orbit.values)) == 1
+    _assert_shared_tail(orbit.values, 2)
+
+
+@pytest.mark.parametrize("plane, kind", [(Plane.FLOAT, StatusKind.NEAR_SINGULAR),
+                                         (Plane.EXACT, StatusKind.HIT_SINGULARITY)])
+def test_iterate_equals_the_stepped_orbit_up_to_a_singularity(plane, kind):
+    # 1/(2 - 1) = 1, then 1 - 1 = 0 in the denominator
+    x0 = 2.0 if plane is Plane.FLOAT else Fraction(2)
+    orbit = _assert_stepped(EquationSpec.minus(1, 1), x0, 10, plane)
+    assert orbit.status == (kind, 2)
 
 
 def _count_powers(monkeypatch):

@@ -452,6 +452,22 @@ def test_residuals_of_a_perturbed_walk_match_the_reference(monkeypatch):
             assert check_identity(kind, spec, indices) == reference_residual(kind, spec, indices)
 
 
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (Fraction(5, 3), Fraction(-7, 2))])
+def test_battery_phi_powers_are_the_square_and_multiply_powers(monkeypatch, p, q):
+    # the battery's running product hands `_residual` phi**n for n = 1 ... nmax
+    seen = []
+    residual = horadam._residual
+
+    def recording(kind, spec, indices, s, d, power=None):
+        if kind is IdentityKind.PHI_POWER:
+            seen.append((indices, power))
+        return residual(kind, spec, indices, s, d, power)
+
+    monkeypatch.setattr(horadam, "_residual", recording)
+    identity_battery(HoradamSpec.canonical(p, q), 60)
+    assert seen == [((n,), phi_power(p, q, n)) for n in range(1, 61)]
+
+
 # --- ratios ------------------------------------------------------------------
 
 
