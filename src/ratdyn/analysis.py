@@ -1,17 +1,21 @@
 """Equilibria, linearized stability and period-two cycles for any nu >= 1.
 
-Equilibria are roots of x**(nu+1) + sign*p*x - q (sign +1 on the plus
-branch, -1 on minus), located by sign-bracketed bisection and polished by
-Newton steps.  Whether a prime two-cycle exists is decided exactly, before
-any search, by the criterion in solve_period_two.  The one search,
-_cycle_search, then only locates the cycle: a scan of a rational grid for a
-sign change of a sign predicate, bisection, then Newton polish on the cycle
-system.  A region supplies only its predicate and grid: g(x) = f(f(x)) - x
-above the equilibrium on the plus branch (mirrored for odd nu on minus), and
-a one-variable reduction of the cycle equations in the mixed-sign region for
-even nu on minus.  Each sign is evaluated first on an outward-rounded float
-enclosure (ratdyn.interval); where that cannot prove the sign it abstains and
-the same predicate runs on Fractions, so every sign the search sees is exact.
+There are two regions: the plus branch, and the mixed-sign region of even nu
+on minus.  For odd nu, (-x)**nu = -x**nu makes the minus map the plus map in
+y = -x, so its equilibrium and two-cycle are computed as the plus branch's,
+negated (exactly, in floats): analyze and period2 share one equilibrium and
+print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
+(sign +1 on the plus branch, -1 on minus), located by sign-bracketed
+bisection and polished by Newton steps.  Whether a prime two-cycle exists is
+decided exactly, before any search, by the criterion in solve_period_two.
+The one search, _cycle_search, then only locates the cycle: a scan of a
+rational grid for a sign change of a sign predicate, bisection, then Newton
+polish on the cycle system.  A region supplies only its predicate and grid:
+g(x) = f(f(x)) - x above the equilibrium on the plus branch, and a
+one-variable reduction of the cycle equations in the mixed-sign region.
+Each sign is evaluated first on an outward-rounded float enclosure
+(ratdyn.interval); where that cannot prove the sign it abstains and the same
+predicate runs on Fractions, so every sign the search sees is exact.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ class Bracket(Enum):
     BELOW_MINUS_ONE = "below_minus_one"
 
 
+# the bracket of -x given that of x: odd nu on minus is the plus branch in y = -x
+_MIRRORED = {Bracket.IN_UNIT_INTERVAL: Bracket.IN_MINUS_UNIT, Bracket.AT_ONE: Bracket.AT_MINUS_ONE,
+             Bracket.BEYOND_ONE: Bracket.BELOW_MINUS_ONE}
+
+
 class Stability(Enum):
     LOCALLY_ASYMPTOTICALLY_STABLE = "locally_asymptotically_stable"
     MARGINALLY_STABLE = "marginally_stable"
@@ -64,14 +73,14 @@ def _polynomial_derivative(eq: EquationSpec, x: float) -> float:
     return (eq.nu + 1) * x ** eq.nu + eq.sign * float(eq.p)
 
 
-def _bisect(eq: EquationSpec, lo: float, hi: float, iterations: int = 100) -> float:
+def _bisect(eq: EquationSpec, lo: float, hi: float) -> float:
     """A root of the equilibrium polynomial on [lo, hi], which brackets one."""
     flo = equilibrium_polynomial(eq, lo)
     if flo == 0.0:
         return lo
     if equilibrium_polynomial(eq, hi) == 0.0:
         return hi
-    for _ in range(iterations):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         fm = equilibrium_polynomial(eq, mid)
         if fm == 0.0:
@@ -85,8 +94,8 @@ def _bisect(eq: EquationSpec, lo: float, hi: float, iterations: int = 100) -> fl
     return 0.5 * (lo + hi)
 
 
-def _polish(eq: EquationSpec, x: float, rounds: int = 4) -> float:
-    for _ in range(rounds):
+def _polish(eq: EquationSpec, x: float) -> float:
+    for _ in range(4):
         deriv = _polynomial_derivative(eq, x)
         if deriv == 0.0:
             break
@@ -99,14 +108,19 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
 
     Plus branch: the single positive root (the polynomial is strictly
     increasing on (0, inf)); it sits below, at, or above 1 according to
-    q <=> p+1.  Minus branch, odd nu: the single negative root, trichotomy
-    against p+1 again.  Minus branch, even nu: count follows the q vs p-1
-    trichotomy (two roots when q < p-1, the root -1 alone when q = p-1,
-    none when q > p-1); in a thin band of q just above p-1 with p far from
-    nu+1 the polynomial admits further negative roots that are outside this
-    contract.  An empty list is a valid outcome.
+    q <=> p+1.  Minus branch, odd nu: (-x)**nu = -x**nu, so the map is the
+    plus map in y = -x, and its single negative root is computed as the plus
+    root negated, with the mirrored bracket.  Minus branch, even nu: count
+    follows the q vs p-1 trichotomy (two roots when q < p-1, the root -1
+    alone when q = p-1, none when q > p-1); in a thin band of q just above
+    p-1 with p far from nu+1 the polynomial admits further negative roots
+    that are outside this contract.  An empty list is a valid outcome.
     """
     p, q, nu = eq.p, eq.q, eq.nu
+
+    if eq.branch is Branch.MINUS and nu % 2 == 1:
+        (plus,) = equilibria(EquationSpec.plus(p, q, nu))
+        return [EquilibriumReport(-plus.value, _MIRRORED[plus.bracket])]
 
     if eq.branch is Branch.PLUS:
         if q == p + 1:
@@ -121,25 +135,6 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
             except OverflowError:  # every positive root has x**(nu+1) < q and p*x < q
                 hi = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
             value = _bisect(eq, 0.0, hi)
-        return [EquilibriumReport(_polish(eq, value), bracket)]
-
-    if nu % 2 == 1:
-        if q == p + 1:
-            return [EquilibriumReport(-1.0, Bracket.AT_MINUS_ONE)]
-        if nu == 1:
-            roots = binet_roots(float(p), float(q))
-            value = roots.phi_minus
-        elif q < p + 1:
-            value = _bisect(eq, -1.0, 0.0)
-        else:
-            left = 2.0
-            try:
-                while equilibrium_polynomial(eq, -left) <= 0.0:
-                    left *= 2.0
-            except OverflowError:  # the root -a has a**(nu+1) = q - p*a, so a < q/p, q**(1/(nu+1))
-                left = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
-            value = _bisect(eq, -left, -1.0)
-        bracket = Bracket.IN_MINUS_UNIT if q < p + 1 else Bracket.BELOW_MINUS_ONE
         return [EquilibriumReport(_polish(eq, value), bracket)]
 
     # even nu on the minus branch
@@ -219,10 +214,10 @@ def _second_iterate_sign(eq: EquationSpec, x) -> Optional[int]:
     return _sign_of(eq.q / den2 - x)
 
 
-def _cycle_newton(eq: EquationSpec, phi: float, psi: float, rounds: int = 8) -> Tuple[float, float]:
+def _cycle_newton(eq: EquationSpec, phi: float, psi: float) -> Tuple[float, float]:
     """Polish the pair on the full 2x2 cycle system for machine-level residuals."""
     q, nu = float(eq.q), eq.nu
-    for _ in range(rounds):
+    for _ in range(8):
         a11 = eq.denominator(psi)
         a22 = eq.denominator(phi)
         f1 = phi * a11 - q
@@ -307,12 +302,11 @@ def _finish_cycle(
 def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
     p, q, nu = float(eq.p), float(eq.q), eq.nu
     ratio_pow = (q / p) ** nu
-    if eq.branch is Branch.PLUS:
-        return (q / p, q / (p + ratio_pow))
-    if nu % 2 == 1:
-        return (-q / p, -q / (p + ratio_pow))
-    den = -p + ratio_pow
-    return (-q / p, q / den if den != 0.0 else float("inf"))
+    if eq.branch is Branch.MINUS and nu % 2 == 0:
+        den = -p + ratio_pow
+        return (-q / p, q / den if den != 0.0 else float("inf"))
+    sign = eq.sign  # odd nu on minus: the plus pair, negated
+    return (sign * q / p, sign * q / (p + ratio_pow))
 
 
 def _positive_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
@@ -389,8 +383,8 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     cycle = _finish_cycle(plus, _positive_root(plus, tol), approx_form)
     if eq.branch is Branch.PLUS or cycle is None:
         return cycle
-    phi, psi = -cycle.phi, -cycle.psi
-    return cycle._replace(phi=phi, psi=psi, residual=_cycle_residual(eq, phi, psi))
+    # negation is exact, so the minus residual has the plus residual's bits
+    return cycle._replace(phi=-cycle.phi, psi=-cycle.psi)
 
 
 def smallest_even_cycle_exponent(p, q, cap: int = 64) -> Optional[int]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ratdyn import analysis
 from ratdyn.analysis import (
     Bracket,
+    PeriodTwoCycle,
     Stability,
     classify_stability,
     equilibria,
@@ -102,11 +103,38 @@ def test_minus_odd_examples():
     assert reports[0].bracket is Bracket.BELOW_MINUS_ONE
 
 
+# odd-nu cells: four where a separate minus search used to land one ulp off
+# the negated plus root, one whose default plus bracket overflows, and a grid
+MIRROR_CELLS = [
+    (1, Fraction(5, 2), 7),
+    (1, Fraction(5, 3), 3),
+    (1, Fraction(7, 2), 3),
+    (2, Fraction(5, 2), 9),
+    (Fraction(1, 10), 10, 401),
+] + [
+    (p, q, nu)
+    for p in (Fraction(1, 10), Fraction(1, 2), 1, Fraction(5, 3), 2, Fraction(7, 2), 10)
+    for q in (Fraction(1, 10), Fraction(1, 2), 1, Fraction(5, 2), 3, Fraction(7, 2), 10)
+    for nu in (1, 3, 5, 7, 9, 21, 101, 401)
+]
+MIRRORED = {
+    Bracket.IN_UNIT_INTERVAL: Bracket.IN_MINUS_UNIT,
+    Bracket.AT_ONE: Bracket.AT_MINUS_ONE,
+    Bracket.BEYOND_ONE: Bracket.BELOW_MINUS_ONE,
+}
+
+
 def test_minus_odd_is_mirror_of_plus():
-    for p, q, nu in [(1, 2, 3), (2, 1, 5), (3, 4, 7), (2, 5, 1)]:
-        plus = equilibria(EquationSpec.plus(p, q, nu))[0].value
-        minus = equilibria(EquationSpec.minus(p, q, nu))[0].value
-        assert minus == pytest.approx(-plus, rel=1e-10)
+    # (-x)**nu = -x**nu for odd nu: the minus report is the plus report with the
+    # value negated and the bracket mirrored, bit for bit (repr round-trips)
+    for p, q, nu in MIRROR_CELLS:
+        reports = []
+        for eq in (EquationSpec.plus(p, q, nu), EquationSpec.minus(p, q, nu)):
+            (report,) = equilibria(eq)
+            reports.append(classify_stability(eq, report))
+        plus, minus = reports
+        expected = plus._replace(value=-plus.value, bracket=MIRRORED[plus.bracket])
+        assert repr(minus) == repr(expected), (p, q, nu)
 
 
 def test_equilibrium_residuals_random():
@@ -277,13 +305,27 @@ def test_cycle_residual_and_quotient_identity():
 
 
 def test_minus_odd_cycle_mirrors_plus():
-    plus = solve_period_two(EquationSpec.plus(1, 2, 5))
     minus = solve_period_two(EquationSpec.minus(1, 2, 5))
-    assert minus.phi == pytest.approx(-plus.phi, rel=1e-12)
-    assert minus.psi == pytest.approx(-plus.psi, rel=1e-12)
     assert minus.approx_form[0] == -2.0
     assert minus.approx_form[1] == pytest.approx(-2 / 33, abs=1e-15)
     assert minus.residual < 1e-12
+    # the five printed fields are the plus cycle's, negated bit for bit; the
+    # residual is the plus residual, since negation is exact
+    for p, q, nu in MIRROR_CELLS:
+        if nu > 21:
+            continue
+        plus = solve_period_two(EquationSpec.plus(p, q, nu))
+        minus = solve_period_two(EquationSpec.minus(p, q, nu))
+        if plus is None:
+            assert minus is None, (p, q, nu)
+            continue
+        expected = PeriodTwoCycle(
+            phi=-plus.phi,
+            psi=-plus.psi,
+            residual=plus.residual,
+            approx_form=(-plus.approx_form[0], -plus.approx_form[1]),
+        )
+        assert repr(minus) == repr(expected), (p, q, nu)
 
 
 def test_minus_even_mixed_cycle():
