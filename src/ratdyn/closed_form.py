@@ -10,6 +10,14 @@ The minus form is the plus form conjugated through y = -x; equivalently it
 is the negative-index solution formula with the signs of the odd-index
 terms folded in.  Everything here runs on exact rationals except the
 limit values, which involve the irrational roots phi_plus/phi_minus.
+
+The exact values are not read off a table of W(n) but from one integer sweep,
+the exact plane of `dynamics.iterate`: each iterate is a reduced pair (N, D),
+and one step maps it to num = qn*pd*D over E = s*pn*qd*D + pd*qd*N (p = pn/pd,
+q = qn/qd, s = +1 plus, -1 minus), reduced by a common factor g that divides
+M = qn*pd**2*qd.  So no term pays a gcd of two big operands.  Stepped without
+reduction, the pair's denominator is b*(pd*qd)**n*(W(n+1) + s*x0*W(n)), b the
+denominator of x0, which continues past a step where it vanishes.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import islice
+from math import gcd
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import dynamics
@@ -65,37 +73,59 @@ def forbidden_points(eq: EquationSpec, depth: int) -> List[ForbiddenPoint]:
 
     On the plus branch these are -W(m+1)/W(m); on the minus branch
     +W(m+1)/W(m).  Iterating forward from the depth-m point produces a zero
-    denominator at step m exactly, never earlier.  The ratios follow r(1) = p,
-    r(m) = p + q/r(m-1); p, q > 0 keep every W(m), m >= 1, positive.
+    denominator at step m exactly, never earlier.  The ratios r(m) =
+    W(m+1)/W(m) follow r(1) = p, r(m) = p + q/r(m-1), so r(m) = q/u(m) for
+    the plus orbit u from 0; p, q > 0 keep every W(m) and u(m), m >= 1,
+    positive.  For u(m) = n/d in lowest terms, q/u(m) = qn*d / (qd*n) reduces
+    by gcd(qn, n)*gcd(qd, d).
     """
     _require_nu_one(eq)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ratios = accumulate(range(1, depth), lambda r, _: eq.p + eq.q / r, initial=eq.p)
-    return [ForbiddenPoint(m, -eq.sign * r) for m, r in enumerate(ratios, 1)]
+    qn, qd, sign = eq.q.numerator, eq.q.denominator, -eq.sign
+    orbit = dynamics._exact_pairs(EquationSpec.plus(eq.p, eq.q), Fraction(0))
+    points = []
+    for m, (n, d, _) in enumerate(islice(orbit, depth), 1):
+        hn, hd = gcd(n % qn, qn), gcd(d % qd, qd)
+        if hn != 1:
+            n //= hn
+        if hd != 1:
+            d //= hd
+        points.append(ForbiddenPoint(m, dynamics._fraction(sign * qn // hn * d, qd // hd * n)))
+    return points
 
 
-def _denominator(ws: List[Fraction], sign: int, x0: Fraction, m: int) -> Fraction:
-    """W(m+1) + sign*x0*W(m): the closed-form denominator at step m, which
-    vanishes exactly when x0 is forbidden at depth m (sign = +1 plus, -1 minus)."""
-    return ws[m + 1] + sign * x0 * ws[m]
+def _closed_denominator(p: Fraction, q: Fraction, x0: Fraction, n: int) -> Fraction:
+    """W(n+1) + x0*W(n), the plus-branch closed-form denominator at step n.
+
+    It steps the integer pair (N, D) = (x0.numerator, x0.denominator) n
+    times by the rule of `dynamics._exact_step`, without reducing it:
+    N' = qn*pd*D, D' = pd*qd*N + pn*qd*D.  Then D(n) = x0.denominator *
+    (pd*qd)**n * (W(n+1) + x0*W(n)), also past a step where it vanishes.
+    """
+    _, sp, lift, c, _ = dynamics._exact_rule(1, p, q, 1)  # lift = pd*qd
+    num, den = x0.numerator, x0.denominator
+    for _ in range(n):
+        num, den = c * den, lift * num + sp * den
+    return Fraction(den, x0.denominator * lift ** n)
 
 
 def forbidden_depth(eq: EquationSpec, x0: Rational, depth: int = 64) -> Optional[int]:
     """Depth m <= depth at which x0 is forbidden, or None if clear to `depth`.
 
     The forbidden set is countably infinite, so None certifies only
-    "clear to this depth", never global membership.
+    "clear to this depth", never global membership.  It steps the exact
+    orbit's integer pairs and stops at the first vanishing denominator.
     """
     _require_nu_one(eq)
-    x0 = as_fraction(x0)
-    ws = canonical_table(eq.p, eq.q, depth + 1)
-    return next((m for m in range(1, depth + 1) if _denominator(ws, eq.sign, x0, m) == 0), None)
+    steps = sum(1 for _ in islice(dynamics._exact_pairs(eq, as_fraction(x0)), max(depth, 0)))
+    return steps + 1 if steps < depth else None
 
 
 def closed_form_series(eq: EquationSpec, x0: Rational, n: int) -> List[Fraction]:
-    """Orbit values x(0), ..., x(n) from the closed form, read off one table
-    W(0..n+1): x(m) = sign*q * den(m-1) / den(m) with den from `_denominator`.
+    """Orbit values x(0), ..., x(n) of the closed form x(m) = sign*q *
+    den(m-1) / den(m), den(m) = W(m+1) + sign*x0*W(m), as the integer sweep
+    of `dynamics.iterate` computes them.
 
     Equals exact forward iteration whenever the orbit exists; raises
     ForbiddenInitialCondition(m) for the first m <= n whose denominator
@@ -104,12 +134,10 @@ def closed_form_series(eq: EquationSpec, x0: Rational, n: int) -> List[Fraction]
     _require_nu_one(eq)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x0 = as_fraction(x0)
-    ws = canonical_table(eq.p, eq.q, n + 1)
-    dens = [_denominator(ws, eq.sign, x0, m) for m in range(n + 1)]  # dens[0] = W(1) = 1
-    if 0 in dens:
-        raise ForbiddenInitialCondition(dens.index(0))
-    return [x0] + [eq.sign * eq.q * dens[m - 1] / dens[m] for m in range(1, n + 1)]
+    orbit = dynamics.iterate(eq, x0, n)
+    if not orbit.status.ok:
+        raise ForbiddenInitialCondition(orbit.status.step)
+    return list(orbit.values)
 
 
 def solve_closed_form(eq: EquationSpec, x0: Rational, n: int) -> Fraction:
@@ -187,7 +215,7 @@ def product_closed_form(p: Rational, q: Rational, x0: Rational, n: int) -> Fract
     """Running product x0*x1*...*xn of the plus-branch orbit as the single
     rational expression q**n * x0 / (W(n+1) + x0*W(n))."""
     p, q, x0 = as_fraction(p), as_fraction(q), as_fraction(x0)
-    den = _denominator(canonical_table(p, q, n + 1), 1, x0, n)
+    den = _closed_denominator(p, q, x0, n)
     if den == 0:
         raise ZeroDenominator(f"product denominator vanishes at n = {n}")
     return q ** n * x0 / den
@@ -234,10 +262,7 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
         if x0 == blocked:
             raise SingularInput(f"initial condition {x0} is the repelling fixed point")
 
-    orbit = dynamics.iterate(eq, x0, steps)
-    if not orbit.status.ok:
-        raise ForbiddenInitialCondition(orbit.status.step)
-
+    partials = _partial_products(eq, x0, steps)
     diff = eq.p - (eq.q - 1)
     if diff > 0:
         regime = Regime.P_GREATER_QM1
@@ -259,8 +284,55 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
         regime=regime,
         predicted_limit=predicted,
         alternating=alternating,
-        partials=tuple(accumulate(orbit.values, mul)),
+        partials=partials,
     )
+
+
+def _partial_products(eq: EquationSpec, x0: Fraction, steps: int) -> Tuple[Fraction, ...]:
+    """P(0), ..., P(steps) with P(k) = x(0)*...*x(k), from the integer sweep.
+
+    `dynamics._exact_step` gives x(k+1) = N/D with N*g = +-c*D(k), c = qn*pd,
+    so the product telescopes: P(k) = sign * alpha / (beta*D(k)), where
+    alpha/beta = |N(0)|*c**k / prod(g) in lowest terms.  That smooth part stays
+    reduced with gcds against c and g alone.  A prime of alpha divides
+    N(0)*c, so the primes alpha and D(k) share divide h = gcd(D(k), N(0)*c),
+    and dividing both by gcd(alpha, h), then h by what is left, reduces
+    P(k) with gcds against h alone; usually h = 1.  Raises
+    ForbiddenInitialCondition(k) when the orbit is singular at a step
+    k <= steps.
+    """
+    n0 = x0.numerator
+    c = eq.q.numerator * eq.p.denominator
+    sign, alpha, beta, smooth = (-1 if n0 < 0 else 1), abs(n0), 1, abs(n0) * c
+    partials = [x0]
+    append, fraction = partials.append, dynamics._fraction
+    for n, d, g in islice(dynamics._exact_pairs(eq, x0), steps):
+        if not n0:
+            append(x0)  # every product of an orbit from 0 is 0
+            continue
+        if n < 0:
+            sign = -sign
+        up = c
+        if g != 1:
+            h = gcd(alpha % g, g)
+            alpha, g = alpha // h, g // h
+            h = gcd(up, g)
+            up, g = up // h, g // h
+        h = gcd(beta % up, up)
+        if h != 1:
+            beta, up = beta // h, up // h
+        alpha, beta = alpha * up, beta * g
+        # every prime common to a and d divides h
+        a, h = alpha, gcd(d % smooth, smooth)
+        while h != 1:
+            h = gcd(a % h, h)
+            if h != 1:
+                a, d = a // h, d // h
+                h = gcd(d % h, h)
+        append(fraction(sign * a, beta * d))
+    if len(partials) <= steps:
+        raise ForbiddenInitialCondition(len(partials))
+    return tuple(partials)
 
 
 def reconstruct_horadam(p: Rational, q: Rational, k: int, n: int) -> Fraction:
@@ -307,9 +379,9 @@ def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:
         raise ValueError("r must be >= 1")
     if n <= r:
         raise ValueError("n must exceed r")
-    ws = canonical_table(p, q, n + 1)
+    ws = canonical_table(p, q, r + 1)
     x0 = -ws[r + 1] / ws[r]
-    den = _denominator(ws, 1, x0, n)
+    den = _closed_denominator(p, q, x0, n)
     if den == 0:
         raise ZeroDenominator("product expression undefined at this index pair")
     return (-1) ** (r + 1) * q ** r / den  # q**(r-n) times the product q**n / den

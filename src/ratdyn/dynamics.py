@@ -1,13 +1,24 @@
 """Forward iteration of either equation in exact or floating arithmetic.
 
-The exact plane keeps every iterate a Fraction.  Note that for nu >= 2 the
-size of exact iterates grows geometrically (each step raises the previous
-denominator to the nu-th power), so exact runs are practical only for short
-orbits; nu = 1 stays linear-sized for hundreds of steps.
+The exact plane carries each iterate as a reduced pair (N, D) of ints with
+D > 0.  Write p = pn/pd, q = qn/qd and s = +1 (plus) or -1 (minus).  One step
+(`_exact_step`) forms
+
+    E = s*pn*qd*D**nu + pd*qd*N**nu,    num = qn*pd*D**nu,
+
+so the next iterate is num/E, and E = 0 exactly where the map's denominator
+vanishes.  Since gcd(N, D) = 1, gcd(E, D**nu) divides pd*qd, so the common
+factor g of num and E divides M = qn*pd**2*qd.  Hence g = gcd(g0, num mod g0)
+with g0 = gcd(E mod M, M): two gcds against small numbers, never one of two
+big operands, which is what `Fraction` arithmetic would pay per step.  Each
+value becomes a Fraction through `_fraction`, which takes no further gcd.
+For nu >= 2 the size of exact iterates grows geometrically (each step raises
+the previous denominator to the nu-th power), so exact runs are practical
+only for short orbits; nu = 1 stays linear-sized for thousands of steps.
 
 `iterate` converts nu, sign*p, q and the float guard to the plane's number
 kind once per orbit, so a float step is one power, one add, the guard test
-and one divide: about 0.25 µs, against ~3 µs through `step`.
+and one divide.
 
 On the positive half-line both maps are decreasing, so their second iterate
 is increasing and a bounded orbit settles on an equilibrium or a two-cycle
@@ -25,7 +36,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from math import gcd
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .equation import Branch, EquationSpec, as_fraction
 from .errors import DigitLimit, NearSingularity, ZeroDenominator
@@ -34,6 +46,22 @@ NEAR_SINGULAR_FACTOR = 1e-12
 _CYCLE_CHECK_STEPS = 1024  # steps between `iterate`'s tests for an exact cycle
 
 Value = Union[Fraction, float]
+
+
+def _coprime_constructor(cls):
+    """The cheapest way to build a `cls` from a coprime pair (n, d) with d > 0:
+    the private gcd-free form this Python has, else the public constructor,
+    which is slower but takes any pair."""
+    if hasattr(cls, "_from_coprime_ints"):  # Python 3.12 and later
+        return cls._from_coprime_ints
+    try:
+        cls(1, 1, _normalize=False)  # Python 3.10 and 3.11
+    except TypeError:
+        return cls
+    return lambda n, d: cls(n, d, _normalize=False)
+
+
+_fraction: Callable[[int, int], Fraction] = _coprime_constructor(Fraction)
 
 
 class Plane(Enum):
@@ -56,17 +84,60 @@ class OrbitStatus(NamedTuple):
         return self.kind is StatusKind.COMPLETED
 
 
+_Rule = Tuple[int, int, int, int, int]
+
+
+def _exact_rule(sign: int, p: Fraction, q: Fraction, nu: int) -> _Rule:
+    """(nu, s*pn*qd, pd*qd, qn*pd, M = qn*pd**2*qd): the integers of one exact step."""
+    pn, pd = p.numerator, p.denominator
+    qn, qd = q.numerator, q.denominator
+    return nu, sign * pn * qd, pd * qd, qn * pd, qn * pd * pd * qd
+
+
+def _exact_step(rule: _Rule, n: int, d: int) -> Optional[Tuple[int, int, int]]:
+    """The map on a reduced pair n/d: (N, D, g) with N/D its image in lowest
+    terms, D > 0, and g the factor divided out of (num, |E|); None where E = 0."""
+    nu, sp, a, c, m = rule
+    if nu != 1:
+        n, d = n ** nu, d ** nu
+    e = sp * d + a * n
+    if not e:
+        return None
+    num = c * d
+    g = gcd(e % m, m)
+    if g != 1:
+        g = gcd(num % g, g)
+        if g != 1:
+            num //= g
+            e //= g
+    return (num, e, g) if e > 0 else (-num, -e, g)
+
+
+def _exact_pairs(eq: EquationSpec, x: Fraction) -> Iterator[Tuple[int, int, int]]:
+    """The exact orbit after x as `_exact_step` triples (N, D, g), one per step;
+    it ends before the first step whose denominator vanishes."""
+    rule, n, d = _exact_rule(eq.sign, eq.p, eq.q, eq.nu), x.numerator, x.denominator
+    while True:
+        image = _exact_step(rule, n, d)
+        if image is None:
+            return
+        yield image
+        n, d, _ = image
+
+
 def step(eq: EquationSpec, x: Value) -> Value:
     """One application of the map; exact for Fraction/int input, guarded for float."""
     if isinstance(x, (Fraction, int)):
-        den = x ** eq.nu + eq.sign * eq.p
-        if den == 0:
+        image = _exact_step(_exact_rule(eq.sign, eq.p, eq.q, eq.nu), x.numerator, x.denominator)
+        if image is None:
             raise ZeroDenominator("zero denominator")
-        return eq.q / den
-    den = float(x) ** eq.nu + eq.sign * float(eq.p)
-    if abs(den) < NEAR_SINGULAR_FACTOR * max(float(eq.p), 1.0):
+        return _fraction(image[0], image[1])
+    p, q = eq.p, eq.q
+    fp = p.numerator / p.denominator  # the correctly rounded float(p)
+    den = float(x) ** eq.nu + (fp if eq.branch is Branch.PLUS else -fp)
+    if abs(den) < NEAR_SINGULAR_FACTOR * max(fp, 1.0):
         raise NearSingularity("denominator within guard band of zero")
-    return float(eq.q) / den
+    return q.numerator / q.denominator / den
 
 
 class Orbit(NamedTuple):
@@ -81,6 +152,32 @@ class Orbit(NamedTuple):
     @property
     def steps_completed(self) -> int:
         return len(self.values) - 1
+
+
+def _exact_values(eq: EquationSpec, x: Fraction, max_digits: int) -> Iterator[Fraction]:
+    """The exact plane of `iterate`: the iterates after x, ending before a
+    vanishing denominator."""
+    # an integer of more bits than this is >= 2**budget > 10**max_digits,
+    # since 3.3219280949 > log2(10)
+    budget = -(-max_digits * 33219280949 // 10 ** 10)
+    for n, d, _ in _exact_pairs(eq, x):
+        if budget and max(n.bit_length(), d.bit_length()) > budget:
+            raise DigitLimit(max_digits)
+        yield _fraction(n, d)
+
+
+def _float_values(eq: EquationSpec, x: float) -> Iterator[float]:
+    """The float plane of `iterate`: the iterates after x, ending inside the
+    guard band -guard < den < guard of `step`."""
+    fp, q, nu = eq.p.numerator / eq.p.denominator, eq.q.numerator / eq.q.denominator, eq.nu
+    shift, guard = eq.sign * fp, NEAR_SINGULAR_FACTOR * max(fp, 1.0)
+    low = -guard
+    while True:
+        den = x ** nu + shift
+        if low < den < guard:
+            return
+        x = q / den
+        yield x
 
 
 def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
@@ -105,34 +202,22 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    nu = eq.nu
     if plane is Plane.EXACT:
         x: Value = as_fraction(x0)
-        shift, q, guard, stop = eq.sign * eq.p, eq.q, 0, StatusKind.HIT_SINGULARITY
-        # an integer of more bits than this is >= 2**budget > 10**max_digits,
-        # since 3.3219280949 > log2(10)
-        budget = -(-max_digits * 33219280949 // 10 ** 10)
+        after, stop = _exact_values(eq, x, max_digits), StatusKind.HIT_SINGULARITY
     else:
         x = float(x0)
-        shift, q, stop = eq.sign * float(eq.p), float(eq.q), StatusKind.NEAR_SINGULAR
-        guard, budget = NEAR_SINGULAR_FACTOR * max(float(eq.p), 1.0), 0
+        after, stop = _float_values(eq, x), StatusKind.NEAR_SINGULAR
     values: List[Value] = [x]
-    append = values.append
     status = OrbitStatus(StatusKind.COMPLETED)
-    low, k = -guard, 0
-    while k < steps and status.ok:
-        for k in range(k + 1, min(k + _CYCLE_CHECK_STEPS, steps) + 1):
-            den = x ** nu + shift
-            # the same tests as `step`: exact stops at den == 0 (guard 0 skips the
-            # band), float inside the guard band -guard < den < guard, which contains 0
-            if not den or guard and low < den < guard:
-                status = OrbitStatus(stop, k)
-                break
-            x = q / den
-            append(x)
-            if budget and max(x.numerator.bit_length(), x.denominator.bit_length()) > budget:
-                raise DigitLimit(max_digits)
-        if status.ok and k > 1 and x == values[-3]:
+    k = 0
+    while k < steps:
+        k = min(k + _CYCLE_CHECK_STEPS, steps)
+        values += islice(after, k + 1 - len(values))
+        if len(values) <= k:  # singular at step len(values)
+            status = OrbitStatus(stop, len(values))
+            break
+        if k > 1 and values[-1] == values[-3]:
             values += islice(cycle(values[-2:]), steps - k)
             break
     return Orbit(eq=eq, x0=x0, values=tuple(values), status=status, plane=plane)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ratdyn import cli, errors
+from ratdyn import cli, dynamics, errors
 from ratdyn.cli import Table, fmt, render, run
 from ratdyn.errors import DigitLimit
 
@@ -293,20 +293,20 @@ def test_float_series_renders_without_a_call_per_cell(monkeypatch, capsys, fmt_f
 def test_simulate_refuses_an_exact_orbit_at_the_digit_limit(monkeypatch, capsys):
     # Counts exact steps, not time: the refusal comes at step 14 of 24, where
     # an iterate first certainly has more digits than the int->str limit.
-    powers = [0]
-    real_pow = Fraction.__pow__
+    steps_taken = [0]
+    real_step = dynamics._exact_step
 
     def counting(*args):
-        powers[0] += 1
-        return real_pow(*args)
+        steps_taken[0] += 1
+        return real_step(*args)
 
-    monkeypatch.setattr(Fraction, "__pow__", counting)
+    monkeypatch.setattr(dynamics, "_exact_step", counting)
     code, out, err = invoke(capsys, ["simulate", "--branch", "plus", "--p", "1", "--q", "2",
                                      "--nu", "2", "--x0", "3", "--steps", "24"])
     limit = sys.get_int_max_str_digits()
     assert (code, out) == (2, "")
     assert err == f"error: exact value exceeds {limit} digits; use --plane float\n"
-    assert powers[0] == 14
+    assert steps_taken[0] == 14
 
 
 def test_closed_form_forbidden_exit_code(capsys):

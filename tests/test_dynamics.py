@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratdyn import dynamics
 from ratdyn.dynamics import (
     _CYCLE_CHECK_STEPS,
     NEAR_SINGULAR_FACTOR,
@@ -293,16 +294,16 @@ def test_iterate_equals_the_stepped_orbit_up_to_a_singularity(plane, kind):
     assert orbit.status == (kind, 2)
 
 
-def _count_powers(monkeypatch):
-    """Count exact powers, one per exact iterate step."""
+def _count_steps(monkeypatch):
+    """Count calls of the exact step rule, one per exact iterate step."""
     count = [0]
-    real_pow = Fraction.__pow__
+    real_step = dynamics._exact_step
 
     def counting(*args):
         count[0] += 1
-        return real_pow(*args)
+        return real_step(*args)
 
-    monkeypatch.setattr(Fraction, "__pow__", counting)
+    monkeypatch.setattr(dynamics, "_exact_step", counting)
     return count
 
 
@@ -316,10 +317,10 @@ def test_exact_iterate_stops_at_the_digit_limit(monkeypatch):
     eq = EquationSpec.plus(1, 2, 2)
     assert iterate(eq, Fraction(3), 13, max_digits=4300).status.ok
     assert iterate(eq, Fraction(3), 16).status.ok  # no limit by default
-    powers = _count_powers(monkeypatch)
+    steps_taken = _count_steps(monkeypatch)
     with pytest.raises(DigitLimit, match=r"^exact value exceeds 4300 digits$"):
         iterate(eq, Fraction(3), 24, max_digits=4300)
-    assert powers[0] == 14
+    assert steps_taken[0] == 14
 
 
 @pytest.mark.parametrize("eq, x0, steps", [
@@ -335,11 +336,11 @@ def test_exact_iterate_refuses_only_unprintable_iterates(monkeypatch, eq, x0, st
         assert len(digits) == steps + 1
         for limit in (640, 1000, 4300):
             first = next(k for k, d in enumerate(digits) if d > limit)
-            powers = _count_powers(monkeypatch)
+            steps_taken = _count_steps(monkeypatch)
             with pytest.raises(DigitLimit, match=f"exceeds {limit} digits"):
                 iterate(eq, x0, steps, max_digits=limit)
             # never an iterate that prints; at most one step past the first that does not
-            assert digits[powers[0]] > limit and powers[0] in (first, first + 1)
+            assert digits[steps_taken[0]] > limit and steps_taken[0] in (first, first + 1)
             assert iterate(eq, x0, first - 1, max_digits=limit).status.ok
     finally:
         sys.set_int_max_str_digits(previous)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ratdyn import closed_form, horadam
+from ratdyn import closed_form, dynamics, horadam
 from ratdyn.equation import EquationSpec
 
 from ratdyn.errors import ZeroDenominator
@@ -136,22 +136,25 @@ def test_sweep_with_zero_q(a, b, p, start, length):
         assert horadam_range(spec, start, stop) == expected
 
 
-def _count_steps(monkeypatch, work, n):
-    calls, step = [], horadam._step
+def _count_steps(monkeypatch, core, work, n):
+    calls, step = [], getattr(*core)
     with monkeypatch.context() as patch:
-        patch.setattr(horadam, "_step", lambda *args: calls.append(args) or step(*args))
+        patch.setattr(*core, lambda *args: calls.append(args) or step(*args))
         work(n)
     return len(calls)
 
 
-@pytest.mark.parametrize("work", [
-    lambda n: horadam_range(HoradamSpec(Fraction(1, 3), 2, 3, Fraction(1, 2)), -n, n),
-    lambda n: closed_form.closed_form_series(EquationSpec.minus(2, 3), Fraction(-1, 2), n),
-    lambda n: identity_battery(HoradamSpec.canonical(2, 3), n),
+@pytest.mark.parametrize("core, work", [
+    ((horadam, "_step"),
+     lambda n: horadam_range(HoradamSpec(Fraction(1, 3), 2, 3, Fraction(1, 2)), -n, n)),
+    # the closed form runs on the integer orbit sweep of `dynamics`
+    ((dynamics, "_exact_step"),
+     lambda n: closed_form.closed_form_series(EquationSpec.minus(2, 3), Fraction(-1, 2), n)),
+    ((horadam, "_step"), lambda n: identity_battery(HoradamSpec.canonical(2, 3), n)),
 ], ids=["horadam_range", "closed_form_series", "identity_battery"])
-def test_recurrence_steps_grow_linearly(monkeypatch, work):
+def test_recurrence_steps_grow_linearly(monkeypatch, core, work):
     # Counts of the core step, not time: a per-index walk would grow 16-fold.
-    small, large = (_count_steps(monkeypatch, work, n) for n in (20, 80))
+    small, large = (_count_steps(monkeypatch, core, work, n) for n in (20, 80))
     assert 0 < small and large <= 4 * small
 
 
