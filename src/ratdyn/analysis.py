@@ -20,6 +20,7 @@ predicate runs on Fractions, so every sign the search sees is exact.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -128,7 +129,7 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
         bracket = Bracket.IN_UNIT_INTERVAL if q < p + 1 else Bracket.BEYOND_ONE
         if nu == 1:
             value = (-float(p) + binet_roots(float(p), float(q)).discriminant ** 0.5) / 2.0
-        else:
+        if nu > 1 or not math.isfinite(value):  # at nu = 1, p*p + 4q can overflow
             hi = float(max(Fraction(1), q / p)) + 1.0
             try:
                 hi ** (nu + 1)
@@ -166,7 +167,7 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     inconclusive there and no asymptotic claim is made).
     """
     x = report.value
-    if abs(equilibrium_polynomial(eq, x)) > 1e-8 * max(1.0, float(eq.q)):
+    if not abs(equilibrium_polynomial(eq, x)) <= 1e-8 * max(1.0, float(eq.q)):  # nan too
         raise ValueError(f"{x} does not satisfy the equilibrium polynomial")
     multiplier = -float(eq.q) * eq.nu * x ** (eq.nu - 1) / eq.denominator(float(x)) ** 2
     magnitude = abs(multiplier)

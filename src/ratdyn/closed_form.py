@@ -17,7 +17,8 @@ and one step maps it to num = qn*pd*D over E = s*pn*qd*D + pd*qd*N (p = pn/pd,
 q = qn/qd, s = +1 plus, -1 minus), reduced by a common factor g that divides
 M = qn*pd**2*qd.  So no term pays a gcd of two big operands.  Stepped without
 reduction, the pair's denominator is b*(pd*qd)**n*(W(n+1) + s*x0*W(n)), b the
-denominator of x0, which continues past a step where it vanishes.
+denominator of x0, which continues past a step where it vanishes.  From x0 = 0
+it is W(n+1): the product identities read W and x(1)*...*x(n) = q**n/den off it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from . import dynamics
 from .equation import Branch, EquationSpec, Rational, as_fraction
 from .errors import ForbiddenInitialCondition, SingularInput, ZeroDenominator
-from .horadam import binet_roots, canonical_table
+# bench/trace_run.py wraps this module's `canonical_table`.
+from .horadam import HoradamSpec, binet_roots, canonical_table  # noqa: F401
 
 EXCLUDED_POINT_TOL = 1e-12
 
@@ -95,7 +97,7 @@ def forbidden_points(eq: EquationSpec, depth: int) -> List[ForbiddenPoint]:
     return points
 
 
-def _closed_denominator(p: Fraction, q: Fraction, x0: Fraction, n: int) -> Fraction:
+def _closed_denominator(p: Fraction, q: Fraction, x0: Union[int, Fraction], n: int) -> Fraction:
     """W(n+1) + x0*W(n), the plus-branch closed-form denominator at step n.
 
     It steps the integer pair (N, D) = (x0.numerator, x0.denominator) n
@@ -338,22 +340,24 @@ def _partial_products(eq: EquationSpec, x0: Fraction, steps: int) -> Tuple[Fract
 def reconstruct_horadam(p: Rational, q: Rational, k: int, n: int) -> Fraction:
     """Recover W(n) from the orbit started at x0 = q*W(k)/W(k+1).
 
-    Iterates the plus map n-(k+1) steps exactly and returns
-    q**(n-k-1) * W(k+1) / prod(i=1..n-k-1) x(i), which equals W(n).
+    With m = n-k-1, the closed product expression makes q**m * W(k+1) /
+    prod(i=1..m) x(i) equal W(k+1) * (W(m+1) + x0*W(m)), which is W(n) by the
+    convolution identity (at k = 0 too, where x0 = 0).
     """
     p, q = as_fraction(p), as_fraction(q)
     if k < 0:
         raise ValueError("k must be >= 0")
     if n <= k + 1:
         raise ValueError("n must exceed k + 1")
-    ws = canonical_table(p, q, k + 1)
-    # x0 >= 0, so every iterate is positive and the orbit cannot be singular
-    orbit = dynamics.iterate(EquationSpec.plus(p, q), q * ws[k] / ws[k + 1], n - k - 1)
-    return q ** (n - k - 1) * ws[k + 1] / math.prod(orbit.values[1:])
+    EquationSpec.plus(p, q)  # ValueError unless p, q > 0; then every W(m), m >= 1, is positive
+    w_next = _closed_denominator(p, q, 0, k)  # W(k+1)
+    x0 = q * _closed_denominator(p, q, 0, k - 1) / w_next if k else 0
+    return w_next * _closed_denominator(p, q, x0, n - k - 1)
 
 
 def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
-    """(-1)**n * prod(i=1..n) x(i) from x0 = -W(n+r+1)/W(n+r), by exact iteration.
+    """(-1)**n * prod(i=1..n) x(i) from x0 = -W(n+r+1)/W(n+r), read off the
+    closed product expression as (-q)**n / (W(n+1) + x0*W(n)).
 
     The starting point is forbidden at depth n+r, so the n iterates used
     here always exist.  The value equals W(n+r)/W(r).
@@ -361,9 +365,9 @@ def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
     p, q = as_fraction(p), as_fraction(q)
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
-    ws = canonical_table(p, q, n + r + 1)
-    orbit = dynamics.iterate(EquationSpec.plus(p, q), -ws[n + r + 1] / ws[n + r], n)
-    return (-1) ** n * math.prod(orbit.values[1:])
+    EquationSpec.plus(p, q)  # ValueError unless p, q > 0
+    x0 = -_closed_denominator(p, q, 0, n + r) / _closed_denominator(p, q, 0, n + r - 1)
+    return (-q) ** n / _closed_denominator(p, q, x0, n)
 
 
 def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:
@@ -379,8 +383,8 @@ def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:
         raise ValueError("r must be >= 1")
     if n <= r:
         raise ValueError("n must exceed r")
-    ws = canonical_table(p, q, r + 1)
-    x0 = -ws[r + 1] / ws[r]
+    HoradamSpec.canonical(p, q)  # ValueError when p^2 + 4q = 0 (coincident roots)
+    x0 = -_closed_denominator(p, q, 0, r) / _closed_denominator(p, q, 0, r - 1)
     den = _closed_denominator(p, q, x0, n)
     if den == 0:
         raise ZeroDenominator("product expression undefined at this index pair")

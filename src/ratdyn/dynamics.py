@@ -125,21 +125,6 @@ def _exact_pairs(eq: EquationSpec, x: Fraction) -> Iterator[Tuple[int, int, int]
         n, d, _ = image
 
 
-def step(eq: EquationSpec, x: Value) -> Value:
-    """One application of the map; exact for Fraction/int input, guarded for float."""
-    if isinstance(x, (Fraction, int)):
-        image = _exact_step(_exact_rule(eq.sign, eq.p, eq.q, eq.nu), x.numerator, x.denominator)
-        if image is None:
-            raise ZeroDenominator("zero denominator")
-        return _fraction(image[0], image[1])
-    p, q = eq.p, eq.q
-    fp = p.numerator / p.denominator  # the correctly rounded float(p)
-    den = float(x) ** eq.nu + (fp if eq.branch is Branch.PLUS else -fp)
-    if abs(den) < NEAR_SINGULAR_FACTOR * max(fp, 1.0):
-        raise NearSingularity("denominator within guard band of zero")
-    return q.numerator / q.denominator / den
-
-
 class Orbit(NamedTuple):
     """A recorded trajectory, its termination status and the plane it ran in."""
 
@@ -167,8 +152,8 @@ def _exact_values(eq: EquationSpec, x: Fraction, max_digits: int) -> Iterator[Fr
 
 
 def _float_values(eq: EquationSpec, x: float) -> Iterator[float]:
-    """The float plane of `iterate`: the iterates after x, ending inside the
-    guard band -guard < den < guard of `step`."""
+    """The float plane of `iterate`: the iterates after x, ending before the
+    first denominator inside the guard band -guard < den < guard."""
     fp, q, nu = eq.p.numerator / eq.p.denominator, eq.q.numerator / eq.q.denominator, eq.nu
     shift, guard = eq.sign * fp, NEAR_SINGULAR_FACTOR * max(fp, 1.0)
     low = -guard
@@ -178,6 +163,16 @@ def _float_values(eq: EquationSpec, x: float) -> Iterator[float]:
             return
         x = q / den
         yield x
+
+
+def step(eq: EquationSpec, x: Value) -> Value:
+    """One map step: `iterate`'s first value, exact for Fraction/int input, guarded for float."""
+    exact = isinstance(x, (Fraction, int))
+    image = next(_exact_values(eq, x, 0) if exact else _float_values(eq, float(x)), None)
+    if image is None:
+        raise ZeroDenominator("zero denominator") if exact else \
+            NearSingularity("denominator within guard band of zero")
+    return image
 
 
 def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,

@@ -215,8 +215,9 @@ def test_classify_rejects_non_equilibrium():
     eq = EquationSpec.plus(1, 2, 3)
     from ratdyn.analysis import EquilibriumReport
 
-    with pytest.raises(ValueError, match="does not satisfy the equilibrium polynomial"):
-        classify_stability(eq, EquilibriumReport(0.5, Bracket.IN_UNIT_INTERVAL))
+    for value in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="does not satisfy the equilibrium polynomial"):
+            classify_stability(eq, EquilibriumReport(value, Bracket.IN_UNIT_INTERVAL))
 
 
 def test_minus_nu_one_inner_equilibrium_always_stable():

@@ -386,6 +386,17 @@ def test_analyze_json(capsys):
     assert payload["equilibria"] == [
         {"bracket": "at_one", "classification": "unstable", "multiplier": "-3", "value": "1"}
     ]
+    # nu = 1 where p*p + 4q overflows a float: the root, or the overflow exit
+    # (the squared denominator of the multiplier overflows), never nan
+    overflow = "error: float overflow: a value exceeds the float range\n"
+    for argv, expected in [
+        (["--branch", "plus", "--p", "1", "--q", "1e308"],
+         (0, '{"equilibria": [{"bracket": "beyond_one", "classification": "marginally_stable",'
+             ' "multiplier": "-1", "value": "1e+154"}]}\n', "")),
+        (["--branch", "plus", "--p", "1e155", "--q", "1"], (2, "", overflow)),
+        (["--branch", "minus", "--p", "1e160", "--q", "3"], (2, "", overflow)),
+    ]:
+        assert invoke(capsys, ["analyze", *argv, "--nu", "1", "--format", "json"]) == expected
 
 
 def test_analyze_empty_list_is_valid(capsys):

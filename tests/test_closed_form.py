@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from ratdyn.errors import ForbiddenInitialCondition, SingularInput
 from ratdyn.horadam import HoradamSpec, binet_roots, canonical_table, horadam_at
 
 SILVER = 1 + math.sqrt(2)
+RATIONALS = (Fraction(5, 3), Fraction(9, 4), Fraction(1, 2))
 
 
 def iterate_inline(eq, x0, n):
@@ -393,6 +395,9 @@ def test_reconstruct_matches_recurrence_broadly():
         n = rng.randint(k + 2, 25)
         spec = HoradamSpec.canonical(p, q)
         assert reconstruct_horadam(p, q, k, n) == horadam_at(spec, n)
+    for p, q in product(RATIONALS, repeat=2):
+        for k, n in ((0, 2), (3, 12), (8, 25)):
+            assert reconstruct_horadam(p, q, k, n) == horadam_at(HoradamSpec.canonical(p, q), n)
 
 
 def test_docagne_product_examples():
@@ -409,6 +414,10 @@ def test_docagne_product_matches_ratios():
         r = rng.randint(1, 25 - n)
         spec = HoradamSpec.canonical(p, q)
         assert docagne_product(p, q, n, r) == horadam_at(spec, n + r) / horadam_at(spec, r)
+    for p, q in product(RATIONALS, repeat=2):
+        spec = HoradamSpec.canonical(p, q)
+        for n, r in ((1, 1), (4, 9), (12, 13)):
+            assert docagne_product(p, q, n, r) == horadam_at(spec, n + r) / horadam_at(spec, r)
 
 
 def test_docagne_large_shift_limit():
@@ -435,6 +444,10 @@ def test_johnson_product_matches_ratios():
         n = rng.randint(r + 1, r + 15)
         spec = HoradamSpec.canonical(p, q)
         assert johnson_product(p, q, r, n) == horadam_at(spec, r) / horadam_at(spec, n - r)
+    for p, q in product(RATIONALS, repeat=2):
+        spec = HoradamSpec.canonical(p, q)
+        for r, n in ((1, 2), (4, 11), (10, 25)):
+            assert johnson_product(p, q, r, n) == horadam_at(spec, r) / horadam_at(spec, n - r)
 
 
 def test_johnson_product_agrees_with_live_iterates_below_the_singular_step():

@@ -3,7 +3,9 @@ replaced, its conjugacy relations, and its gcd-free Fraction constructor."""
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -21,6 +23,7 @@ from ratdyn.closed_form import (
 from ratdyn.dynamics import Plane, StatusKind, iterate, step
 from ratdyn.equation import Branch, EquationSpec
 from ratdyn.errors import ForbiddenInitialCondition, NearSingularity, ZeroDenominator
+from ratdyn.horadam import canonical_table
 
 PARAMS = (Fraction(5, 3), Fraction(9, 4), Fraction(1, 2), 1, 3, Fraction(10 ** 6),
           Fraction(1, 10 ** 6), Fraction(7, 10))
@@ -137,6 +140,80 @@ def test_product_closed_form_equals_the_w_table_past_a_singular_step():
                     assert _pair(product_closed_form(p, q, x0, n)) == _pair(q ** n * x0 / den)
 
 
+# --- the product identities against a W table and a live orbit -----------------
+
+
+def _table_reconstruct(p, q, k, n):
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if n <= k + 1:
+        raise ValueError("n must exceed k + 1")
+    ws = canonical_table(p, q, k + 1)
+    orbit = iterate(EquationSpec.plus(p, q), q * ws[k] / ws[k + 1], n - k - 1)
+    return q ** (n - k - 1) * ws[k + 1] / math.prod(orbit.values[1:])
+
+
+def _table_docagne(p, q, n, r):
+    if n < 1 or r < 1:
+        raise ValueError("n and r must be >= 1")
+    ws = canonical_table(p, q, n + r + 1)
+    orbit = iterate(EquationSpec.plus(p, q), -ws[n + r + 1] / ws[n + r], n)
+    return (-1) ** n * math.prod(orbit.values[1:])
+
+
+def _table_johnson(p, q, r, n):
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if n <= r:
+        raise ValueError("n must exceed r")
+    ws = canonical_table(p, q, n + 1)
+    x0 = -ws[r + 1] / ws[r]
+    den = ws[n + 1] + x0 * ws[n]
+    if den == 0:
+        raise ZeroDenominator("product expression undefined at this index pair")
+    return (-1) ** (r + 1) * q ** r / den
+
+
+def _outcome(function, *args):
+    """The value as (type, numerator, denominator), or the exception type."""
+    try:
+        value = function(*args)
+    except (ValueError, ZeroDivisionError, ZeroDenominator) as exc:
+        return type(exc)
+    return type(value), value.numerator, value.denominator
+
+
+IDENTITY_PARAMS = (0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3), Fraction(9, 4), Fraction(7, 10),
+                   Fraction(1, 10 ** 6), Fraction(10 ** 6), -1, Fraction(-3, 2), -2,
+                   Fraction(-1, 4))
+
+
+def test_product_identities_equal_the_w_table_and_orbit_products():
+    # p, q <= 0 and p**2 + 4q = 0 (p = +-1, q = -1/4; p = q = 0) are in the
+    # grid: each function must raise what the table and orbit path raises
+    rng, outcomes = random.Random(17), Counter()
+    for p in map(Fraction, IDENTITY_PARAMS):
+        for q in map(Fraction, IDENTITY_PARAMS):
+            for _ in range(6):
+                n, r, k = rng.randint(0, 25), rng.randint(0, 25), rng.randint(0, 8)
+                for function, reference, args in (
+                        (closed_form.docagne_product, _table_docagne, (p, q, n, r)),
+                        (closed_form.johnson_product, _table_johnson, (p, q, r, n)),
+                        (closed_form.johnson_product, _table_johnson, (p, q, r, r + 1 + n)),
+                        (closed_form.reconstruct_horadam, _table_reconstruct, (p, q, k, n))):
+                    expected = _outcome(reference, *args)
+                    assert _outcome(function, *args) == expected, (function.__name__, args)
+                    outcomes[function.__name__, expected if isinstance(expected, type) else
+                             Fraction] += 1
+    for name in ("docagne_product", "johnson_product", "reconstruct_horadam"):
+        assert outcomes[name, Fraction] > 0 and outcomes[name, ValueError] > 0
+    assert outcomes["johnson_product", ZeroDivisionError] > 0
+    assert outcomes["johnson_product", ZeroDenominator] > 0
+    for p, q in ((1, Fraction(-1, 4)), (-1, Fraction(-1, 4)), (0, 0)):
+        with pytest.raises(ValueError, match="coincide"):
+            closed_form.johnson_product(p, q, 1, 2)
+
+
 def _float_orbit_checks(eq, x0):
     orbit = iterate(eq, x0, 400, Plane.FLOAT)
     for a, b in zip(orbit.values, orbit.values[1:]):
@@ -164,6 +241,8 @@ def test_step_equals_iterate_step_by_step_in_both_planes():
                             step(eq, orbit.values[-1])
                     kinds.add(orbit.status.kind)
                     kinds.add(_float_orbit_checks(eq, float(x0)))
+                for x0 in (-0.0, math.nan):
+                    kinds.add(_float_orbit_checks(eq, x0))
                 if nu % 2 or shift < 0:
                     root = abs(shift) ** (1 / nu)
                     kinds.add(_float_orbit_checks(eq, root if shift < 0 else -root))
