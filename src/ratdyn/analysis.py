@@ -169,7 +169,11 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     x = report.value
     if not abs(equilibrium_polynomial(eq, x)) <= 1e-8 * max(1.0, float(eq.q)):  # nan too
         raise ValueError(f"{x} does not satisfy the equilibrium polynomial")
-    multiplier = -float(eq.q) * eq.nu * x ** (eq.nu - 1) / eq.denominator(float(x)) ** 2
+    num, den = -float(eq.q) * eq.nu * x ** (eq.nu - 1), eq.denominator(float(x))
+    try:
+        multiplier = num / den ** 2
+    except OverflowError:  # den**2 overflows where num/den/den may be finite
+        multiplier = num / den / den
     magnitude = abs(multiplier)
     if magnitude < 1.0 - MARGINAL_BAND:
         classification = Stability.LOCALLY_ASYMPTOTICALLY_STABLE
@@ -369,8 +373,9 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     flip tangency, for example (1,2,2), where f(f(x)) - x has numerator
     -(x-1)^3 (x^2+x+2): no prime cycle.  For even nu on minus the mixed-sign
     cycle always exists (intermediate value theorem).  The search only
-    locates the cycle.  Every cycle reports approx_form, so its float
-    overflow is raised before the search."""
+    locates the cycle, bisecting to width min(tol, 1e-12), so every
+    tol >= 1e-12 gives the cycle of the default tol.  Every cycle reports
+    approx_form, so its float overflow is raised before the search."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     p, q, nu = eq.p, eq.q, eq.nu

@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("period2", help="prime two-cycle, if one exists")
     add_common(sp, nu=True)
-    sp.add_argument("--tol", type=_tol_arg, default=1e-10)
+    sp.add_argument("--tol", type=_tol_arg, default=1e-10,
+                    help="bisects to width min(tol, 1e-12): any tol >= 1e-12 prints the default")
     sp.set_defaults(fn=_cmd_period2)
 
     sp = sub.add_parser("identities", help="exact identity battery; exit 1 on any failure")

@@ -11,14 +11,11 @@ is the negative-index solution formula with the signs of the odd-index
 terms folded in.  Everything here runs on exact rationals except the
 limit values, which involve the irrational roots phi_plus/phi_minus.
 
-The exact values are not read off a table of W(n) but from one integer sweep,
-the exact plane of `dynamics.iterate`: each iterate is a reduced pair (N, D),
-and one step maps it to num = qn*pd*D over E = s*pn*qd*D + pd*qd*N (p = pn/pd,
-q = qn/qd, s = +1 plus, -1 minus), reduced by a common factor g that divides
-M = qn*pd**2*qd.  So no term pays a gcd of two big operands.  Stepped without
-reduction, the pair's denominator is b*(pd*qd)**n*(W(n+1) + s*x0*W(n)), b the
-denominator of x0, which continues past a step where it vanishes.  From x0 = 0
-it is W(n+1): the product identities read W and x(1)*...*x(n) = q**n/den off it.
+Orbits, forbidden points and partial products come from the exact plane of
+`dynamics.iterate`, reduced integer pairs that take gcds against small
+numbers only.  The product identities read W from `horadam`'s integer sweep:
+W(n+1) + x0*W(n) solves the W recurrence from the seeds (1, p + x0), also
+past a step where it vanishes, and x(1)*...*x(n) = q**n over it.
 """
 
 from __future__ import annotations
@@ -28,13 +25,13 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import dynamics
 from .equation import Branch, EquationSpec, Rational, as_fraction
 from .errors import ForbiddenInitialCondition, SingularInput, ZeroDenominator
 # bench/trace_run.py wraps this module's `canonical_table`.
-from .horadam import HoradamSpec, binet_roots, canonical_table  # noqa: F401
+from .horadam import HoradamSpec, _sweep, binet_roots, canonical_table  # noqa: F401
 
 EXCLUDED_POINT_TOL = 1e-12
 
@@ -95,21 +92,6 @@ def forbidden_points(eq: EquationSpec, depth: int) -> List[ForbiddenPoint]:
             d //= hd
         points.append(ForbiddenPoint(m, dynamics._fraction(sign * qn // hn * d, qd // hd * n)))
     return points
-
-
-def _closed_denominator(p: Fraction, q: Fraction, x0: Union[int, Fraction], n: int) -> Fraction:
-    """W(n+1) + x0*W(n), the plus-branch closed-form denominator at step n.
-
-    It steps the integer pair (N, D) = (x0.numerator, x0.denominator) n
-    times by the rule of `dynamics._exact_step`, without reducing it:
-    N' = qn*pd*D, D' = pd*qd*N + pn*qd*D.  Then D(n) = x0.denominator *
-    (pd*qd)**n * (W(n+1) + x0*W(n)), also past a step where it vanishes.
-    """
-    _, sp, lift, c, _ = dynamics._exact_rule(1, p, q, 1)  # lift = pd*qd
-    num, den = x0.numerator, x0.denominator
-    for _ in range(n):
-        num, den = c * den, lift * num + sp * den
-    return Fraction(den, x0.denominator * lift ** n)
 
 
 def forbidden_depth(eq: EquationSpec, x0: Rational, depth: int = 64) -> Optional[int]:
@@ -213,14 +195,20 @@ def conjugate_orbit_check(p: Rational, q: Rational, x0: Rational, n: int) -> Fra
     return xn + yn
 
 
+def _shifted_w(p: Fraction, q: Fraction, x0: Fraction, n: int) -> Tuple[int, int]:
+    """(U, S) with U/S = W(n+1) + x0*W(n), the plus-branch closed-form denominator
+    at step n: the sweep of W from the seeds (1, p + x0), also where it vanishes."""
+    return next(islice(_sweep(Fraction(1), p + x0, p, q), n, None))
+
+
 def product_closed_form(p: Rational, q: Rational, x0: Rational, n: int) -> Fraction:
     """Running product x0*x1*...*xn of the plus-branch orbit as the single
     rational expression q**n * x0 / (W(n+1) + x0*W(n))."""
     p, q, x0 = as_fraction(p), as_fraction(q), as_fraction(x0)
-    den = _closed_denominator(p, q, x0, n)
-    if den == 0:
+    u, s = _shifted_w(p, q, x0, n)
+    if not u:
         raise ZeroDenominator(f"product denominator vanishes at n = {n}")
-    return q ** n * x0 / den
+    return Fraction(q.numerator ** n * x0.numerator * s, q.denominator ** n * x0.denominator * u)
 
 
 class Regime(Enum):
@@ -350,9 +338,9 @@ def reconstruct_horadam(p: Rational, q: Rational, k: int, n: int) -> Fraction:
     if n <= k + 1:
         raise ValueError("n must exceed k + 1")
     EquationSpec.plus(p, q)  # ValueError unless p, q > 0; then every W(m), m >= 1, is positive
-    w_next = _closed_denominator(p, q, 0, k)  # W(k+1)
-    x0 = q * _closed_denominator(p, q, 0, k - 1) / w_next if k else 0
-    return w_next * _closed_denominator(p, q, x0, n - k - 1)
+    (u0, s0), (u1, s1) = islice(_sweep(*HoradamSpec.canonical(p, q)), k, k + 2)  # W(k), W(k+1)
+    u, s = _shifted_w(p, q, Fraction(q.numerator * u0 * s1, q.denominator * s0 * u1), n - k - 1)
+    return Fraction(u1 * u, s1 * s)
 
 
 def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
@@ -366,8 +354,9 @@ def docagne_product(p: Rational, q: Rational, n: int, r: int) -> Fraction:
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     EquationSpec.plus(p, q)  # ValueError unless p, q > 0
-    x0 = -_closed_denominator(p, q, 0, n + r) / _closed_denominator(p, q, 0, n + r - 1)
-    return (-q) ** n / _closed_denominator(p, q, x0, n)
+    (u0, s0), (u1, s1) = islice(_sweep(*HoradamSpec.canonical(p, q)), n + r, n + r + 2)
+    u, s = _shifted_w(p, q, Fraction(-u1 * s0, s1 * u0), n)
+    return Fraction((-q.numerator) ** n * s, q.denominator ** n * u)
 
 
 def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:
@@ -383,9 +372,9 @@ def johnson_product(p: Rational, q: Rational, r: int, n: int) -> Fraction:
         raise ValueError("r must be >= 1")
     if n <= r:
         raise ValueError("n must exceed r")
-    HoradamSpec.canonical(p, q)  # ValueError when p^2 + 4q = 0 (coincident roots)
-    x0 = -_closed_denominator(p, q, 0, r) / _closed_denominator(p, q, 0, r - 1)
-    den = _closed_denominator(p, q, x0, n)
-    if den == 0:
+    spec = HoradamSpec.canonical(p, q)  # ValueError when p^2 + 4q = 0 (coincident roots)
+    (u0, s0), (u1, s1) = islice(_sweep(*spec), r, r + 2)
+    u, s = _shifted_w(p, q, Fraction(-u1 * s0, s1 * u0), n)  # x0 = -W(r+1)/W(r)
+    if not u:
         raise ZeroDenominator("product expression undefined at this index pair")
-    return (-1) ** (r + 1) * q ** r / den  # q**(r-n) times the product q**n / den
+    return Fraction((-1) ** (r + 1) * q.numerator ** r * s, q.denominator ** r * u)

@@ -84,14 +84,7 @@ class OrbitStatus(NamedTuple):
         return self.kind is StatusKind.COMPLETED
 
 
-_Rule = Tuple[int, int, int, int, int]
-
-
-def _exact_rule(sign: int, p: Fraction, q: Fraction, nu: int) -> _Rule:
-    """(nu, s*pn*qd, pd*qd, qn*pd, M = qn*pd**2*qd): the integers of one exact step."""
-    pn, pd = p.numerator, p.denominator
-    qn, qd = q.numerator, q.denominator
-    return nu, sign * pn * qd, pd * qd, qn * pd, qn * pd * pd * qd
+_Rule = Tuple[int, int, int, int, int]  # (nu, s*pn*qd, pd*qd, qn*pd, M = qn*pd**2*qd)
 
 
 def _exact_step(rule: _Rule, n: int, d: int) -> Optional[Tuple[int, int, int]]:
@@ -116,7 +109,9 @@ def _exact_step(rule: _Rule, n: int, d: int) -> Optional[Tuple[int, int, int]]:
 def _exact_pairs(eq: EquationSpec, x: Fraction) -> Iterator[Tuple[int, int, int]]:
     """The exact orbit after x as `_exact_step` triples (N, D, g), one per step;
     it ends before the first step whose denominator vanishes."""
-    rule, n, d = _exact_rule(eq.sign, eq.p, eq.q, eq.nu), x.numerator, x.denominator
+    pn, pd, qn, qd = eq.p.numerator, eq.p.denominator, eq.q.numerator, eq.q.denominator
+    rule: _Rule = eq.nu, eq.sign * pn * qd, pd * qd, qn * pd, qn * pd * pd * qd
+    n, d = x.numerator, x.denominator
     while True:
         image = _exact_step(rule, n, d)
         if image is None:

@@ -1,7 +1,7 @@
 """Exact engine for second-order linear recurrences W(n+1) = p*W(n) + q*W(n-1).
 
-All sequence values are computed over ``fractions.Fraction``, so identity
-checks can demand residuals that are exactly zero.  A check scales the terms
+W is stepped in one place, the integer sweep `_sweep`, and every value read
+off it is an exact ``fractions.Fraction``.  An identity check scales the terms
 it reads by the lcm d of their denominators and evaluates its residual as an
 integer numerator over a known denominator, so "exactly zero" means a zero
 integer.  Floating point enters only through the characteristic roots of
@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, starmap
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 from .equation import Rational, as_fraction
 from .errors import ZeroDenominator
+
+_BLOCK = 64  # steps of `_sweep` between two reductions
 
 
 class _HoradamFields(NamedTuple):
@@ -57,36 +59,43 @@ class HoradamSpec(_HoradamFields):
         return self.a == 0 and self.b == 1
 
 
-def _step(p: Fraction, q: Fraction, w0: Fraction, w1: Fraction) -> Tuple[Fraction, Fraction]:
-    """The core pair step (W(k), W(k+1)) -> (W(k+1), W(k+2)) of W(n+1) = p*W(n) + q*W(n-1)."""
-    return w1, p * w1 + q * w0
-
-
-def _walk(spec: HoradamSpec, backward: bool = False) -> Iterator[Fraction]:
-    """W(0), W(1), ... or, backward, W(0), W(-1), ...; one `_step` per term.  The
-    backward recurrence is the forward one with coefficients (-p/q, 1/q), from (W(1), W(0))."""
-    p, q, w0, w1 = spec.p, spec.q, spec.a, spec.b
+def _sweep(a: Fraction, b: Fraction, p: Fraction, q: Fraction,
+           backward: bool = False) -> Iterator[Tuple[int, int]]:
+    """(U(n), S(n)) with W(n) = U(n)/S(n), n = 0, 1, ..., for W(0) = a, W(1) = b and
+    W(n+1) = p*W(n) + q*W(n-1); backward, n = 0, -1, ..., the same recurrence with
+    coefficients (-p/q, 1/q) from (W(0), W(-1)).  With p = pn/pd, q = qn/qd and
+    L = pd*qd: U(n+1) = pn*qd*U(n) + qn*pd**2*qd*U(n-1), S(n+1) = L*S(n), and every
+    _BLOCK steps U(n), U(n+1), S(n) lose their gcd with L**_BLOCK (small gcds only)."""
     if backward:
         if q == 0:
             raise ZeroDenominator("negative indices require q != 0")
-        p, q = -p / q, 1 / q
-        w0, w1 = _step(p, q, w1, w0)
+        b, p, q = (b - p * a) / q, -p / q, 1 / q
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    cp, cq, lift = pn * qd, qn * pd * pd * qd, pd * qd
+    block, s = lift ** _BLOCK, math.lcm(a.denominator, b.denominator)
+    u0, u1 = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator) * lift
     while True:
-        yield w0
-        w0, w1 = _step(p, q, w0, w1)
+        base = s
+        for _ in range(_BLOCK):
+            yield u0, s
+            u0, u1, s = u1, cp * u1 + cq * u0, s * lift
+        g = math.gcd(block, u0 % block, u1 % block)  # it divides s = base * block
+        if g != 1:
+            u0, u1, s = u0 // g, u1 // g, base * (block // g)
 
 
 def horadam_at(spec: HoradamSpec, n: int) -> Fraction:
     """Return W(n) exactly; n may be negative (backward recurrence, divides by q)."""
-    return next(islice(_walk(spec, n < 0), abs(n), None))
+    return Fraction(*next(islice(_sweep(*spec, n < 0), abs(n), None)))
 
 
 def horadam_range(spec: HoradamSpec, start: int, stop: int) -> list:
     """W(start), ..., W(stop) inclusive, from one sweep out of index 0 to each end."""
     if stop < start:
         raise ValueError("stop must be >= start")
-    below = list(islice(_walk(spec, True), max(-stop, 1), 1 - start)) if start < 0 else []
-    return below[::-1] + list(islice(_walk(spec), max(start, 0), max(stop + 1, 0)))
+    below = islice(_sweep(*spec, True), max(-stop, 1), 1 - start) if start < 0 else ()
+    above = islice(_sweep(*spec), max(start, 0), max(stop + 1, 0))
+    return list(starmap(Fraction, below))[::-1] + list(starmap(Fraction, above))
 
 
 def canonical_table(p: Rational, q: Rational, upto: int) -> list:
@@ -368,7 +377,7 @@ def identity_battery(spec: HoradamSpec, nmax: int) -> list:
 
 def ratio_estimate(spec: HoradamSpec, r: int, n: int) -> float:
     """W(n+r)/W(n) as a float; for large n this approaches phi_plus**r."""
-    wn = horadam_at(spec, n)
-    if wn == 0:
+    (un, sn), (ur, sr) = (next(islice(_sweep(*spec, i < 0), abs(i), None)) for i in (n, n + r))
+    if un == 0:
         raise ZeroDenominator(f"W({n}) = 0")
-    return float(horadam_at(spec, n + r) / wn)
+    return float(Fraction(ur * sn, sr * un))

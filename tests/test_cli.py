@@ -386,15 +386,20 @@ def test_analyze_json(capsys):
     assert payload["equilibria"] == [
         {"bracket": "at_one", "classification": "unstable", "multiplier": "-3", "value": "1"}
     ]
-    # nu = 1 where p*p + 4q overflows a float: the root, or the overflow exit
-    # (the squared denominator of the multiplier overflows), never nan
-    overflow = "error: float overflow: a value exceeds the float range\n"
+    # nu = 1 where p*p + 4q overflows a float: the root and its multiplier,
+    # never nan; in the last two the multiplier's squared denominator overflows
     for argv, expected in [
         (["--branch", "plus", "--p", "1", "--q", "1e308"],
          (0, '{"equilibria": [{"bracket": "beyond_one", "classification": "marginally_stable",'
              ' "multiplier": "-1", "value": "1e+154"}]}\n', "")),
-        (["--branch", "plus", "--p", "1e155", "--q", "1"], (2, "", overflow)),
-        (["--branch", "minus", "--p", "1e160", "--q", "3"], (2, "", overflow)),
+        (["--branch", "plus", "--p", "1e155", "--q", "1"],
+         (0, '{"equilibria": [{"bracket": "in_unit_interval", "classification":'
+             ' "locally_asymptotically_stable", "multiplier": "-9.9999999999999694e-311",'
+             ' "value": "1e-155"}]}\n', "")),
+        (["--branch", "minus", "--p", "1e160", "--q", "3"],
+         (0, '{"equilibria": [{"bracket": "in_minus_unit", "classification":'
+             ' "locally_asymptotically_stable", "multiplier": "-2.999966601548049e-320",'
+             ' "value": "-3e-160"}]}\n', "")),
     ]:
         assert invoke(capsys, ["analyze", *argv, "--nu", "1", "--format", "json"]) == expected
 

@@ -17,6 +17,7 @@ import json
 import re
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,27 @@ def test_readme_examples_are_golden_cases():
     commands = re.findall(r"`ratdyn ([^`]+)`", section)
     missing = set(commands) - set(CASES.values())
     assert commands and not missing
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    section = README.read_text().split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README", "eval")
+        except SyntaxError:  # a statement
+            exec(code, namespace)
+            continue
+        values[comment.strip()] = eval(expression, namespace)
+    # x -> 2/(1+x) from 9: 1/5, 5/3, 3/4, 8/7, 14/15
+    assert values["Fraction(14, 15)"] == Fraction(14, 15)
+    assert values["Fraction(27, 11)"] == Fraction(27, 11)
+    cycle = values["PeriodTwoCycle(phi=2.0..., psi=0.0307...)"]
+    assert type(cycle).__name__ == "PeriodTwoCycle"
+    assert cycle.phi == pytest.approx(2.0, abs=1e-4)
+    assert cycle.psi == pytest.approx(0.0307, abs=1e-4)
 
 
 def regenerate(names) -> None:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import functools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratdyn import closed_form, dynamics, horadam
@@ -93,37 +94,51 @@ def test_horadam_range_matches_pointwise():
     assert horadam_range(spec, -4, 6) == [horadam_at(spec, n) for n in range(-4, 7)]
 
 
-def naive_w(spec, n):
-    """W(n) by its own walk from the seeds: the per-index reference."""
-    w0, w1 = spec.a, spec.b
-    for _ in range(n):
-        w0, w1 = w1, spec.p * w1 + spec.q * w0
-    for _ in range(-n):
-        w0, w1 = (w1 - spec.p * w0) / spec.q, w0
-    return w0
+def naive_walk(spec, start, stop):
+    """W(start), ..., W(stop) by a Fraction walk from the seeds each way: the
+    reference, which reduces every term."""
+    w = {0: spec.a, 1: spec.b}
+    for n in range(2, stop + 1):
+        w[n] = spec.p * w[n - 1] + spec.q * w[n - 2]
+    for n in range(-1, start - 1, -1):
+        w[n] = (w[n + 2] - spec.p * w[n + 1]) / spec.q
+    return [w[n] for n in range(start, stop + 1)]
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+F = Fraction
+
+
+# past several 64-step reduction blocks of the sweep, to indices -300 and 300
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(a=RATIONALS, b=RATIONALS, p=RATIONALS, q=RATIONALS,
        start=st.integers(-25, 25), length=st.integers(0, 30))
+@example(a=F(0), b=F(1), p=F(5, 3), q=F(9, 4), start=0, length=300)
+@example(a=F(1, 3), b=F(-2), p=F(5, 3), q=F(9, 4), start=-300, length=600)
+@example(a=F(7, 3), b=F(1), p=F(-3, 2), q=F(1, 10 ** 6), start=-300, length=600)
+@example(a=F(1), b=F(0), p=F(1, 10 ** 6), q=F(-3, 2), start=-300, length=600)
+@example(a=F(-2), b=F(1, 3), p=F(0), q=F(9, 4), start=-300, length=600)
+@example(a=F(1), b=F(0), p=F(0), q=F(9, 4), start=-300, length=600)  # W(odd) = 0
+@example(a=F(0), b=F(1), p=F(9, 4), q=F(5, 3), start=-100, length=57)
 def test_sweep_matches_naive_walk(a, b, p, q, start, length):
     assume(q != 0 and p * p + 4 * q != 0)
     spec, stop = HoradamSpec(a, b, p, q), start + length
-    expected = [naive_w(spec, n) for n in range(start, stop + 1)]
+    expected = naive_walk(spec, start, stop)
     assert horadam_range(spec, start, stop) == expected
     assert horadam_at(spec, start) == expected[0]
     assert horadam_at(spec, stop) == expected[-1]
     if start == 0:
-        assert canonical_table(p, q, stop) == [naive_w(HoradamSpec.canonical(p, q), n)
-                                               for n in range(stop + 1)]
+        assert canonical_table(p, q, stop) == naive_walk(HoradamSpec.canonical(p, q), 0, stop)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(a=RATIONALS, b=RATIONALS, p=RATIONALS.filter(bool),
        start=st.integers(-25, 25), length=st.integers(0, 30))
+@example(a=F(1, 3), b=F(7, 3), p=F(5, 3), start=0, length=300)
+@example(a=F(0), b=F(1), p=F(-3, 2), start=37, length=263)
+@example(a=F(-2), b=F(1), p=F(1, 10 ** 6), start=-100, length=200)
 def test_sweep_with_zero_q(a, b, p, start, length):
     spec, stop = HoradamSpec(a, b, p, 0), start + length
     if start < 0:
@@ -132,25 +147,34 @@ def test_sweep_with_zero_q(a, b, p, start, length):
         with pytest.raises(ZeroDenominator):
             horadam_at(spec, start)
     else:
-        expected = [naive_w(spec, n) for n in range(start, stop + 1)]
+        expected = naive_walk(spec, start, stop)
         assert horadam_range(spec, start, stop) == expected
 
 
 def _count_steps(monkeypatch, core, work, n):
+    # a step function counts its calls, the W sweep (a generator) the terms it yields
     calls, step = [], getattr(*core)
+
+    def counting(*args):
+        result = step(*args)
+        if isinstance(result, types.GeneratorType):
+            return (calls.append(args) or term for term in result)
+        calls.append(args)
+        return result
+
     with monkeypatch.context() as patch:
-        patch.setattr(*core, lambda *args: calls.append(args) or step(*args))
+        patch.setattr(*core, counting)
         work(n)
     return len(calls)
 
 
 @pytest.mark.parametrize("core, work", [
-    ((horadam, "_step"),
+    ((horadam, "_sweep"),
      lambda n: horadam_range(HoradamSpec(Fraction(1, 3), 2, 3, Fraction(1, 2)), -n, n)),
     # the closed form runs on the integer orbit sweep of `dynamics`
     ((dynamics, "_exact_step"),
      lambda n: closed_form.closed_form_series(EquationSpec.minus(2, 3), Fraction(-1, 2), n)),
-    ((horadam, "_step"), lambda n: identity_battery(HoradamSpec.canonical(2, 3), n)),
+    ((horadam, "_sweep"), lambda n: identity_battery(HoradamSpec.canonical(2, 3), n)),
 ], ids=["horadam_range", "closed_form_series", "identity_battery"])
 def test_recurrence_steps_grow_linearly(monkeypatch, core, work):
     # Counts of the core step, not time: a per-index walk would grow 16-fold.
@@ -433,17 +457,21 @@ def test_check_identity_matches_the_fraction_reference():
 
 def test_residuals_of_a_perturbed_walk_match_the_reference(monkeypatch):
     # One term off by 1/7 on each side of 0 (W(5) and W(-4)), so no identity
-    # holds and every residual takes the nonzero path.  The step stays a
+    # holds and every residual takes the nonzero path.  The sweep stays a
     # function of its arguments, so the table and horadam_at see the same terms.
     spec = HoradamSpec.canonical(Fraction(5, 3), Fraction(9, 4))
     before = {(horadam_at(spec, 3), horadam_at(spec, 4)), (horadam_at(spec, -2), horadam_at(spec, -3))}
-    step = horadam._step
+    sweep = horadam._sweep
 
-    def perturbed(p, q, w0, w1):
-        w2 = step(p, q, w0, w1)[1]
-        return w1, w2 + Fraction(1, 7) if (w0, w1) in before else w2
+    def perturbed(*args):
+        w0 = w1 = None
+        for u, s in sweep(*args):
+            if (w0, w1) in before:
+                u, s = 7 * u + s, 7 * s  # u/s + 1/7
+            w0, w1 = w1, Fraction(u, s)
+            yield u, s
 
-    monkeypatch.setattr(horadam, "_step", perturbed)
+    monkeypatch.setattr(horadam, "_sweep", perturbed)
     w = reference_terms(spec)
     assert w(5) - (spec.p * w(4) + spec.q * w(3)) == Fraction(1, 7)
     assert w(-4) - (w(-2) - spec.p * w(-3)) / spec.q == Fraction(1, 7)

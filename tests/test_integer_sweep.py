@@ -23,7 +23,7 @@ from ratdyn.closed_form import (
 from ratdyn.dynamics import Plane, StatusKind, iterate, step
 from ratdyn.equation import Branch, EquationSpec
 from ratdyn.errors import ForbiddenInitialCondition, NearSingularity, ZeroDenominator
-from ratdyn.horadam import canonical_table
+from ratdyn.horadam import HoradamSpec
 
 PARAMS = (Fraction(5, 3), Fraction(9, 4), Fraction(1, 2), 1, 3, Fraction(10 ** 6),
           Fraction(1, 10 ** 6), Fraction(7, 10))
@@ -143,12 +143,23 @@ def test_product_closed_form_equals_the_w_table_past_a_singular_step():
 # --- the product identities against a W table and a live orbit -----------------
 
 
+def _w_table(p, q, upto, check=True):
+    """W(0..upto) of W(n; 0, 1, p, q) by the Fraction recurrence; with
+    `check`, refused where the roots coincide, as `canonical_table` is."""
+    if check:
+        HoradamSpec.canonical(p, q)
+    w = [Fraction(0), Fraction(1)]
+    while len(w) <= upto:
+        w.append(p * w[-1] + q * w[-2])
+    return w[:upto + 1]
+
+
 def _table_reconstruct(p, q, k, n):
     if k < 0:
         raise ValueError("k must be >= 0")
     if n <= k + 1:
         raise ValueError("n must exceed k + 1")
-    ws = canonical_table(p, q, k + 1)
+    ws = _w_table(p, q, k + 1)
     orbit = iterate(EquationSpec.plus(p, q), q * ws[k] / ws[k + 1], n - k - 1)
     return q ** (n - k - 1) * ws[k + 1] / math.prod(orbit.values[1:])
 
@@ -156,7 +167,7 @@ def _table_reconstruct(p, q, k, n):
 def _table_docagne(p, q, n, r):
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
-    ws = canonical_table(p, q, n + r + 1)
+    ws = _w_table(p, q, n + r + 1)
     orbit = iterate(EquationSpec.plus(p, q), -ws[n + r + 1] / ws[n + r], n)
     return (-1) ** n * math.prod(orbit.values[1:])
 
@@ -166,7 +177,7 @@ def _table_johnson(p, q, r, n):
         raise ValueError("r must be >= 1")
     if n <= r:
         raise ValueError("n must exceed r")
-    ws = canonical_table(p, q, n + 1)
+    ws = _w_table(p, q, n + 1)
     x0 = -ws[r + 1] / ws[r]
     den = ws[n + 1] + x0 * ws[n]
     if den == 0:
@@ -186,29 +197,47 @@ def _outcome(function, *args):
 IDENTITY_PARAMS = (0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3), Fraction(9, 4), Fraction(7, 10),
                    Fraction(1, 10 ** 6), Fraction(10 ** 6), -1, Fraction(-3, 2), -2,
                    Fraction(-1, 4))
+# past several 64-step reduction blocks of the W sweep; p = 0, q = 0 and
+# p**2 + 4q = 0 (p = 1, q = -1/4) among them
+LONG_PARAMS = (0, 1, Fraction(5, 3), Fraction(9, 4), Fraction(-3, 2), Fraction(1, 10 ** 6),
+               Fraction(-1, 4))
 
 
 def test_product_identities_equal_the_w_table_and_orbit_products():
     # p, q <= 0 and p**2 + 4q = 0 (p = +-1, q = -1/4; p = q = 0) are in the
     # grid: each function must raise what the table and orbit path raises
     rng, outcomes = random.Random(17), Counter()
-    for p in map(Fraction, IDENTITY_PARAMS):
-        for q in map(Fraction, IDENTITY_PARAMS):
-            for _ in range(6):
-                n, r, k = rng.randint(0, 25), rng.randint(0, 25), rng.randint(0, 8)
-                for function, reference, args in (
-                        (closed_form.docagne_product, _table_docagne, (p, q, n, r)),
-                        (closed_form.johnson_product, _table_johnson, (p, q, r, n)),
-                        (closed_form.johnson_product, _table_johnson, (p, q, r, r + 1 + n)),
-                        (closed_form.reconstruct_horadam, _table_reconstruct, (p, q, k, n))):
-                    expected = _outcome(reference, *args)
-                    assert _outcome(function, *args) == expected, (function.__name__, args)
-                    outcomes[function.__name__, expected if isinstance(expected, type) else
-                             Fraction] += 1
+    draws = [(p, q, rng.randint(0, 25), rng.randint(0, 25), rng.randint(0, 8))
+             for p in IDENTITY_PARAMS for q in IDENTITY_PARAMS for _ in range(6)]
+    draws += [(p, q, rng.randint(150, 260), rng.randint(1, 130), rng.randint(0, 130))
+              for p in LONG_PARAMS for q in LONG_PARAMS]
+    for p, q, n, r, k in draws:
+        p, q = Fraction(p), Fraction(q)
+        for function, reference, args in (
+                (closed_form.docagne_product, _table_docagne, (p, q, n, r)),
+                (closed_form.johnson_product, _table_johnson, (p, q, r, n)),
+                (closed_form.johnson_product, _table_johnson, (p, q, r, r + 1 + n)),
+                (closed_form.reconstruct_horadam, _table_reconstruct, (p, q, k, n))):
+            expected = _outcome(reference, *args)
+            assert _outcome(function, *args) == expected, (function.__name__, args)
+            kind = expected if isinstance(expected, type) else Fraction
+            outcomes[function.__name__, kind] += 1
+            outcomes[function.__name__, kind, "long"] += n >= 150
+        if n >= 150:  # p, q unchecked: a value also where the roots coincide
+            w, x0 = _w_table(p, q, n + 1, check=False), Fraction(-r, k + 1)
+            den = w[n + 1] + x0 * w[n]
+            if den == 0:
+                with pytest.raises(ZeroDenominator):
+                    product_closed_form(p, q, x0, n)
+            else:
+                assert _pair(product_closed_form(p, q, x0, n)) == _pair(q ** n * x0 / den)
+            outcomes["product_closed_form", den == 0, p * p + 4 * q == 0] += 1
     for name in ("docagne_product", "johnson_product", "reconstruct_horadam"):
         assert outcomes[name, Fraction] > 0 and outcomes[name, ValueError] > 0
+        assert outcomes[name, Fraction, "long"] > 0
     assert outcomes["johnson_product", ZeroDivisionError] > 0
     assert outcomes["johnson_product", ZeroDenominator] > 0
+    assert outcomes["product_closed_form", False, True] > 0
     for p, q in ((1, Fraction(-1, 4)), (-1, Fraction(-1, 4)), (0, 0)):
         with pytest.raises(ValueError, match="coincide"):
             closed_form.johnson_product(p, q, 1, 2)
