@@ -8,11 +8,12 @@ print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
 (sign +1 on the plus branch, -1 on minus), located by sign-bracketed
 bisection and polished by Newton steps.  Whether a prime two-cycle exists is
 decided exactly, before any search, by the criterion in solve_period_two.
-The one search, _cycle_search, then only locates the cycle: a scan of a
-rational grid for a sign change of a sign predicate, bisection, then Newton
-polish on the cycle system.  A region supplies only its predicate and grid:
-g(x) = f(f(x)) - x above the equilibrium on the plus branch, and a
-one-variable reduction of the cycle equations in the mixed-sign region.
+The one search, _cycle_search, then only locates the cycle, or refuses
+with ValueError where floats cannot: a scan of rational grids for a sign
+change of a sign predicate, bisection, then Newton polish on the cycle
+system.  A region supplies only its predicate and grids: g(x) = f(f(x)) - x
+above the equilibrium on the plus branch, and a one-variable reduction of
+the cycle equations in the mixed-sign region.
 Each sign is evaluated first on an outward-rounded float enclosure
 (ratdyn.interval); where that cannot prove the sign it abstains and the same
 predicate runs on Fractions, so every sign the search sees is exact.
@@ -31,6 +32,7 @@ from .interval import Interval, Undecided
 
 MARGINAL_BAND = 1e-12
 CYCLE_SEPARATION = 1e-8
+_UNLOCATED = "a prime two-cycle exists, but float arithmetic cannot locate it"
 
 SignPredicate = Callable[[EquationSpec, object], Optional[int]]
 
@@ -253,25 +255,30 @@ def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> 
 
 
 def _cycle_search(
-    eq: EquationSpec, predicate: SignPredicate, grid: Sequence[Fraction], tol: float
-) -> Optional[Fraction]:
-    """Cycle point phi: the first zero of the certified sign on the ascending
+    eq: EquationSpec, predicate: SignPredicate, grids: Sequence[Sequence[Fraction]], tol: float
+) -> Fraction:
+    """Cycle point phi: the first zero of the certified sign on an ascending
     grid, or its first consecutive (+, -) pair (skipping None) bisected to
-    width min(tol, 1e-12).  No bracket on the grid means no root."""
-    lo: Optional[Fraction] = None  # last grid point with sign +1
-    for point in grid:
-        s = _certified_sign(predicate, eq, point)
-        if s is None:
-            continue
-        if s == 0:
-            return point
-        if s < 0 and lo is not None:
-            hi = point
-            break
-        lo = point if s > 0 else None
-    else:
-        return None
+    width min(tol, 1e-12).  A grid is scanned only when the grids before it
+    hold no bracket.  The criterion has already proved that a cycle exists,
+    so when no grid holds a bracket the search refuses with ValueError."""
+    for grid in grids:
+        lo: Optional[Fraction] = None  # last grid point with sign +1
+        for point in grid:
+            s = _certified_sign(predicate, eq, point)
+            if s is None:
+                continue
+            if s == 0:
+                return point
+            if s < 0 and lo is not None:
+                return _bisect_sign(eq, predicate, lo, point, tol)
+            lo = point if s > 0 else None
+    raise ValueError(_UNLOCATED)
 
+
+def _bisect_sign(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: Fraction,
+                 tol: float) -> Fraction:
+    """A zero of the certified sign in (lo, hi), where it is +1 at lo and -1 at hi."""
     width = Fraction(min(tol, 1e-12))
     for _ in range(80):
         mid = (lo + hi) / 2
@@ -287,21 +294,17 @@ def _cycle_search(
     return (lo + hi) / 2
 
 
-def _finish_cycle(
-    eq: EquationSpec, root: Optional[Fraction], approx_form: Tuple[float, float]
-) -> Optional[PeriodTwoCycle]:
-    if root is None:
-        return None
+def _finish_cycle(eq: EquationSpec, root: Fraction, approx_form: Tuple[float, float]
+                  ) -> PeriodTwoCycle:
+    """The cycle through root, polished in floats; ValueError where the float
+    pair leaves the region (denominator > 0) or collapses onto an equilibrium."""
     phi = float(root)
     den = eq.denominator(phi)
-    if den == 0.0:
-        return None
-    psi = float(eq.q) / den
-    phi, psi = _cycle_newton(eq, phi, psi)
-    if abs(phi - psi) <= CYCLE_SEPARATION:
-        return None
-    residual = _cycle_residual(eq, phi, psi)
-    return PeriodTwoCycle(phi=phi, psi=psi, residual=residual, approx_form=approx_form)
+    if den > 0.0:
+        phi, psi = _cycle_newton(eq, phi, float(eq.q) / den)
+        if abs(phi - psi) > CYCLE_SEPARATION and eq.denominator(Fraction(phi)) > 0:
+            return PeriodTwoCycle(phi, psi, _cycle_residual(eq, phi, psi), approx_form)
+    raise ValueError(_UNLOCATED)
 
 
 def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
@@ -314,7 +317,7 @@ def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
     return (sign * q / p, sign * q / (p + ratio_pow))
 
 
-def _positive_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
+def _positive_root(eq: EquationSpec, tol: float) -> Fraction:
     """Cycle point of the plus branch inside (equilibrium, q/p].  The map is
     decreasing on positive values, so the cycle straddles the equilibrium
     x = q/(p + x**nu) < q/p.  The grid ends at q/p, where g < 0 strictly
@@ -324,7 +327,7 @@ def _positive_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
     offsets = {Fraction(1, 10 ** k) for k in range(1, 10)}
     offsets |= {Fraction(j, 64) for j in range(1, 65)}
     grid = [xbar + (hi - xbar) * tau for tau in sorted(offsets)]
-    return _cycle_search(eq, _second_iterate_sign, grid, tol)
+    return _cycle_search(eq, _second_iterate_sign, [grid], tol)
 
 
 def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
@@ -336,11 +339,13 @@ def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
     return _sign_of(alpha * eq.denominator(eq.q / den) - eq.q)
 
 
-def _mixed_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
+def _mixed_root(eq: EquationSpec, tol: float) -> Fraction:
     """Negative point alpha of the mixed-sign two-cycle, minus branch, even
     nu: alpha**nu > p (its image is positive) and _psi_sign changes sign at
     alpha.  No equilibrium can enter this region (alpha**nu > p forces the
-    equilibrium polynomial negative), so any root is a genuine prime cycle."""
+    equilibrium polynomial negative), so any root is a genuine prime cycle.
+    A second grid, down to -top*(1 + 10**-16) for an exact top >= p**(1/nu),
+    seeks a root closer to the edge than the first grid's nearest point."""
     p, q, nu = eq.p, eq.q, eq.nu
     edge = float(p) ** (1.0 / nu)
     far = max(float(q / p) + 2.0, edge + 2.0, 4.0)
@@ -350,15 +355,18 @@ def _mixed_root(eq: EquationSpec, tol: float) -> Optional[Fraction]:
             break
         far *= 2.0
     else:
-        return None
+        raise ValueError(_UNLOCATED)
 
-    grid: List[Fraction] = [left]
     span = -float(left) - edge
-    for j in range(1, 97):
-        grid.append(Fraction(-(edge + span * (96 - j) / 96.0)).limit_denominator(10 ** 12))
-    for k in range(1, 10):
-        grid.append(Fraction(-(edge * (1.0 + 10.0 ** -k))).limit_denominator(10 ** 12))
-    return _cycle_search(eq, _psi_sign, sorted(set(grid)), tol)
+    grid = [left] + [Fraction(-(edge + span * (96 - j) / 96.0)).limit_denominator(10 ** 12)
+                     for j in range(1, 97)]
+    near = [Fraction(-(edge * (1.0 + 10.0 ** -k))).limit_denominator(10 ** 12)
+            for k in range(1, 10)]
+    top = Fraction(edge)
+    while top ** nu < p:
+        top = Fraction(math.nextafter(float(top), math.inf))
+    nearer = [-top * (1 + Fraction(1, 10 ** k)) for k in range(10, 17)]
+    return _cycle_search(eq, _psi_sign, [sorted(set(grid + near)), sorted(near + nearer)], tol)
 
 
 def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwoCycle]:
@@ -366,16 +374,18 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     region (positive values on the plus branch, their mirror for odd nu on
     minus, the mixed-sign region for even nu on minus).
 
-    Existence is decided first, exactly.  On the plus branch, mirrored for odd
-    nu on minus, the map is decreasing with negative Schwarzian derivative, so
-    a cycle exists iff the equilibrium is unstable: iff nu^nu p^(nu+1) <
-    q^nu (nu-1)^(nu+1) (Singer, SIAM J. Appl. Math. 1978).  Equality is the
-    flip tangency, for example (1,2,2), where f(f(x)) - x has numerator
-    -(x-1)^3 (x^2+x+2): no prime cycle.  For even nu on minus the mixed-sign
-    cycle always exists (intermediate value theorem).  The search only
-    locates the cycle, bisecting to width min(tol, 1e-12), so every
-    tol >= 1e-12 gives the cycle of the default tol.  Every cycle reports
-    approx_form, so its float overflow is raised before the search."""
+    Existence is decided first, exactly, and is the only source of None.  On
+    the plus branch, mirrored for odd nu on minus, the map is decreasing with
+    negative Schwarzian derivative, so a cycle exists iff the equilibrium is
+    unstable: iff nu^nu p^(nu+1) < q^nu (nu-1)^(nu+1) (Singer, SIAM J. Appl.
+    Math. 1978).  Equality is the flip tangency, for example (1,2,2), where
+    f(f(x)) - x has numerator -(x-1)^3 (x^2+x+2): no prime cycle.  For even
+    nu on minus the mixed-sign cycle always exists (intermediate value
+    theorem).  The search only locates the cycle, bisecting to width
+    min(tol, 1e-12), so every tol >= 1e-12 gives the cycle of the default
+    tol; where floats cannot (near the flip tangency, or at the mixed
+    region's edge) it raises ValueError.  Every cycle reports approx_form,
+    so its float overflow is raised before the search."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     p, q, nu = eq.p, eq.q, eq.nu
@@ -387,10 +397,8 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
         return _finish_cycle(eq, _mixed_root(eq, tol), approx_form)
     plus = EquationSpec.plus(p, q, nu)
     cycle = _finish_cycle(plus, _positive_root(plus, tol), approx_form)
-    if eq.branch is Branch.PLUS or cycle is None:
-        return cycle
-    # negation is exact, so the minus residual has the plus residual's bits
-    return cycle._replace(phi=-cycle.phi, psi=-cycle.psi)
+    # negation is exact, so odd nu on minus has the plus residual's bits
+    return cycle._replace(phi=eq.sign * cycle.phi, psi=eq.sign * cycle.psi)
 
 
 def smallest_even_cycle_exponent(p, q, cap: int = 64) -> Optional[int]:

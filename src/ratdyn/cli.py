@@ -4,9 +4,10 @@ Each subcommand returns one `Table`, and `run` writes the rendered document
 to stdout once, after it has been computed: a run prints its whole document or
 nothing.  `simulate` stopped at a singularity is a complete document with its
 `# status=` line and exit 3.  Exit codes: 0 success, 1 failed identity suite,
-2 flag errors, a float overflow or underflow, or an exact value too large to
-print, 3 singular or forbidden input.  Exact rationals render as num/den
-strings, floats with 17 significant digits; both round-trip losslessly.
+2 flag errors, a float overflow or underflow, an exact value too large to
+print, or a proven two-cycle that floats cannot locate, 3 singular or
+forbidden input.  Exact rationals render as num/den strings, floats with 17
+significant digits; both round-trip losslessly.
 
 A table holds columns, not rows.  `render` gives each column one conversion
 by the types of its cells (`%d` ints, `%.17g` floats, `%s` Fractions, `%s` over
@@ -54,6 +55,16 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _size_arg(text: str) -> int:
+    """An index or count: an int at most sys.maxsize in magnitude, as slices need."""
+    try:
+        if abs(int(text)) <= sys.maxsize:
+            return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    raise argparse.ArgumentTypeError(f"must be at most sys.maxsize in magnitude, got {text!r}")
 
 
 def _tol_arg(text: str) -> float:
@@ -268,32 +279,32 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, branch=False)
     sp.add_argument("--a", type=_fraction_arg, default=Fraction(0))
     sp.add_argument("--b", type=_fraction_arg, default=Fraction(1))
-    sp.add_argument("--from", dest="start", type=int, required=True)
-    sp.add_argument("--to", dest="stop", type=int, required=True)
+    sp.add_argument("--from", dest="start", type=_size_arg, required=True)
+    sp.add_argument("--to", dest="stop", type=_size_arg, required=True)
     sp.set_defaults(fn=_cmd_horadam)
 
     sp = sub.add_parser("simulate", help="iterate an orbit and emit the series")
     add_common(sp, nu=True)
     sp.add_argument("--x0", type=_fraction_arg, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_size_arg, required=True)
     sp.add_argument("--plane", choices=("exact", "float"), default="exact")
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("closed-form", help="nu=1 series straight from the closed form")
     add_common(sp)
     sp.add_argument("--x0", type=_fraction_arg, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_size_arg, required=True)
     sp.set_defaults(fn=_cmd_closed_form)
 
     sp = sub.add_parser("forbidden", help="forbidden initial conditions by depth (nu=1)")
     add_common(sp)
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", type=_size_arg, required=True)
     sp.set_defaults(fn=_cmd_forbidden)
 
     sp = sub.add_parser("products", help="partial products with regime and limit (nu=1)")
     add_common(sp)
     sp.add_argument("--x0", type=_fraction_arg, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_size_arg, required=True)
     sp.set_defaults(fn=_cmd_products)
 
     sp = sub.add_parser("analyze", help="equilibria with multipliers and stability")
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identities", help="exact identity battery; exit 1 on any failure")
     add_common(sp, branch=False, fmt_flag=False)
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--nmax", type=_size_arg, required=True)
     sp.set_defaults(fn=_cmd_identities)
 
     return parser

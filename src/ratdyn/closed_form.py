@@ -150,29 +150,23 @@ def fixed_solution(eq: EquationSpec, which: RootChoice) -> Tuple[float, float]:
     _require_nu_one(eq)
     roots = binet_roots(float(eq.p), float(eq.q))
     root = roots.phi_plus if which is RootChoice.PHI_PLUS else roots.phi_minus
-    if eq.branch is Branch.PLUS:
-        value = float(eq.q) / root
-        return (value, value)
-    return (root, root)
+    value = float(eq.q) / root if eq.branch is Branch.PLUS else root
+    return (value, value)
 
 
 def asymptotic_limit(eq: EquationSpec) -> float:
-    """Limit of generic orbits: -phi_minus on the plus branch, phi_minus on minus."""
+    """Limit of generic orbits: -sign*phi_minus, so -phi_minus on the plus
+    branch and phi_minus on minus."""
     _require_nu_one(eq)
-    roots = binet_roots(float(eq.p), float(eq.q))
-    if eq.branch is Branch.PLUS:
-        return -roots.phi_minus
-    return roots.phi_minus
+    return -eq.sign * binet_roots(float(eq.p), float(eq.q)).phi_minus
 
 
 def excluded_points(eq: EquationSpec) -> Tuple[float, float]:
-    """The two irrational initial conditions excluded from the solution set:
-    (1/phi_plus, 1/phi_minus) on the plus branch, (phi_plus, phi_minus) on minus."""
-    _require_nu_one(eq)
-    roots = binet_roots(float(eq.p), float(eq.q))
-    if eq.branch is Branch.PLUS:
-        return (1.0 / roots.phi_plus, 1.0 / roots.phi_minus)
-    return (roots.phi_plus, roots.phi_minus)
+    """The two fixed points of the map, the initial conditions excluded from
+    the solution set: the initial values of `fixed_solution` for phi_plus and
+    phi_minus, (q/phi_plus, q/phi_minus) on the plus branch and
+    (phi_plus, phi_minus) on minus."""
+    return tuple(fixed_solution(eq, which)[0] for which in RootChoice)
 
 
 def near_excluded_point(eq: EquationSpec, x0, tol: float = EXCLUDED_POINT_TOL) -> bool:
@@ -204,6 +198,8 @@ def _shifted_w(p: Fraction, q: Fraction, x0: Fraction, n: int) -> Tuple[int, int
 def product_closed_form(p: Rational, q: Rational, x0: Rational, n: int) -> Fraction:
     """Running product x0*x1*...*xn of the plus-branch orbit as the single
     rational expression q**n * x0 / (W(n+1) + x0*W(n))."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     p, q, x0 = as_fraction(p), as_fraction(q), as_fraction(x0)
     u, s = _shifted_w(p, q, x0, n)
     if not u:
@@ -225,9 +221,10 @@ class ProductAnalysis(NamedTuple):
     regime sqrt(p^2+4q) = q+1 and phi_plus = q are rational).  On the minus
     branch with p = q-1 the partial products split by parity: the even-index
     subsequence tends to predicted_limit = y0*(q+1)/(q-y0) and the odd-index
-    subsequence to its negative (`alternating` is set).  When p < q-1 the
-    products diverge and predicted_limit is None; divergence is certified by
-    growth of the running maximum, not asserted symbolically.
+    subsequence to its negative (`alternating` is set).  Both are
+    x0*(q+1)/(q + sign*x0).  When p < q-1 the products diverge and
+    predicted_limit is None; divergence is decided from the regime alone,
+    and only the acceptance test checks that the partials grow.
     """
 
     regime: Regime
@@ -247,35 +244,17 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
     # in the limit; it is representable by a rational x0 only when the
     # discriminant is a perfect square.
     phi_plus = rational_phi_plus(eq.p, eq.q)
-    if phi_plus is not None:
-        blocked = -phi_plus if eq.branch is Branch.PLUS else phi_plus
-        if x0 == blocked:
-            raise SingularInput(f"initial condition {x0} is the repelling fixed point")
+    if phi_plus is not None and x0 == -eq.sign * phi_plus:
+        raise SingularInput(f"initial condition {x0} is the repelling fixed point")
 
     partials = _partial_products(eq, x0, steps)
     diff = eq.p - (eq.q - 1)
     if diff > 0:
-        regime = Regime.P_GREATER_QM1
-        predicted: Optional[Fraction] = Fraction(0)
-        alternating = False
-    elif diff == 0:
-        regime = Regime.P_EQUAL_QM1
-        if eq.branch is Branch.PLUS:
-            predicted = x0 * (eq.q + 1) / (eq.q + x0)
-            alternating = False
-        else:
-            predicted = x0 * (eq.q + 1) / (eq.q - x0)
-            alternating = True
-    else:
-        regime = Regime.P_LESS_QM1
-        predicted = None
-        alternating = False
-    return ProductAnalysis(
-        regime=regime,
-        predicted_limit=predicted,
-        alternating=alternating,
-        partials=partials,
-    )
+        return ProductAnalysis(Regime.P_GREATER_QM1, Fraction(0), False, partials)
+    if diff < 0:
+        return ProductAnalysis(Regime.P_LESS_QM1, None, False, partials)
+    return ProductAnalysis(Regime.P_EQUAL_QM1, x0 * (eq.q + 1) / (eq.q + eq.sign * x0),
+                           eq.sign < 0, partials)
 
 
 def _partial_products(eq: EquationSpec, x0: Fraction, steps: int) -> Tuple[Fraction, ...]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratdyn import analysis
+from ratdyn import analysis, cli
 from ratdyn.analysis import (
     Bracket,
     PeriodTwoCycle,
@@ -363,6 +363,37 @@ def test_cycle_existence_matches_criterion_on_random_rationals():
             assert cycle.residual < 1e-10 * max(1.0, float(q)), eq
             if eq.branch is Branch.MINUS and nu % 2 == 0:
                 assert cycle.phi < 0 < cycle.psi, eq
+
+
+def _period2_cells():
+    """A seeded sample of the mixed region at even nu, p = 10**0..10**20 and
+    q in {1/1000, 1, 7, 1000}, where the cycle can lie within float
+    resolution of the edge -p**(1/nu); and the plus branch at (1, 2 +- 10**-k, 2),
+    on both sides of the flip tangency q = 2."""
+    mixed = [("minus", 10 ** e, q, nu) for nu in (2, 4, 6, 8, 10, 20) for e in range(21)
+             for q in (Fraction(1, 1000), 1, 7, 1000)]
+    plus = [("plus", 1, 2 + s * Fraction(1, 10 ** k), 2) for k in range(12, 21) for s in (1, -1)]
+    return random.Random(504).sample(mixed, 48) + plus
+
+
+@pytest.mark.parametrize("branch, p, q, nu", _period2_cells())
+def test_period2_prints_none_only_where_the_criterion_says_no_cycle(capsys, branch, p, q, nu):
+    eq = EquationSpec(Branch(branch), p, q, nu)
+    proven = branch == "minus" or nu ** nu * eq.p ** (nu + 1) < eq.q ** nu * (nu - 1) ** (nu + 1)
+    code = cli.run(["period2", "--branch", branch, "--p", str(p), "--q", str(q), "--nu", str(nu)])
+    out, err = capsys.readouterr()
+    if not proven:
+        assert (code, out.splitlines()[1:]) == (0, ["none"])
+        return
+    if code == 2:  # floats cannot locate the proven cycle: a clean refusal
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    phi, psi = map(Fraction, out.splitlines()[1].split(",")[:2])
+    if branch == "minus":
+        assert phi < 0 < psi and phi ** nu > eq.p
+    else:
+        assert phi > 0 and psi > 0 and phi != psi
 
 
 def test_cycle_existence_matches_sympy_root_isolation():

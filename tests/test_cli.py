@@ -469,6 +469,31 @@ def test_empty_ranges_exit_two_without_output(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+BEYOND = str(sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["forbidden", "--branch", "plus", "--p", "1", "--q", "1", "--depth", BEYOND], "--depth"),
+    (["products", "--branch", "plus", "--p", "1", "--q", "2", "--x0", "9", "--steps", BEYOND],
+     "--steps"),
+    (["simulate", "--branch", "plus", "--p", "1", "--q", "1", "--x0", "1", "--steps", BEYOND],
+     "--steps"),
+    (["closed-form", "--branch", "plus", "--p", "1", "--q", "1", "--x0", "1", "--n", BEYOND], "--n"),
+    (["horadam", "--p", "1", "--q", "1", "--from", "0", "--to", BEYOND], "--to"),
+    (["horadam", "--p", "1", "--q", "1", f"--from=-{BEYOND}", "--to", "0"], "--from"),
+    (["identities", "--p", "1", "--q", "1", "--nmax", BEYOND], "--nmax"),
+])
+def test_size_flag_beyond_maxsize_is_rejected_at_parse_time(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be at most sys.maxsize in magnitude" in captured.err
+    parsed = cli.build_parser().parse_args([arg.replace(BEYOND, str(sys.maxsize)) for arg in argv])
+    assert sys.maxsize in (abs(value) for value in vars(parsed).values() if type(value) is int)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3", "zebra"])
 def test_period2_rejects_bad_tol_at_parse_time(capsys, tol):
     with pytest.raises(SystemExit) as exc:

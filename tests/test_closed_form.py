@@ -218,6 +218,21 @@ def test_fixed_solution_both_roots_are_fixed_points_of_the_map():
             assert step(eq, initial) == pytest.approx(constant, rel=1e-12)
 
 
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("q", [1, 2, Fraction(9, 4)])
+def test_excluded_points_are_the_fixed_points(branch, q):
+    for p in (1, 2, Fraction(5, 3)):
+        eq = EquationSpec(branch, p, q, 1)
+        points = excluded_points(eq)
+        assert points == tuple(fixed_solution(eq, which)[0] for which in RootChoice)
+        for x in points:
+            assert step(eq, x) == pytest.approx(x, rel=1e-12)
+        # x = lam*y conjugates x -> q/(+-p + x) to y -> (q/lam**2)/(+-p/lam + y)
+        for lam in (Fraction(2), Fraction(3, 5)):
+            scaled = excluded_points(EquationSpec(branch, eq.p / lam, eq.q / lam ** 2, 1))
+            assert points == pytest.approx(tuple(float(lam) * y for y in scaled), rel=1e-12)
+
+
 def test_asymptotic_limit_examples():
     assert asymptotic_limit(EquationSpec.plus(2, 1)) == pytest.approx(SILVER - 2, abs=1e-12)
     assert asymptotic_limit(EquationSpec.minus(2, 1)) == pytest.approx(2 - SILVER, abs=1e-12)
@@ -299,6 +314,11 @@ def test_product_jacobsthal_limit():
     # exact agreement between running product and the single rational expression
     for n, partial in enumerate(result.partials):
         assert partial == product_closed_form(1, 2, 9, n)
+
+
+def test_product_closed_form_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        product_closed_form(1, 2, 9, -1)
 
 
 def test_product_minus_branch_parity():
