@@ -5,15 +5,16 @@ on minus.  For odd nu, (-x)**nu = -x**nu makes the minus map the plus map in
 y = -x, so its equilibrium and two-cycle are computed as the plus branch's,
 negated (exactly, in floats): analyze and period2 share one equilibrium and
 print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
-(sign +1 on the plus branch, -1 on minus), located by sign-bracketed
-bisection and polished by Newton steps.  Whether a prime two-cycle exists is
-decided exactly, before any search, by the criterion in solve_period_two.
-The one search, _cycle_search, then only locates the cycle, or refuses
-with ValueError where floats cannot: a scan of rational grids for a sign
-change of a sign predicate, bisection, then Newton polish on the cycle
-system.  A region supplies only its predicate and grids: g(x) = f(f(x)) - x
-above the equilibrium on the plus branch, and a one-variable reduction of
-the cycle equations in the mixed-sign region.
+(sign +1 on the plus branch, -1 on minus), bracketed by powers of two and
+bisected on certified signs until the bracket holds one float: the float
+nearest the root.  Whether a prime two-cycle exists is decided exactly,
+before any search, by the criterion in solve_period_two.  The one search,
+_cycle_search, then only locates the cycle, or refuses with ValueError
+where floats cannot: a scan of rational grids for a sign change of a sign
+predicate, bisection, then Newton polish on the cycle system.  A region
+supplies only its predicate and grids: g(x) = f(f(x)) - x above the
+equilibrium on the plus branch, and a one-variable reduction of the cycle
+equations in the mixed-sign region.
 Each sign is evaluated first on an outward-rounded float enclosure
 (ratdyn.interval); where that cannot prove the sign it abstains and the same
 predicate runs on Fractions, so every sign the search sees is exact.
@@ -27,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
-from .horadam import binet_roots
+# bench/trace_run.py wraps this module's `binet_roots`.
+from .horadam import binet_roots  # noqa: F401
 from .interval import Interval, Undecided
 
 MARGINAL_BAND = 1e-12
@@ -72,42 +74,39 @@ def equilibrium_polynomial(eq: EquationSpec, x: float) -> float:
     return x ** (eq.nu + 1) + eq.sign * float(eq.p) * x - float(eq.q)
 
 
-def _polynomial_derivative(eq: EquationSpec, x: float) -> float:
-    return (eq.nu + 1) * x ** eq.nu + eq.sign * float(eq.p)
+def _sign_of(value) -> int:
+    return (value > 0) - (value < 0)
 
 
-def _bisect(eq: EquationSpec, lo: float, hi: float) -> float:
-    """A root of the equilibrium polynomial on [lo, hi], which brackets one."""
-    flo = equilibrium_polynomial(eq, lo)
-    if flo == 0.0:
-        return lo
-    if equilibrium_polynomial(eq, hi) == 0.0:
-        return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = equilibrium_polynomial(eq, mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+def _equilibrium_sign(eq: EquationSpec, x) -> int:
+    """Sign of the equilibrium polynomial at x, in the arithmetic of x."""
+    return _sign_of(x * eq.denominator(x) - eq.q)
+
+
+def _rounded_root(eq: EquationSpec, start: int, factor: Fraction) -> float:
+    """The float nearest the first root of the equilibrium polynomial met
+    from start (1 or -1, not a root) by steps x -> x*factor (2 or 1/2).  The
+    steps stop at a certified sign change; bisection on Fractions then
+    narrows the bracket until both ends round to one float, which is the
+    root's, since float(Fraction) rounds correctly and rounding is monotone."""
+    inside = Fraction(start)  # the bracket end with the start's sign
+    side = _certified_sign(_equilibrium_sign, eq, inside)
+    outside = inside * factor
+    while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
+        inside, outside = outside, outside * factor
+    while s != 0 and float(inside) != float(outside):
+        mid = (inside + outside) / 2
+        s = _certified_sign(_equilibrium_sign, eq, mid)
+        if s == side:
+            inside = mid
         else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _polish(eq: EquationSpec, x: float) -> float:
-    for _ in range(4):
-        deriv = _polynomial_derivative(eq, x)
-        if deriv == 0.0:
-            break
-        x -= equilibrium_polynomial(eq, x) / deriv
-    return x
+            outside = mid
+    return float(outside)
 
 
 def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
-    """All equilibria in the studied range, with location brackets.
+    """All equilibria in the studied range, with location brackets; each
+    value is the float nearest the exact root.
 
     Plus branch: the single positive root (the polynomial is strictly
     increasing on (0, inf)); it sits below, at, or above 1 according to
@@ -120,6 +119,7 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     that are outside this contract.  An empty list is a valid outcome.
     """
     p, q, nu = eq.p, eq.q, eq.nu
+    half, double = Fraction(1, 2), Fraction(2)
 
     if eq.branch is Branch.MINUS and nu % 2 == 1:
         (plus,) = equilibria(EquationSpec.plus(p, q, nu))
@@ -128,34 +128,19 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     if eq.branch is Branch.PLUS:
         if q == p + 1:
             return [EquilibriumReport(1.0, Bracket.AT_ONE)]
-        bracket = Bracket.IN_UNIT_INTERVAL if q < p + 1 else Bracket.BEYOND_ONE
-        if nu == 1:
-            value = (-float(p) + binet_roots(float(p), float(q)).discriminant ** 0.5) / 2.0
-        if nu > 1 or not math.isfinite(value):  # at nu = 1, p*p + 4q can overflow
-            hi = float(max(Fraction(1), q / p)) + 1.0
-            try:
-                hi ** (nu + 1)
-            except OverflowError:  # every positive root has x**(nu+1) < q and p*x < q
-                hi = min(float(q / p), float(q) ** (1.0 / (nu + 1)))
-            value = _bisect(eq, 0.0, hi)
-        return [EquilibriumReport(_polish(eq, value), bracket)]
+        if q < p + 1:
+            return [EquilibriumReport(_rounded_root(eq, 1, half), Bracket.IN_UNIT_INTERVAL)]
+        return [EquilibriumReport(_rounded_root(eq, 1, double), Bracket.BEYOND_ONE)]
 
-    # even nu on the minus branch
+    # even nu on the minus branch: at t = -x > 0 the polynomial is
+    # -t**(nu+1) + p*t - q, concave, so the steps from -1 meet one root each way
     if q == p - 1:
         return [EquilibriumReport(-1.0, Bracket.AT_MINUS_ONE)]
     if q > p - 1:
         return []
-    inner = _polish(eq, _bisect(eq, -1.0, 0.0))
-    left = 2.0
-    try:
-        while equilibrium_polynomial(eq, -left) >= 0.0:
-            left *= 2.0
-    except OverflowError:  # the outer root -a has a**(nu+1) = p*a - q < p*a, so a < p**(1/nu)
-        left = float(p) ** (1.0 / nu)
-    outer = _polish(eq, _bisect(eq, -left, -1.0))
     return [
-        EquilibriumReport(inner, Bracket.IN_MINUS_UNIT),
-        EquilibriumReport(outer, Bracket.BELOW_MINUS_ONE),
+        EquilibriumReport(_rounded_root(eq, -1, half), Bracket.IN_MINUS_UNIT),
+        EquilibriumReport(_rounded_root(eq, -1, double), Bracket.BELOW_MINUS_ONE),
     ]
 
 
@@ -205,10 +190,6 @@ class PeriodTwoCycle(NamedTuple):
     approx_form: Tuple[float, float]
 
 
-def _sign_of(value) -> int:
-    return (value > 0) - (value < 0)
-
-
 def _second_iterate_sign(eq: EquationSpec, x) -> Optional[int]:
     """Sign of f(f(x)) - x, or None when the evaluation crosses a pole."""
     den1 = eq.denominator(x)
@@ -239,9 +220,12 @@ def _cycle_newton(eq: EquationSpec, phi: float, psi: float) -> Tuple[float, floa
     return phi, psi
 
 
-def _cycle_residual(eq: EquationSpec, phi: float, psi: float) -> float:
-    q = float(eq.q)
-    return max(abs(phi * eq.denominator(psi) - q), abs(psi * eq.denominator(phi) - q))
+def _cycle_defects(eq: EquationSpec, phi: float, psi: float) -> List[Tuple[float, float]]:
+    """(|a*(sign*p + b**nu) - q|, its largest term) for (a, b) = (phi, psi)
+    and (psi, phi): the defects of the two cycle equations and their scales."""
+    p, q = float(eq.p), float(eq.q)
+    return [(abs(a * eq.denominator(b) - q), max(q, abs(a * b ** eq.nu), abs(a * p)))
+            for a, b in ((phi, psi), (psi, phi))]
 
 
 def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> Optional[int]:
@@ -297,13 +281,16 @@ def _bisect_sign(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: F
 def _finish_cycle(eq: EquationSpec, root: Fraction, approx_form: Tuple[float, float]
                   ) -> PeriodTwoCycle:
     """The cycle through root, polished in floats; ValueError where the float
-    pair leaves the region (denominator > 0) or collapses onto an equilibrium."""
+    pair leaves the region (denominator > 0), collapses onto an equilibrium,
+    or misses a cycle equation by more than 1e-9 of its largest term."""
     phi = float(root)
     den = eq.denominator(phi)
     if den > 0.0:
         phi, psi = _cycle_newton(eq, phi, float(eq.q) / den)
         if abs(phi - psi) > CYCLE_SEPARATION and eq.denominator(Fraction(phi)) > 0:
-            return PeriodTwoCycle(phi, psi, _cycle_residual(eq, phi, psi), approx_form)
+            defects = _cycle_defects(eq, phi, psi)
+            if all(defect <= 1e-9 * scale for defect, scale in defects):
+                return PeriodTwoCycle(phi, psi, max(d for d, _ in defects), approx_form)
     raise ValueError(_UNLOCATED)
 
 
@@ -384,8 +371,9 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     theorem).  The search only locates the cycle, bisecting to width
     min(tol, 1e-12), so every tol >= 1e-12 gives the cycle of the default
     tol; where floats cannot (near the flip tangency, or at the mixed
-    region's edge) it raises ValueError.  Every cycle reports approx_form,
-    so its float overflow is raised before the search."""
+    region's edge), or the polished pair misses a cycle equation, it raises
+    ValueError.  Every cycle reports approx_form, so its float overflow is
+    raised before the search."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     p, q, nu = eq.p, eq.q, eq.nu

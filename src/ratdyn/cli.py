@@ -40,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
 BLOCK_ROWS = 4096  # rows joined at a time by `render`
+_NU_MAX = 20000
 
 
 def fmt(value) -> str:
@@ -57,14 +58,25 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _size_arg(text: str) -> int:
-    """An index or count: an int at most sys.maxsize in magnitude, as slices need."""
+def _bounded_int(text: str, low: int, high: int, bound: str) -> int:
     try:
-        if abs(int(text)) <= sys.maxsize:
-            return int(text)
+        value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    raise argparse.ArgumentTypeError(f"must be at most sys.maxsize in magnitude, got {text!r}")
+    if not low <= value <= high:
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+    return value
+
+
+def _size_arg(text: str) -> int:
+    """An index or count: an int at most sys.maxsize in magnitude, as slices need."""
+    return _bounded_int(text, -sys.maxsize, sys.maxsize, "at most sys.maxsize in magnitude")
+
+
+def _nu_arg(text: str) -> int:
+    """An exponent from 1 to _NU_MAX.  An exact power costs ~53*nu bits, and
+    far above the bound one takes minutes or exhausts memory."""
+    return _bounded_int(text, 1, _NU_MAX, f"an int from 1 to {_NU_MAX}")
 
 
 def _tol_arg(text: str) -> float:
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=_fraction_arg, required=True)
         sp.add_argument("--q", type=_fraction_arg, required=True)
         if nu:
-            sp.add_argument("--nu", type=int, default=1)
+            sp.add_argument("--nu", type=_nu_arg, default=1, help=f"exponent, 1 to {_NU_MAX}")
         if fmt_flag:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
 

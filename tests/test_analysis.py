@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,7 +151,7 @@ def test_equilibrium_residuals_random():
 
 
 def test_plus_equilibrium_where_the_default_bracket_overflows():
-    # max(1, q/p) + 1 = 101 overflows 101**401; the root lies below q**(1/401)
+    # 101.0**401 overflows a float, so a float bracket from max(1, q/p) + 1 fails
     eq = EquationSpec.plus(Fraction(1, 10), 10, 400)
     (report,) = equilibria(eq)
     assert 1.0 < report.value < 10 ** (1 / 401)
@@ -175,6 +176,61 @@ def test_bracket_trichotomy_random():
         if nu % 2 == 0:
             count = len(equilibria(EquationSpec.minus(p, q, nu)))
             assert count == (2 if q < p - 1 else (1 if q == p - 1 else 0))
+
+
+def _rounds_a_root(eq, x) -> bool:
+    """x is the float nearest a root of x**(nu+1) + sign*p*x - q: x is a root,
+    or the exact polynomial has opposite signs, or a zero, at the midpoints
+    between x and its two float neighbours."""
+    def value(t):
+        return t ** (eq.nu + 1) + eq.sign * eq.p * t - eq.q
+
+    below, above = ((Fraction(x) + Fraction(math.nextafter(x, side))) / 2
+                    for side in (-math.inf, math.inf))
+    return value(Fraction(x)) == 0 or value(below) * value(above) <= 0
+
+
+def test_equilibria_are_the_floats_nearest_the_exact_roots():
+    rng = random.Random(20)
+    pool = [Fraction(1, 10 ** 6), Fraction(10 ** 6)]
+    pool += [Fraction(rng.randint(1, 99), rng.randint(1, 12)) for _ in range(8)]
+    seen = set()
+    for nu in [*range(1, 51), 101, 401]:
+        for branch in Branch:
+            cells = [(rng.choice(pool), rng.choice(pool)) for _ in range(3)]
+            if branch is Branch.MINUS and nu % 2 == 0:  # q < p - 1: the inner and outer roots
+                p = rng.choice([Fraction(10 ** 6),
+                                Fraction(rng.randint(25, 99), rng.randint(1, 8))])
+                cells.append((p, (p - 1) * Fraction(rng.randint(1, 99), 100)))
+            for p, q in cells:
+                eq = EquationSpec(branch, p, q, nu)
+                for report in equilibria(eq):
+                    assert _rounds_a_root(eq, report.value), (eq, report)
+                    seen.add(report.bracket)
+    assert seen >= {Bracket.IN_UNIT_INTERVAL, Bracket.BEYOND_ONE, Bracket.IN_MINUS_UNIT,
+                    Bracket.BELOW_MINUS_ONE}
+
+
+def test_equilibria_scale_bit_for_bit_under_x_equals_lambda_y():
+    # x = lam*y maps (p, q, nu) to (p/lam**nu, q/lam**(nu+1), nu).  For
+    # lam = 2**k a float divides by lam exactly, so the nearest floats to the
+    # roots must too, wherever neither root is subnormal.
+    rng = random.Random(9)
+    values = sorted({Fraction(n, d) for n in range(1, 13) for d in (1, 2, 3, 7)})
+    for _ in range(300):
+        lam = Fraction(2) ** rng.randint(-3, 3)
+        branch, nu = rng.choice(list(Branch)), rng.randint(1, 10)
+        p, q = rng.choice(values), rng.choice(values)
+        xs = [r.value for r in equilibria(EquationSpec(branch, p, q, nu))]
+        scaled = EquationSpec(branch, p / lam ** nu, q / lam ** (nu + 1), nu)
+        ys = [r.value for r in equilibria(scaled)]
+        if any(abs(v) < sys.float_info.min for v in xs + ys):
+            continue
+        scaled_xs = [x / float(lam) for x in xs]
+        if len(ys) == len(xs):
+            assert ys == scaled_xs, (branch, p, q, nu, lam)
+        else:  # even nu on minus: the count follows q <=> p - 1, which x = lam*y does not keep
+            assert set(ys) <= set(scaled_xs) or set(scaled_xs) <= set(ys), (p, q, nu, lam)
 
 
 # --- stability --------------------------------------------------------------------
@@ -340,6 +396,13 @@ def test_minus_even_mixed_cycle():
     assert f(cycle.phi) == pytest.approx(cycle.psi, rel=1e-9)
     assert f(cycle.psi) == pytest.approx(cycle.phi, rel=1e-9)
     assert cycle.phi == pytest.approx(-1.9067, abs=2e-3)
+
+
+def test_mixed_pair_that_misses_the_cycle_equations_is_refused():
+    # Newton starts within float resolution of the edge -p**(1/nu) and lands on
+    # a pair in the region whose cycle equations miss by ~6e131
+    with pytest.raises(ValueError, match="cannot locate"):
+        solve_period_two(EquationSpec.minus(10 ** 16, 1000, 10))
 
 
 def test_cycle_existence_matches_criterion_on_random_rationals():

@@ -416,7 +416,7 @@ def test_analyze_empty_list_is_valid(capsys):
 
 @pytest.mark.parametrize("p, q, nu", [("1", "3", "1101"), ("3", "1", "1100")])
 def test_analyze_minus_outer_root_where_the_doubling_bracket_overflows(capsys, p, q, nu):
-    # (-2.0)**(nu+1) overflows; the root below -1 lies within a proven bound
+    # (-2.0)**(nu+1) overflows a float; the bracket on Fractions cannot
     code, out, err = invoke(capsys, ["analyze", "--branch", "minus", "--p", p, "--q", q,
                                      "--nu", nu, "--format", "json"])
     assert (code, err) == (0, "")
@@ -492,6 +492,22 @@ def test_size_flag_beyond_maxsize_is_rejected_at_parse_time(capsys, argv, flag):
     assert f"argument {flag}: must be at most sys.maxsize in magnitude" in captured.err
     parsed = cli.build_parser().parse_args([arg.replace(BEYOND, str(sys.maxsize)) for arg in argv])
     assert sys.maxsize in (abs(value) for value in vars(parsed).values() if type(value) is int)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "period2"])
+@pytest.mark.parametrize("nu", ["0", "-1", "20001", "99999999999999999999"])
+def test_nu_outside_its_bound_is_rejected_at_parse_time(capsys, command, nu):
+    # parse only: an exact power at such a nu would take minutes or gigabytes
+    argv = [command, "--branch", "plus", "--p", "1", "--q", "1", "--nu"]
+    if command == "simulate":
+        argv[1:1] = ["--x0", "1", "--steps", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + [nu])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --nu: must be an int from 1 to 20000, got {nu!r}" in captured.err
+    assert cli.build_parser().parse_args(argv + ["20000"]).nu == 20000
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3", "zebra"])

@@ -104,7 +104,7 @@ CASES = {
                            " --steps 300 --plane float --format json",
     "simulate_float_near_singular_json": "simulate --branch plus --p 1 --q 1 --nu 1 --x0=-1"
                                          " --steps 100 --plane float --format json",
-    # where the default equilibrium bracket overflows, a tighter one answers
+    # 101.0**401 overflows a float; the equilibrium bracket on Fractions cannot
     "overflow_analyze": "analyze --branch plus --p 1/10 --q 10 --nu 400",
     # p = 10**-400 is 0.0 as a float, and at p = q = 10**-400 the squared
     # denominator underflows: exit 2, one error line, nothing on stdout

@@ -15,6 +15,7 @@ import ratdyn
 
 # `python -c` finds the package in its working directory.
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 LAYERS = {"ratdyn.analysis", "ratdyn.closed_form", "ratdyn.dynamics"}
 
 
@@ -72,3 +73,12 @@ def test_a_subcommand_loads_only_its_layers(bare_modules, argv, layers):
     added = loaded_modules(f"from ratdyn.cli import run\nassert run({argv!r}) == 0") - bare_modules
     assert added & LAYERS == layers
     assert added.isdisjoint({"dataclasses", "json"})
+
+
+def test_every_binding_the_bench_tracer_wraps_exists(monkeypatch):
+    # bench/trace_run.py replaces names such as `analysis.binet_roots` that the
+    # package itself may no longer call; entering its patch set looks each up
+    monkeypatch.syspath_prepend(str(BENCH))
+    trace_run = importlib.import_module("trace_run")
+    with trace_run.traced_bindings(trace_run.Tracer()):
+        pass
