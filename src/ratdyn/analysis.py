@@ -7,14 +7,15 @@ negated (exactly, in floats): analyze and period2 share one equilibrium and
 print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
 (sign +1 on the plus branch, -1 on minus), bracketed by powers of two and
 bisected on certified signs until the bracket holds one float: the float
-nearest the root.  Whether a prime two-cycle exists is decided exactly,
-before any search, by the criterion in solve_period_two.  The one search,
-_cycle_search, then only locates the cycle, or refuses with ValueError
-where floats cannot: a scan of rational grids for a sign change of a sign
-predicate, bisection, then Newton polish on the cycle system.  A region
-supplies only its predicate and grids: g(x) = f(f(x)) - x above the
-equilibrium on the plus branch, and a one-variable reduction of the cycle
-equations in the mixed-sign region.
+nearest the root.  How many equilibria there are, the stability class of
+each, and whether a prime two-cycle exists are decided exactly, by one
+integer comparison, _stable; only the multiplier beside the class is a float
+evaluation.  The one search, _cycle_search, then only locates the cycle, or
+refuses with ValueError where floats cannot: a scan of rational grids for a
+sign change of a sign predicate, bisection, then Newton polish on the cycle
+system.  A region supplies only its predicate and grids: g(x) = f(f(x)) - x
+above the equilibrium on the plus branch, and a one-variable reduction of the
+cycle equations in the mixed-sign region.
 Each sign is evaluated first on an outward-rounded float enclosure
 (ratdyn.interval); where that cannot prove the sign it abstains and the same
 predicate runs on Fractions, so every sign the search sees is exact.
@@ -32,7 +33,6 @@ from .equation import Branch, EquationSpec
 from .horadam import binet_roots  # noqa: F401
 from .interval import Interval, Undecided
 
-MARGINAL_BAND = 1e-12
 CYCLE_SEPARATION = 1e-8
 _UNLOCATED = "a prime two-cycle exists, but float arithmetic cannot locate it"
 
@@ -47,10 +47,6 @@ class Bracket(Enum):
     AT_MINUS_ONE = "at_minus_one"
     BELOW_MINUS_ONE = "below_minus_one"
 
-
-# the bracket of -x given that of x: odd nu on minus is the plus branch in y = -x
-_MIRRORED = {Bracket.IN_UNIT_INTERVAL: Bracket.IN_MINUS_UNIT, Bracket.AT_ONE: Bracket.AT_MINUS_ONE,
-             Bracket.BEYOND_ONE: Bracket.BELOW_MINUS_ONE}
 
 
 class Stability(Enum):
@@ -69,11 +65,6 @@ class EquilibriumReport(NamedTuple):
     classification: Optional[Stability] = None
 
 
-def equilibrium_polynomial(eq: EquationSpec, x: float) -> float:
-    """x**(nu+1) + sign*p*x - q; equilibria are its roots."""
-    return x ** (eq.nu + 1) + eq.sign * float(eq.p) * x - float(eq.q)
-
-
 def _sign_of(value) -> int:
     return (value > 0) - (value < 0)
 
@@ -83,13 +74,13 @@ def _equilibrium_sign(eq: EquationSpec, x) -> int:
     return _sign_of(x * eq.denominator(x) - eq.q)
 
 
-def _rounded_root(eq: EquationSpec, start: int, factor: Fraction) -> float:
+def _rounded_root(eq: EquationSpec, start: Fraction, factor: Fraction) -> float:
     """The float nearest the first root of the equilibrium polynomial met
-    from start (1 or -1, not a root) by steps x -> x*factor (2 or 1/2).  The
+    from start (not a root) by steps x -> x*factor (2 or 1/2).  The
     steps stop at a certified sign change; bisection on Fractions then
     narrows the bracket until both ends round to one float, which is the
     root's, since float(Fraction) rounds correctly and rounding is monotone."""
-    inside = Fraction(start)  # the bracket end with the start's sign
+    inside = start  # the bracket end with the start's sign
     side = _certified_sign(_equilibrium_sign, eq, inside)
     outside = inside * factor
     while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
@@ -104,6 +95,35 @@ def _rounded_root(eq: EquationSpec, start: int, factor: Fraction) -> float:
     return float(outside)
 
 
+def _stable(eq: EquationSpec) -> int:
+    """Sign of nu^nu p^(nu+1) - q^nu k^(nu+1), k = nu+1 for even nu on minus
+    and nu-1 elsewhere: the one exact criterion behind every stability class,
+    equilibrium count and cycle existence.  It is the sign of q/nu - c**(nu+1)
+    at c = k*q/(nu*p), and x**nu = q/x - sign*p turns |multiplier| < 1 at an
+    equilibrium x into |x| > c on the plus branch, |x| < c for even nu on
+    minus.  On the plus branch (odd nu on minus mirrored) the polynomial is
+    increasing and c**(nu+1) - q/nu at c: +1 is a stable equilibrium, 0 the
+    flip tangency, -1 an unstable one beside a prime two-cycle.  For even nu
+    on minus it is h(c) for the concave h(t) = -t**(nu+1) + p*t - q, t = -x:
+    +1 is two roots on either side of -c, the inner one stable, 0 a double
+    root at -c, -1 no root."""
+    nu = eq.nu
+    k = nu + 1 if eq.branch is Branch.MINUS and nu % 2 == 0 else nu - 1
+    (pn, pd), (qn, qd) = eq.p.as_integer_ratio(), eq.q.as_integer_ratio()
+    return _sign_of(nu ** nu * pn ** (nu + 1) * qd ** nu
+                    - qn ** nu * k ** (nu + 1) * pd ** (nu + 1))
+
+
+def _split_point(eq: EquationSpec) -> Fraction:
+    """-c of _stable for even nu on minus."""
+    return -eq.q * (eq.nu + 1) / (eq.p * eq.nu)
+
+
+def _bracket(x: float) -> Bracket:
+    """|x| <, = or > 1: Bracket lists these for x > 0, then for x < 0."""
+    return list(Bracket)[3 * (x < 0) + (abs(x) >= 1) + (abs(x) > 1)]
+
+
 def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     """All equilibria in the studied range, with location brackets; each
     value is the float nearest the exact root.
@@ -111,64 +131,57 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     Plus branch: the single positive root (the polynomial is strictly
     increasing on (0, inf)); it sits below, at, or above 1 according to
     q <=> p+1.  Minus branch, odd nu: (-x)**nu = -x**nu, so the map is the
-    plus map in y = -x, and its single negative root is computed as the plus
-    root negated, with the mirrored bracket.  Minus branch, even nu: count
-    follows the q vs p-1 trichotomy (two roots when q < p-1, the root -1
-    alone when q = p-1, none when q > p-1); in a thin band of q just above
-    p-1 with p far from nu+1 the polynomial admits further negative roots
-    that are outside this contract.  An empty list is a valid outcome.
+    plus map in y = -x, and its single negative root is the plus root
+    negated.  Minus branch, even nu: the negative roots, as many as _stable
+    counts; at q = p-1 the root -1 alone, though the other exists unless
+    p = nu+1.  Two roots that round to one float raise ValueError.  The
+    positive root of the minus branch (x**nu > p) is out of scope.
     """
     p, q, nu = eq.p, eq.q, eq.nu
-    half, double = Fraction(1, 2), Fraction(2)
+    one, half, double = Fraction(1), Fraction(1, 2), Fraction(2)
 
     if eq.branch is Branch.MINUS and nu % 2 == 1:
-        (plus,) = equilibria(EquationSpec.plus(p, q, nu))
-        return [EquilibriumReport(-plus.value, _MIRRORED[plus.bracket])]
-
-    if eq.branch is Branch.PLUS:
-        if q == p + 1:
-            return [EquilibriumReport(1.0, Bracket.AT_ONE)]
-        if q < p + 1:
-            return [EquilibriumReport(_rounded_root(eq, 1, half), Bracket.IN_UNIT_INTERVAL)]
-        return [EquilibriumReport(_rounded_root(eq, 1, double), Bracket.BEYOND_ONE)]
-
-    # even nu on the minus branch: at t = -x > 0 the polynomial is
-    # -t**(nu+1) + p*t - q, concave, so the steps from -1 meet one root each way
-    if q == p - 1:
-        return [EquilibriumReport(-1.0, Bracket.AT_MINUS_ONE)]
-    if q > p - 1:
-        return []
-    return [
-        EquilibriumReport(_rounded_root(eq, -1, half), Bracket.IN_MINUS_UNIT),
-        EquilibriumReport(_rounded_root(eq, -1, double), Bracket.BELOW_MINUS_ONE),
-    ]
+        roots = [-plus.value for plus in equilibria(EquationSpec.plus(p, q, nu))]
+    elif eq.branch is Branch.PLUS:
+        roots = [1.0 if q == p + 1 else _rounded_root(eq, one, half if q < p + 1 else double)]
+    elif q == p - 1:
+        roots = [-1.0]
+    elif (count := _stable(eq)) <= 0:
+        roots = [float(_split_point(eq))] if count == 0 else []
+    else:
+        # from -1, between the roots where q < p-1, the bisection stays dyadic
+        start = -one if q < p - 1 else _split_point(eq)
+        roots = [_rounded_root(eq, start, half), _rounded_root(eq, start, double)]
+        if roots[0] == roots[1]:
+            raise ValueError(f"two equilibria round to the one float {roots[0]!r}")
+    return [EquilibriumReport(x, _bracket(x)) for x in roots]
 
 
 def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> EquilibriumReport:
     """Fill in the linearization multiplier and the stability classification.
 
-    The multiplier is the map derivative at the equilibrium,
-    -q*nu*x**(nu-1) / (sign*p + x**nu)**2.  Classification: locally
-    asymptotically stable when |multiplier| < 1 - 1e-12, unstable when
-    |multiplier| > 1 + 1e-12, marginal in between (linearization is
-    inconclusive there and no asymptotic claim is made).
+    The value must be an equilibrium's float: the exact sign of the
+    polynomial changes between its float neighbours, or it is the float of
+    the even-nu double root; else ValueError.  The class is exact: _stable,
+    or for even nu on minus the polynomial's slope across the value, falling
+    at the stable inner root.  The multiplier is a float evaluation of the
+    map derivative, -q*nu*x**(nu-1) / (sign*p + x**nu)**2.
     """
     x = report.value
-    if not abs(equilibrium_polynomial(eq, x)) <= 1e-8 * max(1.0, float(eq.q)):  # nan too
+    if not math.isfinite(x):
+        raise ValueError(f"{x} does not satisfy the equilibrium polynomial")
+    below, above = (_certified_sign(_equilibrium_sign, eq, Fraction(math.nextafter(x, end)))
+                    for end in (-math.inf, math.inf))
+    mixed = eq.branch is Branch.MINUS and eq.nu % 2 == 0
+    if not (below * above <= 0 or mixed and x == float(_split_point(eq)) and _stable(eq) == 0):
         raise ValueError(f"{x} does not satisfy the equilibrium polynomial")
     num, den = -float(eq.q) * eq.nu * x ** (eq.nu - 1), eq.denominator(float(x))
     try:
         multiplier = num / den ** 2
     except OverflowError:  # den**2 overflows where num/den/den may be finite
         multiplier = num / den / den
-    magnitude = abs(multiplier)
-    if magnitude < 1.0 - MARGINAL_BAND:
-        classification = Stability.LOCALLY_ASYMPTOTICALLY_STABLE
-    elif magnitude > 1.0 + MARGINAL_BAND:
-        classification = Stability.UNSTABLE
-    else:
-        classification = Stability.MARGINALLY_STABLE
-    return report._replace(multiplier=multiplier, classification=classification)
+    sign = _sign_of(below - above) if mixed else _stable(eq)  # +1 stable, 0, -1 unstable
+    return report._replace(multiplier=multiplier, classification=list(Stability)[1 - sign])
 
 
 def linear_stability_criterion(coeffs: Sequence[float]) -> bool:
@@ -378,7 +391,7 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
         raise ValueError("tol must be positive")
     p, q, nu = eq.p, eq.q, eq.nu
     mixed = eq.branch is Branch.MINUS and nu % 2 == 0
-    if not mixed and not nu ** nu * p ** (nu + 1) < q ** nu * (nu - 1) ** (nu + 1):
+    if not mixed and _stable(eq) >= 0:
         return None
     approx_form = _approx_form(eq)
     if mixed:

@@ -6,7 +6,9 @@ nothing.  `simulate` stopped at a singularity is a complete document with its
 `# status=` line and exit 3.  Exit codes: 0 success, 1 failed identity suite,
 2 flag errors, a float overflow or underflow, an exact value too large to
 print, or a proven two-cycle that floats cannot locate, 3 singular or
-forbidden input.  Exact rationals render as num/den strings, floats with 17
+forbidden input, 141 (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE killed) when the reader of stdout closed it first, with nothing on
+stderr.  Exact rationals render as num/den strings, floats with 17
 significant digits; both round-trip losslessly.
 
 A table holds columns, not rows.  `render` gives each column one conversion
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
+EXIT_BROKEN_PIPE = 141
 
 BLOCK_ROWS = 4096  # rows joined at a time by `render`
 _NU_MAX = 20000
@@ -355,7 +359,13 @@ def run(argv=None) -> int:
         hint = "; use --plane float" if isinstance(exc, DigitLimit) and "plane" in args else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(document)
+    try:
+        sys.stdout.write(document)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at interpreter exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return rc
 
 

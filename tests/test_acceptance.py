@@ -21,7 +21,6 @@ from ratdyn.analysis import (
     Stability,
     classify_stability,
     equilibria,
-    equilibrium_polynomial,
     solve_period_two,
 )
 from ratdyn.closed_form import (
@@ -35,6 +34,7 @@ from ratdyn.closed_form import (
 from ratdyn.dynamics import Plane, StatusKind, bounds_envelope, detect_period, iterate, step
 from ratdyn.equation import Branch, EquationSpec
 from ratdyn.horadam import HoradamSpec, IdentityKind, check_identity
+from test_analysis import _rounds_a_root
 
 SILVER = 1 + math.sqrt(2)
 
@@ -260,6 +260,8 @@ def test_boundedness():
 
 
 def test_minus_even_equilibrium_trichotomy():
+    # two roots where nu^nu p^(nu+1) > q^nu (nu+1)^(nu+1), one double root at
+    # equality, none below; q = p - 1 reports the root -1 alone
     rng = random.Random(20260813)
     ok = True
     for _ in range(100):
@@ -268,9 +270,10 @@ def test_minus_even_equilibrium_trichotomy():
         nu = rng.choice([2, 4, 6, 8])
         eq = EquationSpec.minus(p, q, nu)
         reports = equilibria(eq)
-        expected = 2 if q < p - 1 else (1 if q == p - 1 else 0)
+        left, right = nu ** nu * p ** (nu + 1), q ** nu * (nu + 1) ** (nu + 1)
+        expected = 1 if q == p - 1 else 2 if left > right else 1 if left == right else 0
         ok &= len(reports) == expected
         for rep in reports:
-            ok &= abs(equilibrium_polynomial(eq, rep.value)) < 1e-10 * max(1.0, float(q))
-    report("minus-even-equilibrium-trichotomy", ok, "100 random specs, counts and residuals")
+            ok &= _rounds_a_root(eq, rep.value)
+    report("minus-even-equilibrium-trichotomy", ok, "100 random specs, counts and nearest floats")
     assert ok

@@ -18,7 +18,6 @@ from ratdyn.analysis import (
     Stability,
     classify_stability,
     equilibria,
-    equilibrium_polynomial,
     linear_stability_criterion,
     smallest_even_cycle_exponent,
     solve_period_two,
@@ -147,7 +146,7 @@ def test_equilibrium_residuals_random():
         branch = rng.choice([Branch.PLUS, Branch.MINUS])
         eq = EquationSpec(branch, p, q, nu)
         for report in equilibria(eq):
-            assert abs(equilibrium_polynomial(eq, report.value)) < 1e-10 * max(1.0, float(q))
+            assert _rounds_a_root(eq, report.value), (eq, report)
 
 
 def test_plus_equilibrium_where_the_default_bracket_overflows():
@@ -155,7 +154,7 @@ def test_plus_equilibrium_where_the_default_bracket_overflows():
     eq = EquationSpec.plus(Fraction(1, 10), 10, 400)
     (report,) = equilibria(eq)
     assert 1.0 < report.value < 10 ** (1 / 401)
-    assert abs(equilibrium_polynomial(eq, report.value)) < 1e-10 * 10
+    assert _rounds_a_root(eq, report.value)
     assert report.bracket is Bracket.BEYOND_ONE
 
 
@@ -173,9 +172,10 @@ def test_bracket_trichotomy_random():
         else:
             assert plus.bracket is Bracket.BEYOND_ONE and plus.value > 1
 
-        if nu % 2 == 0:
+        if nu % 2 == 0:  # two roots, one double root or none; q = p - 1 reports -1 alone
             count = len(equilibria(EquationSpec.minus(p, q, nu)))
-            assert count == (2 if q < p - 1 else (1 if q == p - 1 else 0))
+            left, right = nu ** nu * p ** (nu + 1), q ** nu * (nu + 1) ** (nu + 1)
+            assert count == (1 if q == p - 1 else 2 if left > right else 1 if left == right else 0)
 
 
 def _rounds_a_root(eq, x) -> bool:
@@ -229,7 +229,8 @@ def test_equilibria_scale_bit_for_bit_under_x_equals_lambda_y():
         scaled_xs = [x / float(lam) for x in xs]
         if len(ys) == len(xs):
             assert ys == scaled_xs, (branch, p, q, nu, lam)
-        else:  # even nu on minus: the count follows q <=> p - 1, which x = lam*y does not keep
+        else:  # q = p - 1 reports the root -1 alone, and x = lam*y does not keep q = p - 1
+            assert q == p - 1 or scaled.q == scaled.p - 1, (branch, p, q, nu, lam)
             assert set(ys) <= set(scaled_xs) or set(scaled_xs) <= set(ys), (p, q, nu, lam)
 
 
@@ -265,6 +266,101 @@ def test_marginal_band():
     eq = EquationSpec.plus(1, 2, 2)  # multiplier exactly -1
     report = classify_stability(eq, equilibria(eq)[0])
     assert report.classification is Stability.MARGINALLY_STABLE
+
+
+CLASS_SIGN = {Stability.LOCALLY_ASYMPTOTICALLY_STABLE: 1, Stability.MARGINALLY_STABLE: 0,
+              Stability.UNSTABLE: -1}
+
+
+def _sympy_classes(sympy, eq):
+    """(isolating interval, class sign) of each root of the equilibrium
+    polynomial in the studied range (x > 0 on plus, x < 0 on minus), in
+    ascending order.  sympy isolates the roots; each interval is bisected
+    until bounds of |multiplier| = q*nu*|x|**(nu-1) / (x**nu + sign*p)**2
+    over it, from its monotone factors, lie on one side of 1, which is the
+    class.  A root whose interval reaches width 1e-40 undecided is marginal."""
+    x = sympy.symbols("x")
+    P, Q = (sympy.Rational(v.numerator, v.denominator) for v in (eq.p, eq.q))
+    poly = sympy.Poly(x ** (eq.nu + 1) + eq.sign * P * x - Q, x).sqf_part()
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
+
+    def sign(v):
+        value = Fraction(0)
+        for c in coeffs:
+            value = value * v + c
+        return (value > 0) - (value < 0)
+
+    def side(lo, hi):
+        """1 where |multiplier| < 1 on [lo, hi], -1 where it is > 1, else 0"""
+        if eq.denominator(lo) * eq.denominator(hi) <= 0:
+            return 0
+        num = sorted(eq.q * eq.nu * abs(v) ** (eq.nu - 1) for v in (lo, hi))
+        den = sorted(eq.denominator(v) ** 2 for v in (lo, hi))
+        return (num[1] < den[0]) - (num[0] > den[1])
+
+    roots = []
+    for (lo, hi), _ in poly.intervals():
+        lo, hi = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
+        if (lo + hi > 0) != (eq.sign > 0):
+            continue
+        top = sign(hi) or -sign(lo)  # an end may be the neighbouring root
+        while (cls := side(lo, hi)) == 0 and hi - lo >= Fraction(1, 10 ** 40):
+            mid = (lo + hi) / 2
+            s = sign(mid)
+            if s == 0:
+                lo = hi = mid
+            elif s == top:
+                hi = mid
+            else:
+                lo = mid
+        roots.append(((lo, hi), cls))
+    return roots
+
+
+def test_classes_and_counts_match_the_integer_tests_and_sympy():
+    # Every nu 1-50 on both branches: seeded p, q including 10**+-6, the
+    # tangency (p, q) = ((nu-/+1) c**nu, nu c**(nu+1)) with its root at c, and
+    # beside it for even nu on minus the band q(1 -+ 10**-3), where q > p - 1
+    # has two roots or none.  The integer tests: s = sign of nu^nu p^(nu+1) -
+    # q^nu k^(nu+1), k = nu+1 for even nu on minus, nu-1 elsewhere, is the
+    # class of the one root; for even nu on minus it is two roots (outer
+    # unstable, inner stable), one marginal double root, or none, and at
+    # q = p - 1 the root -1 alone, stable iff p > nu + 1.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2111)
+    pool = [Fraction(1, 10 ** 6), Fraction(10 ** 6), Fraction(1, 3), Fraction(7, 2), 1, 2,
+            1000, 5000]
+    for nu in range(1, 51):
+        for branch in Branch:
+            mixed = branch is Branch.MINUS and nu % 2 == 0
+            k = nu + 1 if mixed else nu - 1
+            c = rng.choice([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2)])
+            p = k * c ** nu
+            cells = [(rng.choice(pool), rng.choice(pool)) for _ in range(3)]
+            cells += [(p, nu * c ** (nu + 1))] if k else []
+            if mixed:
+                cells += [(p, nu * c ** (nu + 1) * (1 + s * Fraction(1, 1000))) for s in (-1, 1)]
+                top = rng.choice([2, Fraction(7, 2), 1000, 10 ** 6])
+                cells.append((top, top - 1))
+            for p, q in map(lambda cell: tuple(map(Fraction, cell)), cells):
+                eq = EquationSpec(branch, p, q, nu)
+                left, right = nu ** nu * p ** (nu + 1), q ** nu * k ** (nu + 1)
+                s = (left > right) - (left < right)
+                if not mixed:
+                    expected = [s]
+                elif q == p - 1:
+                    expected = [(p > nu + 1) - (p < nu + 1)]
+                else:
+                    expected = {1: [-1, 1], 0: [0], -1: []}[s]
+                reports = sorted(classify_stability(eq, r) for r in equilibria(eq))
+                roots = _sympy_classes(sympy, eq)
+                if mixed and q == p - 1:
+                    roots = [(ends, cls) for ends, cls in roots if ends[0] <= -1 <= ends[1]]
+                assert [CLASS_SIGN[r.classification] for r in reports] == expected, eq
+                assert [cls for _, cls in roots] == expected, eq
+                for report, ((lo, hi), _) in zip(reports, roots):
+                    ulp = math.ulp(report.value)
+                    assert lo - ulp <= report.value <= hi + ulp, (eq, report)
 
 
 def test_classify_rejects_non_equilibrium():

@@ -387,11 +387,12 @@ def test_analyze_json(capsys):
         {"bracket": "at_one", "classification": "unstable", "multiplier": "-3", "value": "1"}
     ]
     # nu = 1 where p*p + 4q overflows a float: the root and its multiplier,
-    # never nan; in the last two the multiplier's squared denominator overflows
+    # never nan; in the last two the multiplier's squared denominator overflows.
+    # At nu = 1 |multiplier| = x/(x + p) < 1 exactly, though the float rounds to -1
     for argv, expected in [
         (["--branch", "plus", "--p", "1", "--q", "1e308"],
-         (0, '{"equilibria": [{"bracket": "beyond_one", "classification": "marginally_stable",'
-             ' "multiplier": "-1", "value": "1e+154"}]}\n', "")),
+         (0, '{"equilibria": [{"bracket": "beyond_one", "classification":'
+             ' "locally_asymptotically_stable", "multiplier": "-1", "value": "1e+154"}]}\n', "")),
         (["--branch", "plus", "--p", "1e155", "--q", "1"],
          (0, '{"equilibria": [{"bracket": "in_unit_interval", "classification":'
              ' "locally_asymptotically_stable", "multiplier": "-9.9999999999999694e-311",'
@@ -402,6 +403,33 @@ def test_analyze_json(capsys):
              ' "value": "-3e-160"}]}\n', "")),
     ]:
         assert invoke(capsys, ["analyze", *argv, "--nu", "1", "--format", "json"]) == expected
+
+
+@pytest.mark.parametrize("branch, p, q, classes", [
+    # the outer root's polynomial terms reach 1e9: an absolute residual bound rejects it
+    ("minus", "1000000", "1/1000000", ["locally_asymptotically_stable", "unstable"]),
+    ("minus", "1000000", "7/2", ["locally_asymptotically_stable", "unstable"]),
+    ("minus", "1000000", "1/3", ["locally_asymptotically_stable", "unstable"]),
+    # two roots although q > p - 1
+    ("minus", "1000", "5000", ["locally_asymptotically_stable", "unstable"]),
+    # double roots at -2 and -1/3
+    ("minus", "12", "16", ["marginally_stable"]),
+    ("minus", "1/3", "2/27", ["marginally_stable"]),
+    # the multiplier rounds to -1.00000000000025, and period2 finds a cycle
+    ("plus", "1", "2000000000001/1000000000000", ["unstable"]),
+])
+def test_analyze_count_and_class_are_exact(capsys, branch, p, q, classes):
+    code, out, err = invoke(capsys, ["analyze", "--branch", branch, "--p", p, "--q", q,
+                                     "--nu", "2"])
+    assert (code, err) == (0, "")
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == classes
+
+
+def test_analyze_refuses_two_roots_that_round_to_one_float(capsys):
+    code, out, err = invoke(capsys, ["analyze", "--branch", "minus", "--p", "3",
+                                     "--q", str(2 - Fraction(1, 10 ** 40)),
+                                     "--nu", "2"])
+    assert (code, out, err) == (2, "", "error: two equilibria round to the one float -1.0\n")
 
 
 def test_analyze_empty_list_is_valid(capsys):
@@ -561,3 +589,17 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "15,610"
+
+
+def test_closed_pipe_exits_141_with_empty_stderr():
+    # the reader closes stdout before the ~420 kB document, more than a pipe
+    # buffer holds, is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratdyn", "horadam", "--p", "1", "--q", "1",
+         "--from", "0", "--to", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=SRC,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_BROKEN_PIPE, b"")
