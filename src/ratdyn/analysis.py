@@ -5,7 +5,7 @@ on minus.  For odd nu, (-x)**nu = -x**nu makes the minus map the plus map in
 y = -x, so its equilibrium and two-cycle are computed as the plus branch's,
 negated (exactly, in floats): analyze and period2 share one equilibrium and
 print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
-(sign +1 on the plus branch, -1 on minus), bracketed by powers of two and
+(sign +1 on the plus branch, -1 on minus), bracketed by dyadic rationals and
 bisected on certified signs until the bracket holds one float: the float
 nearest the root.  How many equilibria there are, the stability class of
 each, and whether a prime two-cycle exists are decided exactly, by one
@@ -19,6 +19,16 @@ cycle equations in the mixed-sign region.
 Each sign is evaluated first on an outward-rounded float enclosure
 (ratdyn.interval); where that cannot prove the sign it abstains and the same
 predicate runs on Fractions, so every sign the search sees is exact.
+Floats propose, certified signs decide, and the certified scan and bisection
+run otherwise (_round_and_certify).  Plain floats bisect a bracket or scan a
+grid; only the cell or pair they propose is certified.  That is sound because
+each predicate changes sign once where it is searched: the equilibrium
+polynomial on each root's bracket; g from + to - above the equilibrium (the
+only fixed points of f(f(x)) are psi < equilibrium < phi, by the negative
+Schwarzian derivative); and in the mixed region h(alpha) =
+alpha*(B**nu - p) - q from + to -, strictly decreasing where B**nu < p and
+negative elsewhere.  So a certified proposal is the cell or pair the
+certified search would reach, and the result is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -78,21 +88,124 @@ def _rounded_root(eq: EquationSpec, start: Fraction, factor: Fraction) -> float:
     """The float nearest the first root of the equilibrium polynomial met
     from start (not a root) by steps x -> x*factor (2 or 1/2).  The
     steps stop at a certified sign change; bisection on Fractions then
-    narrows the bracket until both ends round to one float, which is the
-    root's, since float(Fraction) rounds correctly and rounding is monotone."""
+    narrows the bracket until every point inside it rounds to one float,
+    which is the root's, since float(Fraction) rounds correctly.
+    The polynomial changes sign once on the bracket, so floats propose its
+    cell at _float_level first and certified signs decide from there, or
+    from the whole bracket where the certificate fails."""
     inside = start  # the bracket end with the start's sign
     side = _certified_sign(_equilibrium_sign, eq, inside)
     outside = inside * factor
     while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
         inside, outside = outside, outside * factor
-    while s != 0 and float(inside) != float(outside):
+    if s != 0:
+        inside, outside = _round_and_certify(eq, _equilibrium_sign, inside, outside, side,
+                                             _float_level(inside))
+    while s != 0 and (rounded := _one_float(inside, outside)) is None:
         mid = (inside + outside) / 2
         s = _certified_sign(_equilibrium_sign, eq, mid)
         if s == side:
             inside = mid
         else:
             outside = mid
-    return float(outside)
+    return float(outside) if s == 0 else rounded
+
+
+def _one_float(a: Fraction, b: Fraction) -> Optional[float]:
+    """The float that every point strictly between a and b rounds to, or
+    None where they round to two: both ends round to it, or the rounding
+    boundaries beside it, halfway to its float neighbours, lie outside."""
+    x = float(a)
+    if x == float(b):
+        return x
+    x = float((a + b) / 2)
+    below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2
+                    for end in (-math.inf, math.inf))
+    return x if below <= min(a, b) and max(a, b) <= above else None
+
+
+def _float_level(x: Fraction) -> int:
+    """Halvings of a bracket from x to 2x or x/2 whose cell ends are all
+    floats: 53 - k - (m > 1) for x = m*2**e with m odd of k bits (52 from a
+    power of two), none where x is not dyadic."""
+    m, d = abs(x.numerator), x.denominator
+    if d & (d - 1):
+        return 0
+    m >>= (m & -m).bit_length() - 1
+    return max(0, 53 - m.bit_length() - (m > 1))
+
+
+class _FloatSpec(NamedTuple):
+    """An equation's q, sign*p and nu in floats: what a sign predicate reads."""
+
+    q: float
+    signed_p: float
+    nu: int
+
+    def denominator(self, x: float) -> float:
+        return x ** self.nu + self.signed_p
+
+
+def _float_spec(eq: EquationSpec) -> Optional[_FloatSpec]:
+    """eq in floats, or None where p or q overflows a float."""
+    try:
+        return _FloatSpec(float(eq.q), float(eq.sign * eq.p), eq.nu)
+    except OverflowError:
+        return None
+
+
+def _float_sign(predicate: SignPredicate, spec: _FloatSpec, x) -> Optional[int]:
+    """The predicate's sign in floats, a proposal only: 0 where it is NaN,
+    None outside the region or where a float overflows."""
+    try:
+        return predicate(spec, float(x))
+    except ArithmeticError:
+        return None
+
+
+def _round_and_certify(eq: EquationSpec, predicate: SignPredicate, a: Fraction, b: Fraction,
+                       side: int, levels: int) -> Tuple[Fraction, Fraction]:
+    """Floats propose, certified signs decide (Ziv's round-and-certify, ACM
+    TOMS 17(3), 1991).  The certified sign is side at a and -side at b and
+    changes once between them.  Plain floats bisect the dyadic cells
+    a + (b - a)*[j, j+1]/2**levels, stopping early where a probe no longer
+    falls strictly inside its cell; a probe whose float sign is 0 or None (an
+    overflow) is decided by its certified sign instead.  The cell reached is
+    returned, a's side first, only once _certified_sign confirms side at one
+    end and -side at the other (a certified 0 returns (x, x)); else (a, b)
+    is returned.  A confirmed cell holds the one sign change, so it is the
+    cell that the certified bisection of (a, b) passes through at that level."""
+    spec = _float_spec(eq)
+    try:
+        x_a, span = float(a), float(b - a)
+    except OverflowError:
+        return a, b
+    step, top = (b - a) / 2 ** levels, 2 ** levels
+    lo, hi, x_lo, x_hi = 0, top, x_a, x_a + span  # cells by index: side at lo, -side at hi
+    certified = {lo: side, hi: -side}
+    while spec is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = x_a + span * math.ldexp(mid, -levels)
+        if not min(x_lo, x_hi) < x < max(x_lo, x_hi):
+            break
+        s = _float_sign(predicate, spec, x)
+        if not s:
+            s = certified[mid] = _certified_sign(predicate, eq, a + step * mid)
+            if not s:  # a certified 0 (the sign change), or None outside the region
+                return (a + step * mid,) * 2 if s == 0 else (a, b)
+        lo, hi, x_lo, x_hi = (mid, hi, x, x_hi) if s == side else (lo, mid, x_lo, x)
+    if hi - lo == top:
+        return a, b
+    cell = []
+    for index, want in ((lo, side), (hi, -side)):
+        x = a + step * index
+        s = certified[index] if index in certified else _certified_sign(predicate, eq, x)
+        if s == 0:
+            return x, x
+        if s != want:
+            return a, b
+        cell.append(x)
+    return cell[0], cell[1]
 
 
 def _stable(eq: EquationSpec) -> int:
@@ -117,6 +230,20 @@ def _stable(eq: EquationSpec) -> int:
 def _split_point(eq: EquationSpec) -> Fraction:
     """-c of _stable for even nu on minus."""
     return -eq.q * (eq.nu + 1) / (eq.p * eq.nu)
+
+
+def _dyadic_start(eq: EquationSpec) -> Fraction:
+    """A short dyadic rational strictly between the two even-nu roots on
+    minus: -c of _split_point rounded to 1, 2, 4, ..., 32 significant bits,
+    the first at which the certified polynomial sign is still +1; -c itself
+    where none is."""
+    c = _split_point(eq)
+    for bits in (1, 2, 4, 8, 16, 32):
+        scale = Fraction(2) ** (bits - c.numerator.bit_length() + c.denominator.bit_length())
+        start = round(c * scale) / scale
+        if _certified_sign(_equilibrium_sign, eq, start) == 1:
+            return start
+    return c
 
 
 def _bracket(x: float) -> Bracket:
@@ -149,8 +276,8 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     elif (count := _stable(eq)) <= 0:
         roots = [float(_split_point(eq))] if count == 0 else []
     else:
-        # from -1, between the roots where q < p-1, the bisection stays dyadic
-        start = -one if q < p - 1 else _split_point(eq)
+        # from -1 or a short dyadic between the roots, the bisection stays dyadic
+        start = -one if q < p - 1 else _dyadic_start(eq)
         roots = [_rounded_root(eq, start, half), _rounded_root(eq, start, double)]
         if roots[0] == roots[1]:
             raise ValueError(f"two equilibria round to the one float {roots[0]!r}")
@@ -251,15 +378,31 @@ def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> 
         return predicate(eq, x)
 
 
-def _cycle_search(
-    eq: EquationSpec, predicate: SignPredicate, grids: Sequence[Sequence[Fraction]], tol: float
-) -> Fraction:
+def _cycle_search(eq: EquationSpec, predicate: SignPredicate,
+                  grids: Sequence[Sequence[Fraction]], tol: float, one_change: bool) -> Fraction:
     """Cycle point phi: the first zero of the certified sign on an ascending
     grid, or its first consecutive (+, -) pair (skipping None) bisected to
     width min(tol, 1e-12).  A grid is scanned only when the grids before it
     hold no bracket.  The criterion has already proved that a cycle exists,
-    so when no grid holds a bracket the search refuses with ValueError."""
+    so when no grid holds a bracket the search refuses with ValueError.
+
+    Floats propose, certified signs decide.  Where one_change holds (on
+    every grid the sign changes once, from + to -, and None comes only after
+    it: g above the equilibrium, by negative Schwarzian derivative, and h in
+    the mixed region, strictly decreasing where it is positive; see
+    _positive_root and _mixed_root), floats propose the grid's first
+    adjacent (+, -) pair: a certified (+, -) there is the pair the scan
+    would find, since every earlier point is +, and a certified 0 at either
+    point is the scan's zero.  Elsewhere, and where a certificate disagrees
+    or floats propose no pair, the certified scan decides."""
     for grid in grids:
+        pair = _float_pair(eq, predicate, grid) if one_change else None
+        if pair is not None:
+            signs = [_certified_sign(predicate, eq, point) for point in pair]
+            if 0 in signs:
+                return pair[signs.index(0)]
+            if signs == [1, -1]:
+                return _bisect_sign(eq, predicate, *pair, tol)
         lo: Optional[Fraction] = None  # last grid point with sign +1
         for point in grid:
             s = _certified_sign(predicate, eq, point)
@@ -273,11 +416,35 @@ def _cycle_search(
     raise ValueError(_UNLOCATED)
 
 
+def _float_pair(eq: EquationSpec, predicate: SignPredicate,
+                grid: Sequence[Fraction]) -> Optional[Tuple[Fraction, Fraction]]:
+    """The first adjacent grid points whose float signs are + and then - or 0
+    (a float 0 may be an underflow), or None."""
+    spec = _float_spec(eq)
+    if spec is None:
+        return None
+    last, last_sign = None, None
+    for point in grid:
+        s = _float_sign(predicate, spec, point)
+        if last_sign == 1 and s is not None and s <= 0:
+            return last, point
+        last, last_sign = point, s
+    return None
+
+
 def _bisect_sign(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: Fraction,
                  tol: float) -> Fraction:
-    """A zero of the certified sign in (lo, hi), where it is +1 at lo and -1 at hi."""
+    """A zero of the certified sign in (lo, hi), where it is +1 at lo and -1
+    at hi, and changes once between them: the midpoint of the dyadic cell of
+    width below min(tol, 1e-12) (at most 80 halvings) that holds the change,
+    or a point where the sign is 0 or None.  Floats propose that cell
+    (_round_and_certify) and the certified bisection goes on from the bracket
+    that comes back: the cell, or (lo, hi) where the certificate fails."""
     width = Fraction(min(tol, 1e-12))
-    for _ in range(80):
+    levels = min(80, max(1, ((hi - lo) // width).bit_length()))
+    cell = (hi - lo) / 2 ** levels
+    lo, hi = _round_and_certify(eq, predicate, lo, hi, 1, levels)
+    while hi - lo > cell:
         mid = (lo + hi) / 2
         s = _certified_sign(predicate, eq, mid)
         if s is None or s == 0:
@@ -286,8 +453,6 @@ def _bisect_sign(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: F
             lo = mid
         else:
             hi = mid
-        if hi - lo < width:
-            break
     return (lo + hi) / 2
 
 
@@ -321,13 +486,19 @@ def _positive_root(eq: EquationSpec, tol: float) -> Fraction:
     """Cycle point of the plus branch inside (equilibrium, q/p].  The map is
     decreasing on positive values, so the cycle straddles the equilibrium
     x = q/(p + x**nu) < q/p.  The grid ends at q/p, where g < 0 strictly
-    (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive point has a bracket."""
+    (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive point has a bracket.
+    g changes sign once above the equilibrium: with negative Schwarzian
+    derivative the only fixed points of f(f(x)) are psi < equilibrium < phi,
+    so g > 0 on (equilibrium, phi) and g < 0 beyond phi.  A certified
+    positive equilibrium polynomial at the first grid point puts the whole
+    grid above the equilibrium, and lets floats propose the pair."""
     xbar = Fraction(equilibria(eq)[0].value)
     hi = eq.q / eq.p
     offsets = {Fraction(1, 10 ** k) for k in range(1, 10)}
     offsets |= {Fraction(j, 64) for j in range(1, 65)}
     grid = [xbar + (hi - xbar) * tau for tau in sorted(offsets)]
-    return _cycle_search(eq, _second_iterate_sign, [grid], tol)
+    above = _certified_sign(_equilibrium_sign, eq, grid[0]) > 0  # and every later grid point
+    return _cycle_search(eq, _second_iterate_sign, [grid], tol, one_change=above)
 
 
 def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
@@ -345,7 +516,12 @@ def _mixed_root(eq: EquationSpec, tol: float) -> Fraction:
     alpha.  No equilibrium can enter this region (alpha**nu > p forces the
     equilibrium polynomial negative), so any root is a genuine prime cycle.
     A second grid, down to -top*(1 + 10**-16) for an exact top >= p**(1/nu),
-    seeks a root closer to the edge than the first grid's nearest point."""
+    seeks a root closer to the edge than the first grid's nearest point.
+    The sign changes once in the region, so floats may propose the pair: as
+    alpha rises to the edge B = q/(alpha**nu - p) grows, so h(alpha) =
+    alpha*(B**nu - p) - q = |alpha|*(p - B**nu) - q is strictly decreasing
+    where B**nu < p, and negative where B**nu >= p; the region is
+    alpha < -p**(1/nu), so None follows every sign on an ascending grid."""
     p, q, nu = eq.p, eq.q, eq.nu
     edge = float(p) ** (1.0 / nu)
     far = max(float(q / p) + 2.0, edge + 2.0, 4.0)
@@ -366,7 +542,8 @@ def _mixed_root(eq: EquationSpec, tol: float) -> Fraction:
     while top ** nu < p:
         top = Fraction(math.nextafter(float(top), math.inf))
     nearer = [-top * (1 + Fraction(1, 10 ** k)) for k in range(10, 17)]
-    return _cycle_search(eq, _psi_sign, [sorted(set(grid + near)), sorted(near + nearer)], tol)
+    return _cycle_search(eq, _psi_sign, [sorted(set(grid + near)), sorted(near + nearer)], tol,
+                         one_change=True)
 
 
 def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwoCycle]:

@@ -693,6 +693,136 @@ def test_period_two_sign_work(monkeypatch):
         assert total > 0 and exact <= 4, (eq, total, exact)
 
 
+# --- float proposals, certified decisions --------------------------------------------
+
+PROPOSED = ("_rounded_root", "_cycle_search", "_bisect_sign")
+
+
+def _tangent_q(p, nu):
+    """The float tangency value q* of nu^nu p^(nu+1) = q^nu (nu-1)^(nu+1)."""
+    return nu * float(p) ** ((nu + 1) / nu) / (nu - 1) ** ((nu + 1) / nu)
+
+
+def _proposal_cells():
+    rng = random.Random(22)
+
+    def rational():
+        return Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 7)))
+
+    cells = [EquationSpec(rng.choice(list(Branch)), rational(), rational(), rng.randint(1, 60))
+             for _ in range(40)]
+    for e in range(3, 17):  # near the flip tangency, where float proposals often fail
+        nu, p = rng.randint(2, 12), rng.choice((1, 2, 3, Fraction(1, 2), Fraction(5, 3)))
+        q = Fraction(_tangent_q(p, nu)) * (1 + rng.choice((1, -1)) * Fraction(1, 10 ** e))
+        cells.append(EquationSpec(Branch.PLUS if nu % 2 == 0 else rng.choice(list(Branch)), p, q, nu))
+    for _ in range(8):  # the mixed region near its edge -p**(1/nu)
+        q = rng.choice((Fraction(1, 1000), 1, 7, 1000))
+        cells.append(EquationSpec.minus(10 ** rng.randint(0, 20), q, rng.choice((2, 4, 6, 8, 10, 20))))
+    # floats propose a pair that the certificate refutes: (-, -) at (1, 2 + 2e-13, 2), (+, +) at
+    # (2, 2**2.5*(1 + 1e-13), 2); (1e6, 1/1000, 60): a float B**nu overflows on the mixed grid
+    tangent = Fraction(_tangent_q(2, 2))
+    return cells + [EquationSpec.plus(1, 2 + Fraction(2, 10 ** 13), 2),
+                    EquationSpec.plus(2, tangent * (1 + Fraction(1, 10 ** 13)), 2),
+                    EquationSpec.plus(1, Fraction(3, 2), 1600),
+                    EquationSpec.minus(10 ** 6, Fraction(1, 1000), 60)]
+
+
+# Equilibria alone: from nu ~ 1750 a float probe 1.5**nu of the bracket [1, 2]
+# overflows and its certified sign stands in; the overflow goldens' cycle
+# searches are never reached (approx_form overflows first) and take ~20 s.
+OVERFLOW_EQUILIBRIA = [EquationSpec.plus(2, 5, 2000), EquationSpec.minus(3, 1, 1800),
+                       EquationSpec.plus(Fraction(1, 10), 10, 1800),
+                       EquationSpec.plus(Fraction(1, 10), 10, 200),
+                       EquationSpec.minus(Fraction(1, 10), 10, 200),
+                       EquationSpec.plus(Fraction(1, 10), 10, 400)]
+
+
+def _search(eq):
+    """equilibria(eq), then the cycle search where a cycle exists."""
+    mixed = eq.branch is Branch.MINUS and eq.nu % 2 == 0
+    runs = [lambda: equilibria(eq)]
+    if mixed:
+        runs.append(lambda: analysis._mixed_root(eq, 1e-10))
+    elif analysis._stable(eq) < 0:
+        runs.append(lambda: analysis._positive_root(EquationSpec.plus(eq.p, eq.q, eq.nu), 1e-10))
+    for run in runs:
+        try:
+            run()
+        except ValueError:  # two roots that round to one float, or an unlocated cycle
+            pass
+
+
+def _outcome(fn, *args, **kwargs):
+    """("value", what fn returns) or ("ValueError", the args it raises)."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except ValueError as error:
+        return "ValueError", error.args
+
+
+def _record(calls, name, fn):
+    def recorded(*args, **kwargs):
+        kind, result = outcome = _outcome(fn, *args, **kwargs)
+        calls.append((name, args, kwargs, outcome))
+        if kind == "ValueError":
+            raise ValueError(*result)
+        return result
+    return recorded
+
+
+def test_float_proposals_change_no_result(monkeypatch):
+    # Every call of the three functions floats propose for, replayed with the
+    # proposals off (test-only: _float_spec patched to None, so only the
+    # certified scan and bisection run), returns the same Fraction or float.
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in PROPOSED:
+            patch.setattr(analysis, name, _record(calls, name, getattr(analysis, name)))
+        for eq in _proposal_cells():
+            _search(eq)
+        for eq in OVERFLOW_EQUILIBRIA:
+            equilibria(eq)
+    assert {call[0] for call in calls} == set(PROPOSED)
+    monkeypatch.setattr(analysis, "_float_spec", lambda eq: None)
+    for name, args, kwargs, (kind, result) in calls:
+        certified_kind, certified = _outcome(getattr(analysis, name), *args, **kwargs)
+        assert (certified_kind, type(certified), certified) == (kind, type(result), result), (name, args)
+
+
+def test_float_level_cells_end_on_floats():
+    # _rounded_root's float probes are the exact cell ends at _float_level
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 40)
+        odd = rng.getrandbits(k) | 1 | 1 << (k - 1)
+        x = rng.choice((1, -1)) * Fraction(odd) * Fraction(2) ** rng.randint(-60, 60)
+        levels = analysis._float_level(x)
+        for b in (2 * x, x / 2):
+            for j in (0, 1, 2 ** levels - 1, rng.randrange(2 ** levels)):
+                end = x + (b - x) * Fraction(j, 2 ** levels)
+                assert Fraction(float(x) + float(b - x) * math.ldexp(j, -levels)) == end, (x, b, j)
+    assert analysis._float_level(Fraction(1)) == 52 and analysis._float_level(Fraction(1, 3)) == 0
+
+
+def _certified_signs(monkeypatch, eq):
+    counted = []
+    certify = analysis._certified_sign
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_certified_sign", lambda *args: counted.append(args) or certify(*args))
+        assert solve_period_two(eq) is not None
+    return len(counted)
+
+
+def test_period_two_certifies_only_the_proposals(monkeypatch):
+    # The certified-only path takes 164 and 134 certified signs on these
+    # cells; a proposal that silently fell back to it would fail here.
+    for eq in (EquationSpec.plus(1, 4, 48), EquationSpec.minus(3, 1, 40)):
+        assert _certified_signs(monkeypatch, eq) <= 20, eq
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_float_spec", lambda eq: None)
+            assert _certified_signs(patch, eq) > 100, eq
+
+
 def test_period_two_tol_validation():
     with pytest.raises(ValueError):
         solve_period_two(EquationSpec.plus(1, 2, 3), tol=0)
