@@ -11,24 +11,35 @@ SIGPIPE killed) when the reader of stdout closed it first, with nothing on
 stderr.  Exact rationals render as num/den strings, floats with 17
 significant digits; both round-trip losslessly.
 
-A table holds columns, not rows.  `render` gives each column one conversion
-by the types of its cells (`%d` ints, `%.17g` floats, `%s` Fractions, `%s` over
-`fmt` texts otherwise) and formats BLOCK_ROWS rows at a time with one `%` of
-the repeated row template, so a long orbit runs no Python code per cell and
-only one block's cells are alive beside the document.  A float block whose
-cells repeat two objects, as the tail of an orbit that `dynamics.iterate`
-found periodic, formats those two once and places their texts under `%s`;
-the test is by identity, since 0.0 == -0.0 but they print differently.  The
-layers are imported by the subcommands that use them.
+The exact exports (`simulate --plane exact`, `closed-form`, `forbidden`,
+`products`) run the library's integer sweeps on integral Decimals under
+`_EXACT` and make each value's num/den text as it comes (`_as_texts`), so
+no big binary integer is ever converted to decimal: `str(Decimal)` is linear
+in the digits, CPython's int->str quadratic.  A value with more digits than
+the int->str limit is refused (DigitLimit) before the steps after it.
+
+A table holds columns, not rows.  `render` gives each column of a block one
+conversion by the types of its cells (`%d` ints, `%.17g` floats, `%s`
+Fractions and the texts of a `_Texts` column, all three quoted in JSON; `%s`
+over `fmt` texts otherwise, encoded in JSON) and formats BLOCK_ROWS rows at a
+time with one `%` of the repeated row template, so a long orbit runs no
+Python code per cell and only one block's cells are alive beside the
+document.  A block whose column repeats
+two objects in turn, as the tail of an orbit that `dynamics.iterate` found
+periodic, formats those two once, into a two-row template; the test is by
+identity, since 0.0 == -0.0 but they print differently.  The layers are
+imported by the subcommands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import operator
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,6 +56,11 @@ EXIT_BROKEN_PIPE = 141
 
 BLOCK_ROWS = 4096  # rows joined at a time by `render`
 _NU_MAX = 20000
+
+# Integer arithmetic on decimal digits: a result it would round raises instead.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                decimal.Overflow, decimal.Inexact, decimal.Rounded])
 
 
 def fmt(value) -> str:
@@ -100,6 +116,12 @@ def _branch_arg(text: str) -> Branch:
         raise argparse.ArgumentTypeError("branch must be 'plus' or 'minus'") from exc
 
 
+class _Texts(list):
+    """A column of the num/den texts `_as_texts` makes.  They hold only
+    digits, '-' and '/', so `render` formats them as the Fractions they
+    spell: a JSON cell is the text in quotes, with nothing to escape."""
+
+
 class Table(NamedTuple):
     """One subcommand's result, held by column.  `columns` maps each column
     name, in CSV order, to its cells: sliceable sequences of one length, such
@@ -115,44 +137,63 @@ class Table(NamedTuple):
     status: Optional[dict] = None
 
 
+def _conversion(kinds: set, json_text: bool):
+    """(conv, text) for cells of the types `kinds`: the `%` conversion of a
+    cell, and the function applied to each cell first, or None."""
+    if json_text:
+        from json.encoder import encode_basestring_ascii as encode
+    if kinds == {int}:
+        return "%d", None
+    if kinds == {float} or kinds == {Fraction}:
+        conv = "%.17g" if kinds == {float} else "%s"
+        return (f'"{conv}"' if json_text else conv), None
+    # an int stays a JSON number, any other cell a string
+    return "%s", (lambda v: str(v) if type(v) is int else encode(fmt(v))) if json_text else fmt
+
+
 def _row_blocks(table: Table, json_text: bool) -> List[str]:
     """Pieces whose concatenation is every row of `table`: CSV lines joined by
     newlines, or JSON records (keys sorted) joined by ", ".  A JSON cell that
     is not an int is a quoted string.  Only JSON loads `json`."""
     if json_text:
         from json.encoder import encode_basestring_ascii as encode
-    columns = []
-    for name, cells in sorted(table.columns.items()) if json_text else table.columns.items():
-        kinds = {int} if type(cells) is range else set(map(type, cells))
-        text = None
-        if kinds == {int}:
-            conv = "%d"
-        elif kinds == {float} or kinds == {Fraction}:
-            conv = "%.17g" if kinds == {float} else "%s"
-            conv = f'"{conv}"' if json_text else conv
-        else:
-            conv = "%s"  # an int stays a JSON number, any other cell a string
-            text = (lambda v: str(v) if type(v) is int else encode(fmt(v))) if json_text else fmt
-        head = f"{encode(name).replace('%', '%%')}: " if json_text else ""
-        columns.append((cells, head, conv, text, kinds == {float}))
+    columns = [(f"{encode(name).replace('%', '%%')}: " if json_text else "", cells)
+               for name, cells in (sorted if json_text else list)(table.columns.items())]
     sep = ", " if json_text else "\n"
-    width, rows = len(columns), min(map(len, table.columns.values()), default=0)
+    rows = min(map(len, table.columns.values()), default=0)
     pieces: List[str] = []
+    key = template = None  # the last block's row templates and count, and its template
     for start in range(0, rows, BLOCK_ROWS):
         count = min(BLOCK_ROWS, rows - start)
-        flat = [None] * (count * width)  # the block's cells, row by row
-        fields = []
-        for i, (column, head, conv, text, floats) in enumerate(columns):
+        parts, fields = [], ([], [])  # the cells to convert; the even and odd rows' fields
+        for head, column in columns:
             part = column[start:start + count]
-            if floats and count > 2 and all(map(operator.is_, part[2:], part)):
-                # a periodic orbit's tail (see dynamics.iterate): two objects,
-                # each formatted once.  By identity, not value: 0.0 == -0.0.
-                pair = format(part[0], ".17g"), format(part[1], ".17g")
-                part, conv = (pair * (count // 2 + 1))[:count], conv.replace(".17g", "s")
-            flat[i::width] = part if text is None else map(text, part)
-            fields.append(head + conv)
-        template = "{" + ", ".join(fields) + "}" if json_text else ",".join(fields)
-        block = sep.join([template] * count) % tuple(flat)
+            # Two objects in turn, as the tail of an orbit that dynamics.iterate
+            # found periodic, are each formatted once, into their row of a
+            # two-row template.  By identity, not value: 0.0 == -0.0.
+            pair = count > 2 and all(map(operator.is_, part[2:], part))
+            if type(part) is range:
+                kinds = {int}
+            elif type(column) is _Texts:
+                kinds = {Fraction}  # the texts str(Fraction) prints: formatted alike
+            else:
+                kinds = set(map(type, part[:2] if pair else part))
+            conv, text = _conversion(kinds, json_text)
+            if pair:
+                for row, cell in zip(fields, part):
+                    field = (head + conv) % (cell if text is None else text(cell),)
+                    row.append(field.replace("%", "%%"))
+                continue
+            parts.append(part if text is None else map(text, part))
+            for row in fields:
+                row.append(head + conv)
+        flat = [None] * (count * len(parts))  # the cells to convert, row by row
+        for i, part in enumerate(parts):
+            flat[i::len(parts)] = part
+        rows_of = ["{" + ", ".join(row) + "}" if json_text else ",".join(row) for row in fields]
+        if key != (rows_of, count):
+            key, template = (rows_of, count), sep.join((rows_of * (count // 2 + 1))[:count])
+        block = template % tuple(flat)
         pieces += [sep, block] if pieces else [block]
     return pieces
 
@@ -200,25 +241,43 @@ def _cmd_horadam(args) -> Tuple[int, Table]:
     return EXIT_OK, Table("series", {"n": range(args.start, args.stop + 1), "value": values})
 
 
+def _as_texts(sweep, *args):
+    """sweep(*args, Decimal, make) under _EXACT, an exact sweep of the library
+    run on integral Decimals.  make(n, d) is the text str(Fraction) prints for
+    a reduced pair n/d, n or n/d, and raises DigitLimit where n or d has more
+    digits than CPython's int->str limit (0: none)."""
+    limit = sys.get_int_max_str_digits()
+    top = limit - 1 if limit else decimal.MAX_EMAX  # the largest adjusted() that prints
+
+    def make(n: Decimal, d: Decimal) -> str:
+        if n.adjusted() > top or d.adjusted() > top:
+            raise DigitLimit(limit)
+        return str(n) if d == 1 else "%s/%s" % (n, d)
+
+    with decimal.localcontext(_EXACT):
+        return sweep(*args, Decimal, make)
+
+
 def _cmd_simulate(args) -> Tuple[int, Table]:
     from . import dynamics
 
     eq = EquationSpec(args.branch, args.p, args.q, args.nu)
-    plane = dynamics.Plane(args.plane)
-    x0 = args.x0 if plane is dynamics.Plane.EXACT else float(args.x0)
-    orbit = dynamics.iterate(eq, x0, args.steps, plane,
-                             max_digits=sys.get_int_max_str_digits())
-    status = {"kind": orbit.status.kind.value, "step": orbit.status.step}
-    rc = EXIT_OK if orbit.status.ok else EXIT_SINGULAR
-    return rc, Table("series", {"n": range(len(orbit.values)), "value": orbit.values},
-                     status=status)
+    if args.plane == "exact":
+        values, status = _as_texts(dynamics._exact_orbit, eq, args.x0, args.steps)
+        values = _Texts(values)
+    else:
+        orbit = dynamics.iterate(eq, float(args.x0), args.steps, dynamics.Plane.FLOAT)
+        values, status = orbit.values, orbit.status
+    rc = EXIT_OK if status.ok else EXIT_SINGULAR
+    return rc, Table("series", {"n": range(len(values)), "value": values},
+                     status={"kind": status.kind.value, "step": status.step})
 
 
 def _cmd_closed_form(args) -> Tuple[int, Table]:
     from . import closed_form
 
     eq = EquationSpec(args.branch, args.p, args.q, 1)
-    values = closed_form.closed_form_series(eq, args.x0, args.n)
+    values = _Texts(_as_texts(closed_form._series, eq, args.x0, args.n))
     return EXIT_OK, Table("series", {"n": range(len(values)), "value": values})
 
 
@@ -226,21 +285,19 @@ def _cmd_forbidden(args) -> Tuple[int, Table]:
     from . import closed_form
 
     eq = EquationSpec(args.branch, args.p, args.q, 1)
-    points = closed_form.forbidden_points(eq, args.depth)
-    return EXIT_OK, Table("forbidden", {"m": [pt.m for pt in points],
-                                        "value": [pt.value for pt in points]})
+    values = _Texts(_as_texts(closed_form._forbidden_values, eq, args.depth))
+    return EXIT_OK, Table("forbidden", {"m": range(1, len(values) + 1), "value": values})
 
 
 def _cmd_products(args) -> Tuple[int, Table]:
     from . import closed_form
 
     eq = EquationSpec(args.branch, args.p, args.q, 1)
-    result = closed_form.product_analysis(eq, args.x0, args.steps)
-    limit = "divergent" if result.predicted_limit is None else result.predicted_limit
-    meta = {"alternating": result.alternating, "predicted_limit": limit,
-            "regime": result.regime.value}
-    return EXIT_OK, Table("series", {"n": range(len(result.partials)), "value": result.partials},
-                          meta=meta)
+    regime, limit, alternating = closed_form._product_limit(eq, args.x0, args.steps)
+    partials = _Texts(_as_texts(closed_form._partial_products, eq, args.x0, args.steps))
+    meta = {"alternating": alternating, "predicted_limit": "divergent" if limit is None else limit,
+            "regime": regime.value}
+    return EXIT_OK, Table("series", {"n": range(len(partials)), "value": partials}, meta=meta)
 
 
 def _cmd_analyze(args) -> Tuple[int, Table]:

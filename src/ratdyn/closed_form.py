@@ -72,26 +72,39 @@ def forbidden_points(eq: EquationSpec, depth: int) -> List[ForbiddenPoint]:
 
     On the plus branch these are -W(m+1)/W(m); on the minus branch
     +W(m+1)/W(m).  Iterating forward from the depth-m point produces a zero
-    denominator at step m exactly, never earlier.  The ratios r(m) =
-    W(m+1)/W(m) follow r(1) = p, r(m) = p + q/r(m-1), so r(m) = q/u(m) for
-    the plus orbit u from 0; p, q > 0 keep every W(m) and u(m), m >= 1,
-    positive.  For u(m) = n/d in lowest terms, q/u(m) = qn*d / (qd*n) reduces
-    by gcd(qn, n)*gcd(qd, d).
+    denominator at step m exactly, never earlier.
+    """
+    values = _forbidden_values(eq, depth, int, dynamics._fraction)
+    return [ForbiddenPoint(m, value) for m, value in enumerate(values, 1)]
+
+
+def _forbidden_values(eq: EquationSpec, depth: int, num, make) -> list:
+    """The values of `forbidden_points`, each make(n, d) of a reduced pair of
+    the integer type `num` (see `dynamics._exact_pairs`).
+
+    The ratios r(m) = W(m+1)/W(m) follow r(1) = p, r(m) = p + q/r(m-1), so
+    r(m) = q/u(m) for the plus orbit u from 0; p, q > 0 keep every W(m) and
+    u(m), m >= 1, positive.  For u(m) = n/d in lowest terms, q/u(m) =
+    qn*d / (qd*n) reduces by gcd(qn, n)*gcd(qd, d).
     """
     _require_nu_one(eq)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     qn, qd, sign = eq.q.numerator, eq.q.denominator, -eq.sign
-    orbit = dynamics._exact_pairs(EquationSpec.plus(eq.p, eq.q), Fraction(0))
-    points = []
-    for m, (n, d, _) in enumerate(islice(orbit, depth), 1):
-        hn, hd = gcd(n % qn, qn), gcd(d % qd, qd)
+    orbit = dynamics._exact_pairs(EquationSpec.plus(eq.p, eq.q), Fraction(0), num)
+    values = []
+    for n, d, _ in islice(orbit, depth):
+        # factors 1 are skipped: a Decimal product or quotient by 1 still copies the digits
+        hn = gcd(int(n % qn), qn) if qn != 1 else 1
+        hd = gcd(int(d % qd), qd) if qd != 1 else 1
         if hn != 1:
             n //= hn
         if hd != 1:
             d //= hd
-        points.append(ForbiddenPoint(m, dynamics._fraction(sign * qn // hn * d, qd // hd * n)))
-    return points
+        top = d if qn == hn else qn // hn * d
+        bottom = n if qd == hd else qd // hd * n
+        values.append(make(top if sign > 0 else -top, bottom))
+    return values
 
 
 def forbidden_depth(eq: EquationSpec, x0: Rational, depth: int = 64) -> Optional[int]:
@@ -115,13 +128,19 @@ def closed_form_series(eq: EquationSpec, x0: Rational, n: int) -> List[Fraction]
     ForbiddenInitialCondition(m) for the first m <= n whose denominator
     vanishes.
     """
+    return _series(eq, as_fraction(x0), n, int, dynamics._fraction)
+
+
+def _series(eq: EquationSpec, x0: Fraction, n: int, num, make) -> list:
+    """The values of `closed_form_series`, each make(n, d) of a reduced pair of
+    the integer type `num` (see `dynamics._exact_pairs`)."""
     _require_nu_one(eq)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    orbit = dynamics.iterate(eq, x0, n)
-    if not orbit.status.ok:
-        raise ForbiddenInitialCondition(orbit.status.step)
-    return list(orbit.values)
+    values, status = dynamics._exact_orbit(eq, x0, n, num, make)
+    if not status.ok:
+        raise ForbiddenInitialCondition(status.step)
+    return values
 
 
 def solve_closed_form(eq: EquationSpec, x0: Rational, n: int) -> Fraction:
@@ -235,10 +254,19 @@ class ProductAnalysis(NamedTuple):
 
 def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnalysis:
     """Exact partial products prod(i=0..n) x(i) for n = 0..steps with limit data."""
+    x0 = as_fraction(x0)
+    regime, limit, alternating = _product_limit(eq, x0, steps)
+    partials = _partial_products(eq, x0, steps, int, dynamics._fraction)
+    return ProductAnalysis(regime, limit, alternating, tuple(partials))
+
+
+def _product_limit(eq: EquationSpec, x0: Fraction,
+                   steps: int) -> Tuple[Regime, Optional[Fraction], bool]:
+    """`product_analysis`'s regime, predicted limit and alternation, after
+    its checks of the arguments."""
     _require_nu_one(eq)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x0 = as_fraction(x0)
 
     # The repelling fixed point makes the product formula denominator vanish
     # in the limit; it is representable by a rational x0 only when the
@@ -247,18 +275,18 @@ def product_analysis(eq: EquationSpec, x0: Rational, steps: int) -> ProductAnaly
     if phi_plus is not None and x0 == -eq.sign * phi_plus:
         raise SingularInput(f"initial condition {x0} is the repelling fixed point")
 
-    partials = _partial_products(eq, x0, steps)
     diff = eq.p - (eq.q - 1)
     if diff > 0:
-        return ProductAnalysis(Regime.P_GREATER_QM1, Fraction(0), False, partials)
+        return Regime.P_GREATER_QM1, Fraction(0), False
     if diff < 0:
-        return ProductAnalysis(Regime.P_LESS_QM1, None, False, partials)
-    return ProductAnalysis(Regime.P_EQUAL_QM1, x0 * (eq.q + 1) / (eq.q + eq.sign * x0),
-                           eq.sign < 0, partials)
+        return Regime.P_LESS_QM1, None, False
+    return Regime.P_EQUAL_QM1, x0 * (eq.q + 1) / (eq.q + eq.sign * x0), eq.sign < 0
 
 
-def _partial_products(eq: EquationSpec, x0: Fraction, steps: int) -> Tuple[Fraction, ...]:
-    """P(0), ..., P(steps) with P(k) = x(0)*...*x(k), from the integer sweep.
+def _partial_products(eq: EquationSpec, x0: Fraction, steps: int, num, make) -> list:
+    """P(0), ..., P(steps) with P(k) = x(0)*...*x(k), from the integer sweep,
+    each make(n, d) of a reduced pair of the integer type `num` (see
+    `dynamics._exact_pairs`).
 
     `dynamics._exact_step` gives x(k+1) = N/D with N*g = +-c*D(k), c = qn*pd,
     so the product telescopes: P(k) = sign * alpha / (beta*D(k)), where
@@ -272,36 +300,43 @@ def _partial_products(eq: EquationSpec, x0: Fraction, steps: int) -> Tuple[Fract
     """
     n0 = x0.numerator
     c = eq.q.numerator * eq.p.denominator
-    sign, alpha, beta, smooth = (-1 if n0 < 0 else 1), abs(n0), 1, abs(n0) * c
-    partials = [x0]
-    append, fraction = partials.append, dynamics._fraction
-    for n, d, g in islice(dynamics._exact_pairs(eq, x0), steps):
+    sign, alpha, beta, smooth = (-1 if n0 < 0 else 1), num(abs(n0)), num(1), abs(n0) * c
+    first = make(num(n0), num(x0.denominator))
+    partials = [first]
+    append = partials.append
+    for n, d, g in islice(dynamics._exact_pairs(eq, x0, num), steps):
         if not n0:
-            append(x0)  # every product of an orbit from 0 is 0
+            append(first)  # every product of an orbit from 0 is 0
             continue
         if n < 0:
             sign = -sign
         up = c
         if g != 1:
-            h = gcd(alpha % g, g)
+            h = gcd(int(alpha % g), g)
             alpha, g = alpha // h, g // h
             h = gcd(up, g)
             up, g = up // h, g // h
-        h = gcd(beta % up, up)
-        if h != 1:
-            beta, up = beta // h, up // h
-        alpha, beta = alpha * up, beta * g
+        # Factors 1 are skipped, since a Decimal product by 1 still copies the
+        # digits.  beta is usually 1: g = 1 at nearly every step.
+        if beta != 1:
+            h = gcd(int(beta % up), up)
+            if h != 1:
+                beta, up = beta // h, up // h
+        if up != 1:
+            alpha = alpha * up
+        if g != 1:
+            beta = beta * g
         # every prime common to a and d divides h
-        a, h = alpha, gcd(d % smooth, smooth)
+        a, h = alpha, gcd(int(d % smooth), smooth)
         while h != 1:
-            h = gcd(a % h, h)
+            h = gcd(int(a % h), h)
             if h != 1:
                 a, d = a // h, d // h
-                h = gcd(d % h, h)
-        append(fraction(sign * a, beta * d))
+                h = gcd(int(d % h), h)
+        append(make(a if sign > 0 else -a, d if beta == 1 else beta * d))
     if len(partials) <= steps:
         raise ForbiddenInitialCondition(len(partials))
-    return tuple(partials)
+    return partials
 
 
 def reconstruct_horadam(p: Rational, q: Rational, k: int, n: int) -> Fraction:

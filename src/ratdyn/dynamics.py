@@ -1,8 +1,8 @@
 """Forward iteration of either equation in exact or floating arithmetic.
 
-The exact plane carries each iterate as a reduced pair (N, D) of ints with
-D > 0.  Write p = pn/pd, q = qn/qd and s = +1 (plus) or -1 (minus).  One step
-(`_exact_step`) forms
+The exact plane carries each iterate as a reduced pair (N, D) of integers
+with D > 0.  Write p = pn/pd, q = qn/qd and s = +1 (plus) or -1 (minus).  One
+step (`_exact_step`) forms
 
     E = s*pn*qd*D**nu + pd*qd*N**nu,    num = qn*pd*D**nu,
 
@@ -10,11 +10,14 @@ so the next iterate is num/E, and E = 0 exactly where the map's denominator
 vanishes.  Since gcd(N, D) = 1, gcd(E, D**nu) divides pd*qd, so the common
 factor g of num and E divides M = qn*pd**2*qd.  Hence g = gcd(g0, num mod g0)
 with g0 = gcd(E mod M, M): two gcds against small numbers, never one of two
-big operands, which is what `Fraction` arithmetic would pay per step.  Each
-value becomes a Fraction through `_fraction`, which takes no further gcd.
-For nu >= 2 the size of exact iterates grows geometrically (each step raises
-the previous denominator to the nu-th power), so exact runs are practical
-only for short orbits; nu = 1 stays linear-sized for thousands of steps.
+big operands, which is what `Fraction` arithmetic would pay per step.  The
+step is generic in its integer type: `_exact_pairs` runs it on ints, which
+`iterate` makes into Fractions through `_fraction` with no further gcd, or on
+integral `decimal.Decimal`s, which the CLI prints in time linear in their
+digits (it supplies the exact context they need).  For nu >= 2 the size of
+exact iterates grows geometrically (each step raises the previous
+denominator to the nu-th power), so exact runs are practical only for short
+orbits; nu = 1 stays linear-sized for thousands of steps.
 
 `iterate` converts nu, sign*p, q and the float guard to the plane's number
 kind once per orbit, so a float step is one power, one add, the guard test
@@ -25,10 +28,11 @@ is increasing and a bounded orbit settles on an equilibrium or a two-cycle
 (the odd-nu minus branch mirrors this on the negative one).  Once an iterate
 equals the one two steps before it, x(k) == x(k-2), the orbit is exactly
 periodic from there: x(k+1) = f(x(k)) = f(x(k-2)) = x(k-1), and so on.
-`iterate` tests for that every 1024 steps (_CYCLE_CHECK_STEPS), stops
-stepping once it holds, and fills the remaining steps by repeating the last
-two values, the same objects.  Float orbits usually reach such a k within a few thousand
-steps; near the flip tangency they converge too slowly to.
+`_record`, the loop of `iterate` and of the CLI's exact orbits, tests for
+that every 1024 steps (_CYCLE_CHECK_STEPS), stops stepping once it holds,
+and fills the remaining steps by repeating the last two values, the same
+objects.  Float orbits usually reach such a k within a few thousand steps;
+near the flip tangency they converge too slowly to.
 """
 
 from __future__ import annotations
@@ -37,31 +41,15 @@ from enum import Enum
 from fractions import Fraction
 from itertools import cycle, islice
 from math import gcd
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .equation import Branch, EquationSpec, as_fraction
+from .equation import Branch, EquationSpec, _fraction, as_fraction
 from .errors import DigitLimit, NearSingularity, ZeroDenominator
 
 NEAR_SINGULAR_FACTOR = 1e-12
 _CYCLE_CHECK_STEPS = 1024  # steps between `iterate`'s tests for an exact cycle
 
 Value = Union[Fraction, float]
-
-
-def _coprime_constructor(cls):
-    """The cheapest way to build a `cls` from a coprime pair (n, d) with d > 0:
-    the private gcd-free form this Python has, else the public constructor,
-    which is slower but takes any pair."""
-    if hasattr(cls, "_from_coprime_ints"):  # Python 3.12 and later
-        return cls._from_coprime_ints
-    try:
-        cls(1, 1, _normalize=False)  # Python 3.10 and 3.11
-    except TypeError:
-        return cls
-    return lambda n, d: cls(n, d, _normalize=False)
-
-
-_fraction: Callable[[int, int], Fraction] = _coprime_constructor(Fraction)
 
 
 class Plane(Enum):
@@ -84,34 +72,40 @@ class OrbitStatus(NamedTuple):
         return self.kind is StatusKind.COMPLETED
 
 
-_Rule = Tuple[int, int, int, int, int]  # (nu, s*pn*qd, pd*qd, qn*pd, M = qn*pd**2*qd)
+_Rule = tuple  # (nu, s*pn*qd, pd*qd, qn*pd, M = qn*pd**2*qd), M an int
 
 
-def _exact_step(rule: _Rule, n: int, d: int) -> Optional[Tuple[int, int, int]]:
-    """The map on a reduced pair n/d: (N, D, g) with N/D its image in lowest
-    terms, D > 0, and g the factor divided out of (num, |E|); None where E = 0."""
+def _exact_step(rule: _Rule, n, d):
+    """The map on a reduced pair n/d of ints or integral Decimals: (N, D, g)
+    with N/D its image in lowest terms, D > 0, and g the int factor divided
+    out of (num, |E|); None where E = 0.  The remainders go through `int`
+    for `gcd`; a Decimal's takes the sign of E, which gcd ignores."""
     nu, sp, a, c, m = rule
     if nu != 1:
         n, d = n ** nu, d ** nu
-    e = sp * d + a * n
+    # A factor 1 is skipped, since a Decimal product by 1 still copies the digits.
+    e = sp * d + (n if a == 1 else a * n)
     if not e:
         return None
+    if m == 1:  # then c = 1, and no factor divides out
+        return (d, e, 1) if e > 0 else (-d, -e, 1)
     num = c * d
-    g = gcd(e % m, m)
+    g = gcd(int(e % m), m)
     if g != 1:
-        g = gcd(num % g, g)
+        g = gcd(int(num % g), g)
         if g != 1:
             num //= g
             e //= g
     return (num, e, g) if e > 0 else (-num, -e, g)
 
 
-def _exact_pairs(eq: EquationSpec, x: Fraction) -> Iterator[Tuple[int, int, int]]:
-    """The exact orbit after x as `_exact_step` triples (N, D, g), one per step;
-    it ends before the first step whose denominator vanishes."""
+def _exact_pairs(eq: EquationSpec, x: Fraction, num=int) -> Iterator[tuple]:
+    """The exact orbit after x as `_exact_step` triples (N, D, g), one per step,
+    with N and D of the integer type `num` (int, or Decimal run under an exact
+    decimal context); it ends before the first step whose denominator vanishes."""
     pn, pd, qn, qd = eq.p.numerator, eq.p.denominator, eq.q.numerator, eq.q.denominator
-    rule: _Rule = eq.nu, eq.sign * pn * qd, pd * qd, qn * pd, qn * pd * pd * qd
-    n, d = x.numerator, x.denominator
+    rule: _Rule = eq.nu, num(eq.sign * pn * qd), num(pd * qd), num(qn * pd), qn * pd * pd * qd
+    n, d = num(x.numerator), num(x.denominator)
     while True:
         image = _exact_step(rule, n, d)
         if image is None:
@@ -134,16 +128,13 @@ class Orbit(NamedTuple):
         return len(self.values) - 1
 
 
-def _exact_values(eq: EquationSpec, x: Fraction, max_digits: int) -> Iterator[Fraction]:
-    """The exact plane of `iterate`: the iterates after x, ending before a
-    vanishing denominator."""
-    # an integer of more bits than this is >= 2**budget > 10**max_digits,
-    # since 3.3219280949 > log2(10)
-    budget = -(-max_digits * 33219280949 // 10 ** 10)
-    for n, d, _ in _exact_pairs(eq, x):
-        if budget and max(n.bit_length(), d.bit_length()) > budget:
-            raise DigitLimit(max_digits)
-        yield _fraction(n, d)
+def _exact_orbit(eq: EquationSpec, x: Fraction, steps: int, num,
+                 make) -> Tuple[list, OrbitStatus]:
+    """`iterate`'s exact plane from x on integers of the type `num` (see
+    `_exact_pairs`): (values, status), each value make(n, d) of a reduced pair."""
+    after = (make(n, d) for n, d, _ in _exact_pairs(eq, x, num))
+    first = make(num(x.numerator), num(x.denominator))
+    return _record(first, after, steps, StatusKind.HIT_SINGULARITY)
 
 
 def _float_values(eq: EquationSpec, x: float) -> Iterator[float]:
@@ -162,11 +153,15 @@ def _float_values(eq: EquationSpec, x: float) -> Iterator[float]:
 
 def step(eq: EquationSpec, x: Value) -> Value:
     """One map step: `iterate`'s first value, exact for Fraction/int input, guarded for float."""
-    exact = isinstance(x, (Fraction, int))
-    image = next(_exact_values(eq, x, 0) if exact else _float_values(eq, float(x)), None)
+    if isinstance(x, (Fraction, int)):
+        image = next(_exact_pairs(eq, x), None)
+        if image is None:
+            raise ZeroDenominator("zero denominator")
+        n, d, _ = image
+        return _fraction(n, d)
+    image = next(_float_values(eq, float(x)), None)
     if image is None:
-        raise ZeroDenominator("zero denominator") if exact else \
-            NearSingularity("denominator within guard band of zero")
+        raise NearSingularity("denominator within guard band of zero")
     return image
 
 
@@ -178,9 +173,9 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
     HIT_SINGULARITY(k) / NEAR_SINGULAR(k) the value at index k is undefined
     and the recorded values end at index k-1.  The exact plane converts x0
     with `as_fraction`, so a float seed raises TypeError there.  With
-    `max_digits` > 0 the exact plane raises DigitLimit at the first iterate
-    whose numerator or denominator certainly has more than `max_digits`
-    digits, instead of computing the steps after it.
+    `max_digits` > 0 the exact plane raises DigitLimit at the first value,
+    x0 included, whose numerator or denominator certainly has more than
+    `max_digits` digits, instead of computing the steps after it.
 
     Every 1024 steps (_CYCLE_CHECK_STEPS), and at the last, it tests
     x(k) == x(k-2).  If that holds, the orbit is periodic, and the values
@@ -190,15 +185,34 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
     stepping would give.  Testing between runs of steps, not after each one,
     keeps the loop of an orbit that never repeats as fast as without the test.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     if plane is Plane.EXACT:
-        x: Value = as_fraction(x0)
-        after, stop = _exact_values(eq, x, max_digits), StatusKind.HIT_SINGULARITY
+        make = _fraction
+        if max_digits:
+            # an integer of more bits than this is >= 2**budget > 10**max_digits,
+            # since 3.3219280949 > log2(10)
+            budget = -(-max_digits * 33219280949 // 10 ** 10)
+
+            def make(n: int, d: int) -> Fraction:
+                if max(n.bit_length(), d.bit_length()) > budget:
+                    raise DigitLimit(max_digits)
+                return _fraction(n, d)
+
+        values, status = _exact_orbit(eq, as_fraction(x0), steps, int, make)
     else:
         x = float(x0)
-        after, stop = _float_values(eq, x), StatusKind.NEAR_SINGULAR
-    values: List[Value] = [x]
+        values, status = _record(x, _float_values(eq, x), steps, StatusKind.NEAR_SINGULAR)
+    return Orbit(eq=eq, x0=x0, values=tuple(values), status=status, plane=plane)
+
+
+def _record(x, after: Iterator, steps: int, stop: StatusKind) -> Tuple[list, OrbitStatus]:
+    """x and up to `steps` values of `after`, with the orbit's status: `stop`
+    at step k if `after` ends after k - 1 values.  Values are compared with
+    ==, so `after` may give any kind whose equal values are the same iterate
+    (Fractions, floats, or the CLI's num/den texts).  See `iterate` for the
+    exact-cycle stop."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    values = [x]
     status = OrbitStatus(StatusKind.COMPLETED)
     k = 0
     while k < steps:
@@ -210,7 +224,7 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
         if k > 1 and values[-1] == values[-3]:
             values += islice(cycle(values[-2:]), steps - k)
             break
-    return Orbit(eq=eq, x0=x0, values=tuple(values), status=status, plane=plane)
+    return values, status
 
 
 class BoundsEnvelope(NamedTuple):

@@ -4,14 +4,15 @@ A single ``EquationSpec`` describes one first-order map
 ``x -> q / (sign*p + x**nu)`` where ``sign`` is +1 on the plus branch and
 -1 on the minus branch.  Parameters are exact rationals so that orbits can
 be iterated without rounding; floats are rejected at construction to keep
-the exact plane honest.
+the exact plane honest.  `_fraction` builds the Fraction of a coprime pair
+without a gcd, for the layers' integer sweeps.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -21,6 +22,22 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, float):
         raise TypeError("expected an exact rational (int, str or Fraction), got float")
     return Fraction(value)
+
+
+def _coprime_constructor(cls):
+    """The cheapest way to build a `cls` from a coprime pair (n, d) with d > 0:
+    the private gcd-free form this Python has, else the public constructor,
+    which is slower but takes any pair."""
+    if hasattr(cls, "_from_coprime_ints"):  # Python 3.12 and later
+        return cls._from_coprime_ints
+    try:
+        cls(1, 1, _normalize=False)  # Python 3.10 and 3.11
+    except TypeError:
+        return cls
+    return lambda n, d: cls(n, d, _normalize=False)
+
+
+_fraction: Callable[[int, int], Fraction] = _coprime_constructor(Fraction)
 
 
 class Branch(Enum):

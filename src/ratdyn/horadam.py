@@ -17,13 +17,15 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, starmap
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
-from .equation import Rational, as_fraction
+from .equation import Rational, _fraction, as_fraction
 from .errors import ZeroDenominator
 
 _BLOCK = 64  # steps of `_sweep` between two reductions
+_RANGE_BLOCK = 8  # the same for `horadam_range`, which also reduces each term it returns
+_ZERO = Fraction(0)
 
 
 class _HoradamFields(NamedTuple):
@@ -60,23 +62,23 @@ class HoradamSpec(_HoradamFields):
 
 
 def _sweep(a: Fraction, b: Fraction, p: Fraction, q: Fraction,
-           backward: bool = False) -> Iterator[Tuple[int, int]]:
+           backward: bool = False, every: int = _BLOCK) -> Iterator[Tuple[int, int]]:
     """(U(n), S(n)) with W(n) = U(n)/S(n), n = 0, 1, ..., for W(0) = a, W(1) = b and
     W(n+1) = p*W(n) + q*W(n-1); backward, n = 0, -1, ..., the same recurrence with
     coefficients (-p/q, 1/q) from (W(0), W(-1)).  With p = pn/pd, q = qn/qd and
     L = pd*qd: U(n+1) = pn*qd*U(n) + qn*pd**2*qd*U(n-1), S(n+1) = L*S(n), and every
-    _BLOCK steps U(n), U(n+1), S(n) lose their gcd with L**_BLOCK (small gcds only)."""
+    `every` steps U(n), U(n+1), S(n) lose their gcd with L**every (small gcds only)."""
     if backward:
         if q == 0:
             raise ZeroDenominator("negative indices require q != 0")
         b, p, q = (b - p * a) / q, -p / q, 1 / q
     pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
     cp, cq, lift = pn * qd, qn * pd * pd * qd, pd * qd
-    block, s = lift ** _BLOCK, math.lcm(a.denominator, b.denominator)
+    block, s = lift ** every, math.lcm(a.denominator, b.denominator)
     u0, u1 = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator) * lift
     while True:
         base = s
-        for _ in range(_BLOCK):
+        for _ in range(every):
             yield u0, s
             u0, u1, s = u1, cp * u1 + cq * u0, s * lift
         g = math.gcd(block, u0 % block, u1 % block)  # it divides s = base * block
@@ -89,13 +91,52 @@ def horadam_at(spec: HoradamSpec, n: int) -> Fraction:
     return Fraction(*next(islice(_sweep(*spec, n < 0), abs(n), None)))
 
 
+def _lowest_terms(pairs: Iterator[Tuple[int, int]], k: int) -> Iterator[Fraction]:
+    """u/s for each pair of `pairs`, with s > 0 and every prime of s dividing k.
+
+    A prime common to u and s divides h = gcd(u, k), so g = gcd(s, h) holds
+    it as often as u, s or k does, whichever is least.  Dividing u and s by g
+    leaves a prime in both only where g holds it as often as k, which gcds
+    of g against k // g tell.  So u/s is reduced with gcds against k and its
+    divisors alone, never one of two big operands, and usually in one round.
+    """
+    for u, s in pairs:
+        if not u:
+            yield _ZERO
+            continue
+        h = math.gcd(u % k, k)
+        while h != 1:
+            g = math.gcd(s % h, h)
+            if g == 1:
+                break
+            u, s = u // g, s // g
+            h, rest = g, k // g  # keep the primes that g holds as often as k
+            c = math.gcd(h, rest)
+            while c != 1:
+                h //= c
+                c = math.gcd(h, rest)
+            if h != 1:
+                h = math.gcd(u % k, k)
+        yield _fraction(u, s)
+
+
 def horadam_range(spec: HoradamSpec, start: int, stop: int) -> list:
-    """W(start), ..., W(stop) inclusive, from one sweep out of index 0 to each end."""
+    """W(start), ..., W(stop) inclusive, from one sweep out of index 0 to each end.
+
+    An S(n) of `_sweep`, forward or backward, has no prime outside pd*qd,
+    |qn| (backward) and the seed denominators, so each W(n) is reduced
+    against a power of their product (`_lowest_terms`).  The sweep reduces
+    every _RANGE_BLOCK steps, so what U(n) and S(n) share stays small, and
+    so do the operands that reduce it."""
     if stop < start:
         raise ValueError("stop must be >= start")
-    below = islice(_sweep(*spec, True), max(-stop, 1), 1 - start) if start < 0 else ()
-    above = islice(_sweep(*spec), max(start, 0), max(stop + 1, 0))
-    return list(starmap(Fraction, below))[::-1] + list(starmap(Fraction, above))
+    a, b, p, q = spec
+    k = (a.denominator * b.denominator * p.denominator * q.denominator
+         * (abs(q.numerator) or 1)) ** _RANGE_BLOCK
+    below = (islice(_sweep(*spec, True, _RANGE_BLOCK), max(-stop, 1), 1 - start)
+             if start < 0 else ())
+    above = islice(_sweep(*spec, False, _RANGE_BLOCK), max(start, 0), max(stop + 1, 0))
+    return list(_lowest_terms(below, k))[::-1] + list(_lowest_terms(above, k))
 
 
 def canonical_table(p: Rational, q: Rational, upto: int) -> list:
@@ -262,9 +303,6 @@ def _scaled_terms(spec: HoradamSpec, lo: int, hi: int) -> Tuple[dict, int]:
     terms = horadam_range(spec, lo, hi)
     d = math.lcm(*(w.denominator for w in terms))
     return {i: w.numerator * (d // w.denominator) for i, w in enumerate(terms, lo)}, d
-
-
-_ZERO = Fraction(0)
 
 
 def _exact(num: int, den: int) -> Fraction:

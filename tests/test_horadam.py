@@ -7,6 +7,7 @@ import math
 import random
 import types
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -149,6 +150,61 @@ def test_sweep_with_zero_q(a, b, p, start, length):
     else:
         expected = naive_walk(spec, start, stop)
         assert horadam_range(spec, start, stop) == expected
+
+
+def _seeded_specs(count):
+    """Seeded rational specs whose denominators share primes with each other
+    and with the numerators, some large, so reductions have work to do."""
+    rng = random.Random(13)
+    parts = [1, 2, 3, 4, 6, 8, 9, 12, 27, 64, 10 ** 6, 2 ** 40 * 3, 7 * 11 * 13]
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.choice(parts), rng.choice(parts))
+
+    specs = []
+    while len(specs) < count:
+        a, b, p, q = (rational() for _ in range(4))
+        if p * p + 4 * q != 0:
+            specs.append(HoradamSpec(a, b, p, q))
+    return specs
+
+
+@pytest.mark.parametrize("spec", [
+    *_seeded_specs(16),
+    # terms where dividing by gcd(s, gcd(u, k)) leaves a common prime: a second round
+    HoradamSpec(Fraction(-10 ** 6, 1001), Fraction(2, 3), Fraction(8, 3), Fraction(-3, 2)),
+    HoradamSpec(-1, -3 * 2 ** 40, Fraction(2, 3), 2),
+])
+def test_range_terms_equal_the_fraction_of_each_swept_pair(spec):
+    # forward and backward, across many of the range's 8-step reduction blocks
+    for backward in (False, True):
+        pairs = islice(horadam._sweep(*spec, backward), 300)
+        terms = horadam_range(spec, -299, 0)[::-1] if backward else horadam_range(spec, 0, 299)
+        for term, (u, s) in zip(terms, pairs):
+            reference = Fraction(u, s)
+            assert (term.numerator, term.denominator) == (reference.numerator,
+                                                          reference.denominator)
+    # both ends at once, as the identity checks read them
+    assert horadam_range(spec, -40, 40) == [horadam_at(spec, n) for n in range(-40, 41)]
+
+
+def test_range_takes_no_gcd_of_two_big_operands(monkeypatch):
+    # Bit lengths, not time: each term is reduced against a power of the
+    # small denominators, while `Fraction(U, S)` is a gcd of two ~10k-bit ints.
+    seen = []
+    real_gcd = math.gcd
+
+    def recording(*args):
+        seen.append(sorted(x.bit_length() for x in args)[-2] if len(args) > 1 else 0)
+        return real_gcd(*args)
+
+    spec = HoradamSpec(Fraction(2, 7), Fraction(3, 5), Fraction(5, 3), Fraction(9, 4))
+    expected = [Fraction(u, s) for u, s in islice(horadam._sweep(*spec), 2001)]
+    monkeypatch.setattr(math, "gcd", recording)
+    terms = horadam_range(spec, 0, 2000)
+    monkeypatch.undo()
+    assert terms == expected and expected[-1].denominator.bit_length() > 5000
+    assert seen and max(seen) <= 1024
 
 
 def _count_steps(monkeypatch, core, work, n):

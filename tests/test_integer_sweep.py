@@ -12,7 +12,7 @@ from operator import mul
 
 import pytest
 
-from ratdyn import closed_form, dynamics
+from ratdyn import closed_form, dynamics, equation
 from ratdyn.closed_form import (
     closed_form_series,
     forbidden_depth,
@@ -346,8 +346,8 @@ def test_the_constructor_falls_back_to_the_public_one():
         def __init__(self, n, d):
             self.pair = (n, d)
 
-    assert dynamics._coprime_constructor(Public) is Public
-    assert dynamics._coprime_constructor(Fraction) is not Fraction  # 3.10 to 3.13
+    assert equation._coprime_constructor(Public) is Public
+    assert equation._coprime_constructor(Fraction) is not Fraction  # 3.10 to 3.13
 
 
 def _sweep_outputs():
