@@ -11,24 +11,26 @@ nearest the root.  How many equilibria there are, the stability class of
 each, and whether a prime two-cycle exists are decided exactly, by one
 integer comparison, _stable; only the multiplier beside the class is a float
 evaluation.  The one search, _cycle_search, then only locates the cycle, or
-refuses with ValueError where floats cannot: a scan of rational grids for a
-sign change of a sign predicate, bisection, then Newton polish on the cycle
+refuses with ValueError where floats cannot: the sign change of a sign
+predicate along rational grids, bisection, then Newton polish on the cycle
 system.  A region supplies only its predicate and grids: g(x) = f(f(x)) - x
 above the equilibrium on the plus branch, and a one-variable reduction of the
 cycle equations in the mixed-sign region.
 Each sign is evaluated first on an outward-rounded float enclosure
 (ratdyn.interval); where that cannot prove the sign it abstains and the same
 predicate runs on Fractions, so every sign the search sees is exact.
-Floats propose, certified signs decide, and the certified scan and bisection
-run otherwise (_round_and_certify).  Plain floats bisect a bracket or scan a
-grid; only the cell or pair they propose is certified.  That is sound because
-each predicate changes sign once where it is searched: the equilibrium
+Every root, an equilibrium or a cycle point, is the one sign change of a
+certified predicate along a sequence of points, found by one helper,
+_sign_change: plain floats bisect the sequence, certified signs confirm the
+pair they reach, and a certified bisection goes on from it, or from the
+whole sequence where a certificate disagrees.  That is sound because each
+predicate changes sign once where it is searched: the equilibrium
 polynomial on each root's bracket; g from + to - above the equilibrium (the
 only fixed points of f(f(x)) are psi < equilibrium < phi, by the negative
 Schwarzian derivative); and in the mixed region h(alpha) =
 alpha*(B**nu - p) - q from + to -, strictly decreasing where B**nu < p and
-negative elsewhere.  So a certified proposal is the cell or pair the
-certified search would reach, and the result is the same, bit for bit.
+negative elsewhere.  So a confirmed pair is the pair the certified
+bisection would reach, and the result is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -87,28 +89,30 @@ def _equilibrium_sign(eq: EquationSpec, x) -> int:
 def _rounded_root(eq: EquationSpec, start: Fraction, factor: Fraction) -> float:
     """The float nearest the first root of the equilibrium polynomial met
     from start (not a root) by steps x -> x*factor (2 or 1/2).  The
-    steps stop at a certified sign change; bisection on Fractions then
-    narrows the bracket until every point inside it rounds to one float,
-    which is the root's, since float(Fraction) rounds correctly.
-    The polynomial changes sign once on the bracket, so floats propose its
-    cell at _float_level first and certified signs decide from there, or
-    from the whole bracket where the certificate fails."""
+    steps stop at a certified sign change; the polynomial changes sign once
+    on that bracket, so _dyadic_cell narrows it to its cell at _float_level,
+    and bisection on Fractions then goes on until every point inside the
+    bracket rounds to one float, which is the root's, since float(Fraction)
+    rounds correctly.  A certified 0 is the root itself."""
     inside = start  # the bracket end with the start's sign
     side = _certified_sign(_equilibrium_sign, eq, inside)
     outside = inside * factor
     while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
         inside, outside = outside, outside * factor
-    if s != 0:
-        inside, outside = _round_and_certify(eq, _equilibrium_sign, inside, outside, side,
-                                             _float_level(inside))
-    while s != 0 and (rounded := _one_float(inside, outside)) is None:
+    if s == 0:
+        return float(outside)
+    inside, outside = _dyadic_cell(eq, _equilibrium_sign, inside, outside, side,
+                                   _float_level(inside))
+    while (rounded := _one_float(inside, outside)) is None:
         mid = (inside + outside) / 2
         s = _certified_sign(_equilibrium_sign, eq, mid)
+        if s == 0:
+            return float(mid)
         if s == side:
             inside = mid
         else:
             outside = mid
-    return float(outside) if s == 0 else rounded
+    return rounded
 
 
 def _one_float(a: Fraction, b: Fraction) -> Optional[float]:
@@ -163,49 +167,71 @@ def _float_sign(predicate: SignPredicate, spec: _FloatSpec, x) -> Optional[int]:
         return None
 
 
-def _round_and_certify(eq: EquationSpec, predicate: SignPredicate, a: Fraction, b: Fraction,
-                       side: int, levels: int) -> Tuple[Fraction, Fraction]:
-    """Floats propose, certified signs decide (Ziv's round-and-certify, ACM
-    TOMS 17(3), 1991).  The certified sign is side at a and -side at b and
-    changes once between them.  Plain floats bisect the dyadic cells
-    a + (b - a)*[j, j+1]/2**levels, stopping early where a probe no longer
-    falls strictly inside its cell; a probe whose float sign is 0 or None (an
-    overflow) is decided by its certified sign instead.  The cell reached is
-    returned, a's side first, only once _certified_sign confirms side at one
-    end and -side at the other (a certified 0 returns (x, x)); else (a, b)
-    is returned.  A confirmed cell holds the one sign change, so it is the
-    cell that the certified bisection of (a, b) passes through at that level."""
-    spec = _float_spec(eq)
+def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[int], Fraction],
+                 probe: Callable[[int], float], lo: int, hi: int, side: int
+                 ) -> Tuple[int, Optional[int]]:
+    """The first index in (lo, hi] whose certified sign is not side, and that
+    sign (None at hi itself, which is only known not to be side).  Along
+    the points point(lo + 1), ..., point(hi - 1) the certified sign is side
+    and then changes once; lo and hi may be virtual ends, never evaluated.
+
+    Floats propose, certified signs decide (Ziv's round-and-certify, ACM
+    TOMS 17(3), 1991).  Plain floats bisect the indices at probe(j), a
+    monotone float stand-in for point(j), stopping early where a probe no
+    longer falls strictly between the probes of its pair or a probe
+    overflows; a probe whose float sign is 0 or None (an overflow) is
+    decided by its certified sign instead.  The certified signs of the pair
+    the floats reach then confirm it: side at its lower index, not side at
+    its upper one.  The certified bisection of the indices goes on from that
+    pair, or from (lo, hi) where a certificate disagrees, so the result is
+    the one the certified bisection alone gives, bit for bit; a certified 0
+    is the change itself, since a 0 follows only signs equal to side."""
+    signs = {lo: side, hi: None}  # certified signs by index
+
+    def certified(j: int) -> Optional[int]:
+        if j not in signs:
+            signs[j] = _certified_sign(predicate, eq, point(j))
+        return signs[j]
+
+    start, spec = (lo, hi), _float_spec(eq)
     try:
-        x_a, span = float(a), float(b - a)
-    except OverflowError:
-        return a, b
-    step, top = (b - a) / 2 ** levels, 2 ** levels
-    lo, hi, x_lo, x_hi = 0, top, x_a, x_a + span  # cells by index: side at lo, -side at hi
-    certified = {lo: side, hi: -side}
-    while spec is not None and hi - lo > 1:
+        x_lo, x_hi = probe(lo), probe(hi)
+        while spec is not None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            x = probe(mid)
+            if not min(x_lo, x_hi) < x < max(x_lo, x_hi):
+                break
+            s = _float_sign(predicate, spec, x) or certified(mid)  # a float 0 or None: certified
+            if s == 0:
+                return mid, 0
+            if s == side:
+                lo, x_lo = mid, x
+            else:
+                hi, x_hi = mid, x
+    except OverflowError:  # a probe beyond the floats ends the proposals
+        pass
+    if certified(lo) != side or certified(hi) == side:
+        lo, hi = start
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        x = x_a + span * math.ldexp(mid, -levels)
-        if not min(x_lo, x_hi) < x < max(x_lo, x_hi):
-            break
-        s = _float_sign(predicate, spec, x)
-        if not s:
-            s = certified[mid] = _certified_sign(predicate, eq, a + step * mid)
-            if not s:  # a certified 0 (the sign change), or None outside the region
-                return (a + step * mid,) * 2 if s == 0 else (a, b)
-        lo, hi, x_lo, x_hi = (mid, hi, x, x_hi) if s == side else (lo, mid, x_lo, x)
-    if hi - lo == top:
-        return a, b
-    cell = []
-    for index, want in ((lo, side), (hi, -side)):
-        x = a + step * index
-        s = certified[index] if index in certified else _certified_sign(predicate, eq, x)
+        s = certified(mid)
         if s == 0:
-            return x, x
-        if s != want:
-            return a, b
-        cell.append(x)
-    return cell[0], cell[1]
+            return mid, 0
+        lo, hi = (mid, hi) if s == side else (lo, mid)
+    return hi, signs[hi]
+
+
+def _dyadic_cell(eq: EquationSpec, predicate: SignPredicate, a: Fraction, b: Fraction,
+                 side: int, levels: int) -> Tuple[Fraction, Fraction]:
+    """The cell a + (b - a)*[j-1, j]/2**levels, a's side first, that holds
+    the one change of the certified sign from side at a to not side at b,
+    or (x, x) at a certified 0 x (_sign_change, probes in floats)."""
+    width = b - a
+    step = width / 2 ** levels
+    j, s = _sign_change(eq, predicate, lambda j: a + step * j,
+                        lambda j: float(a) + float(width) * math.ldexp(j, -levels),
+                        0, 2 ** levels, side)
+    return (a + step * j,) * 2 if s == 0 else (a + step * (j - 1), a + step * j)
 
 
 def _stable(eq: EquationSpec) -> int:
@@ -379,81 +405,32 @@ def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> 
 
 
 def _cycle_search(eq: EquationSpec, predicate: SignPredicate,
-                  grids: Sequence[Sequence[Fraction]], tol: float, one_change: bool) -> Fraction:
-    """Cycle point phi: the first zero of the certified sign on an ascending
-    grid, or its first consecutive (+, -) pair (skipping None) bisected to
-    width min(tol, 1e-12).  A grid is scanned only when the grids before it
-    hold no bracket.  The criterion has already proved that a cycle exists,
-    so when no grid holds a bracket the search refuses with ValueError.
-
-    Floats propose, certified signs decide.  Where one_change holds (on
-    every grid the sign changes once, from + to -, and None comes only after
-    it: g above the equilibrium, by negative Schwarzian derivative, and h in
-    the mixed region, strictly decreasing where it is positive; see
-    _positive_root and _mixed_root), floats propose the grid's first
-    adjacent (+, -) pair: a certified (+, -) there is the pair the scan
-    would find, since every earlier point is +, and a certified 0 at either
-    point is the scan's zero.  Elsewhere, and where a certificate disagrees
-    or floats propose no pair, the certified scan decides."""
+                  grids: Sequence[Sequence[Fraction]], tol: float) -> Fraction:
+    """Cycle point phi, from the first ascending grid on which the certified
+    sign falls from +1: the first point where it is not +1, if it is 0
+    there; else, where it is -1 after a +1 point, the midpoint of the dyadic
+    cell of that pair, of width below min(tol, 1e-12) (at most 80
+    halvings), that holds the change, or a point inside where the sign is 0.
+    Each region's predicate changes sign once along each grid, from + to -,
+    with None only after it (see _positive_root and _mixed_root), so
+    _sign_change finds that point on the grid's indices, with virtual ends,
+    and then the cell.  The criterion has already proved that a cycle
+    exists, so when no grid holds a bracket the search refuses with
+    ValueError."""
     for grid in grids:
-        pair = _float_pair(eq, predicate, grid) if one_change else None
-        if pair is not None:
-            signs = [_certified_sign(predicate, eq, point) for point in pair]
-            if 0 in signs:
-                return pair[signs.index(0)]
-            if signs == [1, -1]:
-                return _bisect_sign(eq, predicate, *pair, tol)
-        lo: Optional[Fraction] = None  # last grid point with sign +1
-        for point in grid:
-            s = _certified_sign(predicate, eq, point)
-            if s is None:
-                continue
-            if s == 0:
-                return point
-            if s < 0 and lo is not None:
-                return _bisect_sign(eq, predicate, lo, point, tol)
-            lo = point if s > 0 else None
+        n = len(grid)
+        j, s = _sign_change(eq, predicate, grid.__getitem__,
+                            lambda j, grid=grid, n=n: (-math.inf if j < 0 else math.inf if j == n
+                                                       else float(grid[j])),
+                            -1, n, 1)
+        if s == 0:
+            return grid[j]
+        if s == -1 and j > 0:
+            lo, hi = grid[j - 1], grid[j]
+            levels = min(80, max(1, ((hi - lo) // Fraction(min(tol, 1e-12))).bit_length()))
+            lo, hi = _dyadic_cell(eq, predicate, lo, hi, 1, levels)
+            return (lo + hi) / 2
     raise ValueError(_UNLOCATED)
-
-
-def _float_pair(eq: EquationSpec, predicate: SignPredicate,
-                grid: Sequence[Fraction]) -> Optional[Tuple[Fraction, Fraction]]:
-    """The first adjacent grid points whose float signs are + and then - or 0
-    (a float 0 may be an underflow), or None."""
-    spec = _float_spec(eq)
-    if spec is None:
-        return None
-    last, last_sign = None, None
-    for point in grid:
-        s = _float_sign(predicate, spec, point)
-        if last_sign == 1 and s is not None and s <= 0:
-            return last, point
-        last, last_sign = point, s
-    return None
-
-
-def _bisect_sign(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: Fraction,
-                 tol: float) -> Fraction:
-    """A zero of the certified sign in (lo, hi), where it is +1 at lo and -1
-    at hi, and changes once between them: the midpoint of the dyadic cell of
-    width below min(tol, 1e-12) (at most 80 halvings) that holds the change,
-    or a point where the sign is 0 or None.  Floats propose that cell
-    (_round_and_certify) and the certified bisection goes on from the bracket
-    that comes back: the cell, or (lo, hi) where the certificate fails."""
-    width = Fraction(min(tol, 1e-12))
-    levels = min(80, max(1, ((hi - lo) // width).bit_length()))
-    cell = (hi - lo) / 2 ** levels
-    lo, hi = _round_and_certify(eq, predicate, lo, hi, 1, levels)
-    while hi - lo > cell:
-        mid = (lo + hi) / 2
-        s = _certified_sign(predicate, eq, mid)
-        if s is None or s == 0:
-            return mid
-        if s > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def _finish_cycle(eq: EquationSpec, root: Fraction, approx_form: Tuple[float, float]
@@ -489,16 +466,17 @@ def _positive_root(eq: EquationSpec, tol: float) -> Fraction:
     (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive point has a bracket.
     g changes sign once above the equilibrium: with negative Schwarzian
     derivative the only fixed points of f(f(x)) are psi < equilibrium < phi,
-    so g > 0 on (equilibrium, phi) and g < 0 beyond phi.  A certified
-    positive equilibrium polynomial at the first grid point puts the whole
-    grid above the equilibrium, and lets floats propose the pair."""
+    so g > 0 on (equilibrium, phi) and g < 0 beyond phi.  The whole grid
+    lies above the exact equilibrium x, so g changes sign once along it:
+    x is unstable, x**nu*(nu-1) > p, so q/p - x = x**(nu+1)/p > x/(nu-1),
+    and the float xbar of x is within x*2**-53 of it; the first grid point
+    xbar + (q/p - xbar)*10**-9 then exceeds x for every nu < 9*10**6."""
     xbar = Fraction(equilibria(eq)[0].value)
     hi = eq.q / eq.p
     offsets = {Fraction(1, 10 ** k) for k in range(1, 10)}
     offsets |= {Fraction(j, 64) for j in range(1, 65)}
     grid = [xbar + (hi - xbar) * tau for tau in sorted(offsets)]
-    above = _certified_sign(_equilibrium_sign, eq, grid[0]) > 0  # and every later grid point
-    return _cycle_search(eq, _second_iterate_sign, [grid], tol, one_change=above)
+    return _cycle_search(eq, _second_iterate_sign, [grid], tol)
 
 
 def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
@@ -517,8 +495,8 @@ def _mixed_root(eq: EquationSpec, tol: float) -> Fraction:
     equilibrium polynomial negative), so any root is a genuine prime cycle.
     A second grid, down to -top*(1 + 10**-16) for an exact top >= p**(1/nu),
     seeks a root closer to the edge than the first grid's nearest point.
-    The sign changes once in the region, so floats may propose the pair: as
-    alpha rises to the edge B = q/(alpha**nu - p) grows, so h(alpha) =
+    The sign changes once in the region, as _cycle_search needs: as alpha
+    rises to the edge B = q/(alpha**nu - p) grows, so h(alpha) =
     alpha*(B**nu - p) - q = |alpha|*(p - B**nu) - q is strictly decreasing
     where B**nu < p, and negative where B**nu >= p; the region is
     alpha < -p**(1/nu), so None follows every sign on an ascending grid."""
@@ -542,8 +520,7 @@ def _mixed_root(eq: EquationSpec, tol: float) -> Fraction:
     while top ** nu < p:
         top = Fraction(math.nextafter(float(top), math.inf))
     nearer = [-top * (1 + Fraction(1, 10 ** k)) for k in range(10, 17)]
-    return _cycle_search(eq, _psi_sign, [sorted(set(grid + near)), sorted(near + nearer)], tol,
-                         one_change=True)
+    return _cycle_search(eq, _psi_sign, [sorted(set(grid + near)), sorted(near + nearer)], tol)
 
 
 def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwoCycle]:

@@ -44,7 +44,7 @@ from math import gcd
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .equation import Branch, EquationSpec, _fraction, as_fraction
-from .errors import DigitLimit, NearSingularity, ZeroDenominator
+from .errors import NearSingularity, ZeroDenominator
 
 NEAR_SINGULAR_FACTOR = 1e-12
 _CYCLE_CHECK_STEPS = 1024  # steps between `iterate`'s tests for an exact cycle
@@ -165,17 +165,13 @@ def step(eq: EquationSpec, x: Value) -> Value:
     return image
 
 
-def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
-            max_digits: int = 0) -> Orbit:
+def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT) -> Orbit:
     """Iterate up to `steps` times from x0, recording values until done or singular.
 
     Failures are recorded in the orbit status rather than raised; on
     HIT_SINGULARITY(k) / NEAR_SINGULAR(k) the value at index k is undefined
     and the recorded values end at index k-1.  The exact plane converts x0
-    with `as_fraction`, so a float seed raises TypeError there.  With
-    `max_digits` > 0 the exact plane raises DigitLimit at the first value,
-    x0 included, whose numerator or denominator certainly has more than
-    `max_digits` digits, instead of computing the steps after it.
+    with `as_fraction`, so a float seed raises TypeError there.
 
     Every 1024 steps (_CYCLE_CHECK_STEPS), and at the last, it tests
     x(k) == x(k-2).  If that holds, the orbit is periodic, and the values
@@ -186,18 +182,7 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT,
     keeps the loop of an orbit that never repeats as fast as without the test.
     """
     if plane is Plane.EXACT:
-        make = _fraction
-        if max_digits:
-            # an integer of more bits than this is >= 2**budget > 10**max_digits,
-            # since 3.3219280949 > log2(10)
-            budget = -(-max_digits * 33219280949 // 10 ** 10)
-
-            def make(n: int, d: int) -> Fraction:
-                if max(n.bit_length(), d.bit_length()) > budget:
-                    raise DigitLimit(max_digits)
-                return _fraction(n, d)
-
-        values, status = _exact_orbit(eq, as_fraction(x0), steps, int, make)
+        values, status = _exact_orbit(eq, as_fraction(x0), steps, int, _fraction)
     else:
         x = float(x0)
         values, status = _record(x, _float_values(eq, x), steps, StatusKind.NEAR_SINGULAR)

@@ -695,7 +695,7 @@ def test_period_two_sign_work(monkeypatch):
 
 # --- float proposals, certified decisions --------------------------------------------
 
-PROPOSED = ("_rounded_root", "_cycle_search", "_bisect_sign")
+PROPOSED = ("_rounded_root", "_cycle_search", "_dyadic_cell", "_sign_change")
 
 
 def _tangent_q(p, nu):
@@ -771,9 +771,9 @@ def _record(calls, name, fn):
 
 
 def test_float_proposals_change_no_result(monkeypatch):
-    # Every call of the three functions floats propose for, replayed with the
+    # Every call of the functions floats propose for, replayed with the
     # proposals off (test-only: _float_spec patched to None, so only the
-    # certified scan and bisection run), returns the same Fraction or float.
+    # certified bisection runs), returns the same result.
     calls = []
     with monkeypatch.context() as patch:
         for name in PROPOSED:
@@ -787,6 +787,107 @@ def test_float_proposals_change_no_result(monkeypatch):
     for name, args, kwargs, (kind, result) in calls:
         certified_kind, certified = _outcome(getattr(analysis, name), *args, **kwargs)
         assert (certified_kind, type(certified), certified) == (kind, type(result), result), (name, args)
+
+
+def _step_predicate(root, edge=None):
+    """A sign predicate +1 below root, 0 at it and -1 above it, None past
+    edge: exact on floats and Fractions, on an Interval where it proves it."""
+    def sign(x):
+        if edge is not None and x > edge:
+            return None
+        return (x < root) - (x > root)
+
+    def predicate(eq, x):
+        if isinstance(x, Interval):
+            lo, hi = sign(x.lo), sign(x.hi)
+            if lo != hi or lo == 0:
+                raise Undecided
+            return lo
+        return sign(x)
+    return predicate
+
+
+def _linear_scan(eq, predicate, points):
+    """The certified scan _sign_change replaced, kept as the reference: the
+    first point where the certified sign is 0, or the first consecutive
+    (+, -) pair skipping None, or None."""
+    lo = None  # last point with sign +1
+    for point in points:
+        s = analysis._certified_sign(predicate, eq, point)
+        if s is None:
+            continue
+        if s == 0:
+            return point, point
+        if s < 0 and lo is not None:
+            return lo, point
+        lo = point if s > 0 else None
+    return None
+
+
+def _sign_change_cases():
+    """(predicate, grid, dyadic) triples: seeded ascending Fraction grids
+    with the root on a grid point, between two, outside the grid and past a
+    region edge (an all-None tail among them), and dyadic brackets
+    (a, b, levels) with the root inside, on a cell end or not."""
+    rng = random.Random(24)
+    cases = []
+    for _ in range(300):
+        grid = sorted({Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice((1, 3, 7, 10 ** 9)))
+                       for _ in range(rng.randint(1, 40))})
+        root = rng.choice((rng.choice(grid), rng.choice(grid) + Fraction(1, 10 ** 12),
+                           (grid[0] + grid[-1]) / 2 + Fraction(1, 10 ** 12), grid[0] - 1,
+                           grid[-1] + 1))
+        edge = rng.choice((None, None, None, root + Fraction(rng.randint(0, 10 ** 5), 3),
+                           rng.choice(grid), grid[0] - 1))
+        cases.append((_step_predicate(root, edge), grid, None))
+    for _ in range(150):
+        levels = rng.randint(0, 9)
+        a = Fraction(rng.randint(-2 ** 20, 2 ** 20), rng.choice((2 ** rng.randint(0, 30), 3, 10 ** 7)))
+        b = a + Fraction(rng.randint(1, 2 ** 20), rng.choice((2 ** rng.randint(0, 40), 7)))
+        on_cell = a + (b - a) * Fraction(rng.randint(1, 2 ** levels), 2 ** levels)
+        root = rng.choice((on_cell, a + (b - a) * Fraction(rng.randint(1, 10 ** 6 - 1), 10 ** 6)))
+        if root == b:
+            root = (a + b) / 2
+        cases.append((_step_predicate(root), None, (a, b, levels)))
+    return cases
+
+
+def _sign_change_outcome(monkeypatch, eq, predicate, grid, dyadic):
+    """The dyadic bracket's cell, or the cycle search's result on the grid
+    with its bracket left whole: (lo + hi)/2, or None for ValueError."""
+    if grid is None:
+        a, b, levels = dyadic
+        return analysis._dyadic_cell(eq, predicate, a, b, 1, levels)
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_dyadic_cell", lambda eq, predicate, lo, hi, *rest: (lo, hi))
+        try:
+            return analysis._cycle_search(eq, predicate, [grid], 1e-10)
+        except ValueError:
+            return None
+
+
+def test_sign_change_matches_the_linear_scan(monkeypatch):
+    # Proposals on, off (_float_spec patched to None) and adversarial
+    # (_float_sign patched to random signs) give the linear certified scan's
+    # result in every case, since certified signs confirm each proposal.
+    eq, rng = EquationSpec.plus(1, 2, 2), random.Random(5)
+    for predicate, grid, dyadic in _sign_change_cases():
+        if grid is None:
+            a, b, levels = dyadic
+            want = _linear_scan(eq, predicate, [a + (b - a) * Fraction(j, 2 ** levels)
+                                                for j in range(2 ** levels + 1)])
+        else:
+            found = _linear_scan(eq, predicate, grid)
+            want = found and (found[0] + found[1]) / 2
+        for way in ("proposed", "certified only", "adversarial"):
+            with monkeypatch.context() as patch:
+                if way == "certified only":
+                    patch.setattr(analysis, "_float_spec", lambda eq: None)
+                elif way == "adversarial":
+                    patch.setattr(analysis, "_float_sign",
+                                  lambda predicate, spec, x: rng.choice((1, -1, 0, None)))
+                got = _sign_change_outcome(patch, eq, predicate, grid, dyadic)
+            assert got == want, (way, grid, dyadic)
 
 
 def test_float_level_cells_end_on_floats():
@@ -814,13 +915,14 @@ def _certified_signs(monkeypatch, eq):
 
 
 def test_period_two_certifies_only_the_proposals(monkeypatch):
-    # The certified-only path takes 164 and 134 certified signs on these
-    # cells; a proposal that silently fell back to it would fail here.
+    # The certified-only path takes 98 and 42 certified signs on these cells
+    # (a bisection of the grid's indices, then of the bracket's dyadic
+    # cells); a proposal that silently fell back to it would fail here.
     for eq in (EquationSpec.plus(1, 4, 48), EquationSpec.minus(3, 1, 40)):
         assert _certified_signs(monkeypatch, eq) <= 20, eq
         with monkeypatch.context() as patch:
             patch.setattr(analysis, "_float_spec", lambda eq: None)
-            assert _certified_signs(patch, eq) > 100, eq
+            assert _certified_signs(patch, eq) > 30, eq
 
 
 def test_period_two_tol_validation():

@@ -16,6 +16,7 @@ import pytest
 
 from ratdyn import cli, dynamics, errors
 from ratdyn.cli import Table, fmt, render, run
+from ratdyn.equation import EquationSpec
 from ratdyn.errors import DigitLimit
 
 # `python -m ratdyn` finds the package in its working directory.
@@ -307,6 +308,47 @@ def test_simulate_refuses_an_exact_orbit_at_the_digit_limit(monkeypatch, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: exact value exceeds {limit} digits; use --plane float\n"
     assert steps_taken[0] == 14
+
+
+def _count_exact_steps(monkeypatch):
+    """Count calls of the exact step rule, one per exact iterate step."""
+    count = [0]
+    real_step = dynamics._exact_step
+
+    def counting(*args):
+        count[0] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(dynamics, "_exact_step", counting)
+    return count
+
+
+@pytest.mark.parametrize("branch, p, q, nu, x0, steps", [
+    ("plus", "1", "2", 2, "3", 16),
+    ("minus", "3", "1", 2, "4/3", 16),
+    ("plus", "2", "5", 3, "5/2", 10),
+])
+def test_simulate_exact_refuses_only_unprintable_iterates(monkeypatch, capsys,
+                                                          branch, p, q, nu, x0, steps):
+    # Counts exact steps, not time, under three int->str limits.
+    eq = EquationSpec(branch, Fraction(p), Fraction(q), nu)
+    argv = ["simulate", "--branch", branch, "--p", p, "--q", q, "--nu", str(nu), "--x0", x0]
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # to count the digits of every iterate
+        digits = [max(len(str(abs(x.numerator))), len(str(x.denominator)))
+                  for x in dynamics.iterate(eq, Fraction(x0), steps).values]
+        for limit in (640, 1000, 4300):
+            first = next(k for k, d in enumerate(digits) if d > limit)
+            sys.set_int_max_str_digits(limit)
+            steps_taken = _count_exact_steps(monkeypatch)
+            code, out, err = invoke(capsys, argv + ["--steps", str(steps)])
+            assert (code, out) == (2, "") and f"exceeds {limit} digits" in err
+            # never an iterate that prints; at most one step past the first that does not
+            assert digits[steps_taken[0]] > limit and steps_taken[0] in (first, first + 1)
+            assert invoke(capsys, argv + ["--steps", str(first - 1)])[0] == 0
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_closed_form_forbidden_exit_code(capsys):

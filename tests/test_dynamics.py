@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from ratdyn import dynamics
 from ratdyn.dynamics import (
     _CYCLE_CHECK_STEPS,
     NEAR_SINGULAR_FACTOR,
@@ -24,7 +22,7 @@ from ratdyn.dynamics import (
     step,
 )
 from ratdyn.equation import EquationSpec
-from ratdyn.errors import DigitLimit, NearSingularity, ZeroDenominator
+from ratdyn.errors import NearSingularity, ZeroDenominator
 
 
 # --- step ---------------------------------------------------------------------
@@ -292,58 +290,6 @@ def test_iterate_equals_the_stepped_orbit_up_to_a_singularity(plane, kind):
     x0 = 2.0 if plane is Plane.FLOAT else Fraction(2)
     orbit = _assert_stepped(EquationSpec.minus(1, 1), x0, 10, plane)
     assert orbit.status == (kind, 2)
-
-
-def _count_steps(monkeypatch):
-    """Count calls of the exact step rule, one per exact iterate step."""
-    count = [0]
-    real_step = dynamics._exact_step
-
-    def counting(*args):
-        count[0] += 1
-        return real_step(*args)
-
-    monkeypatch.setattr(dynamics, "_exact_step", counting)
-    return count
-
-
-def _digits(x: Fraction) -> int:
-    return max(len(str(abs(x.numerator))), len(str(x.denominator)))
-
-
-def test_exact_iterate_stops_at_the_digit_limit(monkeypatch):
-    # Counts steps, not time.  Bit lengths double per step (8653 at step 13,
-    # 17305 at step 14), and more than 4300 digits is certain past 14285 bits.
-    eq = EquationSpec.plus(1, 2, 2)
-    assert iterate(eq, Fraction(3), 13, max_digits=4300).status.ok
-    assert iterate(eq, Fraction(3), 16).status.ok  # no limit by default
-    steps_taken = _count_steps(monkeypatch)
-    with pytest.raises(DigitLimit, match=r"^exact value exceeds 4300 digits$"):
-        iterate(eq, Fraction(3), 24, max_digits=4300)
-    assert steps_taken[0] == 14
-
-
-@pytest.mark.parametrize("eq, x0, steps", [
-    (EquationSpec.plus(1, 2, 2), Fraction(3), 16),
-    (EquationSpec.minus(3, 1, 2), Fraction(4, 3), 16),
-    (EquationSpec.plus(2, 5, 3), Fraction(5, 2), 10),
-])
-def test_exact_iterate_refuses_only_unprintable_iterates(monkeypatch, eq, x0, steps):
-    previous = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)  # to count the digits of every iterate
-        digits = list(map(_digits, iterate(eq, x0, steps).values))
-        assert len(digits) == steps + 1
-        for limit in (640, 1000, 4300):
-            first = next(k for k, d in enumerate(digits) if d > limit)
-            steps_taken = _count_steps(monkeypatch)
-            with pytest.raises(DigitLimit, match=f"exceeds {limit} digits"):
-                iterate(eq, x0, steps, max_digits=limit)
-            # never an iterate that prints; at most one step past the first that does not
-            assert digits[steps_taken[0]] > limit and steps_taken[0] in (first, first + 1)
-            assert iterate(eq, x0, first - 1, max_digits=limit).status.ok
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 # --- envelopes -------------------------------------------------------------------
