@@ -5,37 +5,38 @@ on minus.  For odd nu, (-x)**nu = -x**nu makes the minus map the plus map in
 y = -x, so its equilibrium and two-cycle are computed as the plus branch's,
 negated (exactly, in floats): analyze and period2 share one equilibrium and
 print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
-(sign +1 on the plus branch, -1 on minus), bracketed by dyadic rationals and
-bisected on certified signs until the bracket holds one float: the float
-nearest the root.  How many equilibria there are, the stability class of
-each, and whether a prime two-cycle exists are decided exactly, by one
-integer comparison, _stable; only the multiplier beside the class is a float
-evaluation.  The one search, _cycle_search, then only locates the cycle, or
-refuses with ValueError where floats cannot: the sign change of a sign
-predicate along rational grids, bisection, then Newton polish on the cycle
-system.  A region supplies only its predicate and grids: g(x) = f(f(x)) - x
-above the equilibrium on the plus branch, and a one-variable reduction of the
-cycle equations in the mixed-sign region.
+(sign +1 on the plus branch, -1 on minus), bracketed by steps x -> 2x or
+x/2, then rounded to the nearest float.  How many equilibria there are, the
+stability class of each, and whether a prime two-cycle exists are decided
+exactly, by one integer comparison, _stable; only the multiplier beside the
+class is a float evaluation.  The one search, _cycle_search, then only
+locates the cycle, or refuses with ValueError where floats cannot: the sign
+change of a sign predicate along rational grids, bisection, then Newton
+polish on the cycle system.  A region supplies only its predicate and
+grids: g(x) = f(f(x)) - x above the equilibrium on the plus branch, and a
+one-variable reduction of the cycle equations in the mixed-sign region.
 Each sign is evaluated first on an outward-rounded float enclosure
 (ratdyn.interval); where that cannot prove the sign it abstains and the same
 predicate runs on Fractions, so every sign the search sees is exact.
-Every root, an equilibrium or a cycle point, is the one sign change of a
-certified predicate along a sequence of points, found by one helper,
-_sign_change: plain floats bisect the sequence, certified signs confirm the
-pair they reach, and a certified bisection goes on from it, or from the
-whole sequence where a certificate disagrees.  That is sound because each
+Every root is the one sign change of a certified predicate along a sequence
+of points (the floats inside an equilibrium's bracket, _nearest_float; a
+grid, then a bracket's dyadic cells, for a cycle point), found by one
+helper, _sign_change: plain floats bisect the sequence, certified signs
+confirm the pair they reach, a refuted pair gallops outward to a certified
+bracket, and a certified bisection narrows it.  That is sound because each
 predicate changes sign once where it is searched: the equilibrium
 polynomial on each root's bracket; g from + to - above the equilibrium (the
 only fixed points of f(f(x)) are psi < equilibrium < phi, by the negative
 Schwarzian derivative); and in the mixed region h(alpha) =
 alpha*(B**nu - p) - q from + to -, strictly decreasing where B**nu < p and
-negative elsewhere.  So a confirmed pair is the pair the certified
-bisection would reach, and the result is the same, bit for bit.
+negative elsewhere.  So the result is the certified bisection's alone.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -58,7 +59,6 @@ class Bracket(Enum):
     IN_MINUS_UNIT = "in_minus_unit"
     AT_MINUS_ONE = "at_minus_one"
     BELOW_MINUS_ONE = "below_minus_one"
-
 
 
 class Stability(Enum):
@@ -86,57 +86,18 @@ def _equilibrium_sign(eq: EquationSpec, x) -> int:
     return _sign_of(x * eq.denominator(x) - eq.q)
 
 
-def _rounded_root(eq: EquationSpec, start: Fraction, factor: Fraction) -> float:
+def _rounded_root(eq: EquationSpec, inside: Fraction, factor: Fraction) -> float:
     """The float nearest the first root of the equilibrium polynomial met
-    from start (not a root) by steps x -> x*factor (2 or 1/2).  The
-    steps stop at a certified sign change; the polynomial changes sign once
-    on that bracket, so _dyadic_cell narrows it to its cell at _float_level,
-    and bisection on Fractions then goes on until every point inside the
-    bracket rounds to one float, which is the root's, since float(Fraction)
-    rounds correctly.  A certified 0 is the root itself."""
-    inside = start  # the bracket end with the start's sign
+    from inside (not a root) by steps x -> x*factor (2 or 1/2): a certified
+    0 is the root itself, else _nearest_float rounds the one root of the
+    last step's bracket, whose end inside keeps the start's sign."""
     side = _certified_sign(_equilibrium_sign, eq, inside)
     outside = inside * factor
     while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
         inside, outside = outside, outside * factor
     if s == 0:
         return float(outside)
-    inside, outside = _dyadic_cell(eq, _equilibrium_sign, inside, outside, side,
-                                   _float_level(inside))
-    while (rounded := _one_float(inside, outside)) is None:
-        mid = (inside + outside) / 2
-        s = _certified_sign(_equilibrium_sign, eq, mid)
-        if s == 0:
-            return float(mid)
-        if s == side:
-            inside = mid
-        else:
-            outside = mid
-    return rounded
-
-
-def _one_float(a: Fraction, b: Fraction) -> Optional[float]:
-    """The float that every point strictly between a and b rounds to, or
-    None where they round to two: both ends round to it, or the rounding
-    boundaries beside it, halfway to its float neighbours, lie outside."""
-    x = float(a)
-    if x == float(b):
-        return x
-    x = float((a + b) / 2)
-    below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2
-                    for end in (-math.inf, math.inf))
-    return x if below <= min(a, b) and max(a, b) <= above else None
-
-
-def _float_level(x: Fraction) -> int:
-    """Halvings of a bracket from x to 2x or x/2 whose cell ends are all
-    floats: 53 - k - (m > 1) for x = m*2**e with m odd of k bits (52 from a
-    power of two), none where x is not dyadic."""
-    m, d = abs(x.numerator), x.denominator
-    if d & (d - 1):
-        return 0
-    m >>= (m & -m).bit_length() - 1
-    return max(0, 53 - m.bit_length() - (m > 1))
+    return _nearest_float(eq, _equilibrium_sign, inside, outside, side)
 
 
 class _FloatSpec(NamedTuple):
@@ -182,10 +143,11 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
     overflows; a probe whose float sign is 0 or None (an overflow) is
     decided by its certified sign instead.  The certified signs of the pair
     the floats reach then confirm it: side at its lower index, not side at
-    its upper one.  The certified bisection of the indices goes on from that
-    pair, or from (lo, hi) where a certificate disagrees, so the result is
-    the one the certified bisection alone gives, bit for bit; a certified 0
-    is the change itself, since a 0 follows only signs equal to side."""
+    its upper one.  A refuted pair gallops outward from the refuted end, by
+    1, 2, 4, ... indices within (lo, hi), to a certified bracket (~2*log2(d)
+    signs for a pair d indices off), which the certified bisection narrows:
+    the result is the certified bisection's alone, bit for bit.  A certified
+    0 is the change itself, since only signs equal to side precede a 0."""
     signs = {lo: side, hi: None}  # certified signs by index
 
     def certified(j: int) -> Optional[int]:
@@ -210,8 +172,11 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
                 hi, x_hi = mid, x
     except OverflowError:  # a probe beyond the floats ends the proposals
         pass
-    if certified(lo) != side or certified(hi) == side:
-        lo, hi = start
+    step = 1
+    while certified(lo) != side:  # the change is at lo or below it
+        lo, hi, step = max(lo - step, start[0]), lo, 2 * step
+    while certified(hi) == side:  # the change is above hi
+        lo, hi, step = hi, min(hi + step, start[1]), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         s = certified(mid)
@@ -232,6 +197,39 @@ def _dyadic_cell(eq: EquationSpec, predicate: SignPredicate, a: Fraction, b: Fra
                         lambda j: float(a) + float(width) * math.ldexp(j, -levels),
                         0, 2 ** levels, side)
     return (a + step * j,) * 2 if s == 0 else (a + step * (j - 1), a + step * j)
+
+
+def _nearest_float(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: Fraction,
+                   side: int) -> float:
+    """float(r) for the one root r of the predicate between lo, where its
+    certified sign is side, and hi, where it is not (in either order).
+    _sign_change runs over the floats strictly between them, indexed by bit
+    pattern (negatives mirrored), with the floats on or past lo and hi as
+    virtual ends; r lies between the float it finds and the one before, and
+    the certified sign halfway between them (past lo or hi, that end's sign)
+    picks the nearer.  A certified 0 at a float is r, at the midpoint a tie
+    that float() breaks to even; r past the largest float raises OverflowError."""
+    way = 1 if lo < hi else -1  # index i is the float at position way*i
+
+    def probe(i: int) -> float:
+        return math.copysign(struct.unpack("<d", struct.pack("<q", abs(i)))[0], way * i)
+
+    def index(end: Fraction, outward: int) -> int:
+        """The index of the float on end, else of the first one past it outward."""
+        x = float(min(max(end, -sys.float_info.max), sys.float_info.max))
+        i = way * (-1 if x < 0 else 1) * struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+        return i + outward * (outward * way * (Fraction(x) - end) < 0)  # x inward of end
+
+    j, s = _sign_change(eq, predicate, lambda i: Fraction(probe(i)), probe,
+                        index(lo, -1), index(hi, 1), side)
+    if s == 0:
+        return probe(j)
+    near, far = Fraction(probe(j - 1)), Fraction(probe(j))
+    mid = (near + far) / 2
+    s = (_certified_sign(predicate, eq, mid) if min(lo, hi) < mid < max(lo, hi)
+         else side if way * (mid - lo) <= 0 else -side)  # past lo, or past hi
+    x = float(mid if s == 0 else far if s == side else near)
+    return x or math.copysign(0.0, near + far)  # a zero takes the sign of r
 
 
 def _stable(eq: EquationSpec) -> int:

@@ -53,12 +53,13 @@ class _EquationFields(NamedTuple):
 
 
 class EquationSpec(_EquationFields):
-    """One equation x(n+1) = q / (sign*p + x(n)**nu) with p, q > 0 and nu >= 1."""
+    """One equation x(n+1) = q / (sign*p + x(n)**nu) with p, q > 0 and nu >= 1;
+    branch is a Branch or its value, 'plus' or 'minus' (else ValueError)."""
 
     __slots__ = ()
 
     def __new__(cls, branch: Branch, p: Rational, q: Rational, nu: int = 1) -> "EquationSpec":
-        p, q = as_fraction(p), as_fraction(q)
+        branch, p, q = Branch(branch), as_fraction(p), as_fraction(q)
         if p <= 0 or q <= 0:
             raise ValueError("p and q must be positive")
         if not isinstance(nu, int) or nu < 1:

@@ -158,6 +158,16 @@ def test_plus_equilibrium_where_the_default_bracket_overflows():
     assert report.bracket is Bracket.BEYOND_ONE
 
 
+def test_plus_equilibrium_at_the_top_of_the_float_range():
+    # x**2 + x - q with q = r*r + r has the root r; from 1 the steps x -> 2x
+    # end at 2**1024, past the floats, for every r in [2**1023, 2**1024)
+    top, ulp = Fraction(sys.float_info.max), Fraction(math.ulp(sys.float_info.max))
+    for r in (Fraction(3, 2) * 2 ** 1023, top - ulp / 3, top - ulp / 2, top):
+        assert [report.value for report in equilibria(EquationSpec.plus(1, r * r + r))] == [float(r)]
+    with pytest.raises(OverflowError):  # a root past the largest float
+        equilibria(EquationSpec.plus(1, (top + ulp / 4) * (top + ulp / 4 + 1)))
+
+
 def test_bracket_trichotomy_random():
     rng = random.Random(43)
     for _ in range(200):
@@ -695,7 +705,7 @@ def test_period_two_sign_work(monkeypatch):
 
 # --- float proposals, certified decisions --------------------------------------------
 
-PROPOSED = ("_rounded_root", "_cycle_search", "_dyadic_cell", "_sign_change")
+PROPOSED = ("_rounded_root", "_nearest_float", "_cycle_search", "_dyadic_cell", "_sign_change")
 
 
 def _tangent_q(p, nu):
@@ -890,28 +900,132 @@ def test_sign_change_matches_the_linear_scan(monkeypatch):
             assert got == want, (way, grid, dyadic)
 
 
-def test_float_level_cells_end_on_floats():
-    # _rounded_root's float probes are the exact cell ends at _float_level
-    rng = random.Random(7)
-    for _ in range(300):
-        k = rng.randint(1, 40)
-        odd = rng.getrandbits(k) | 1 | 1 << (k - 1)
-        x = rng.choice((1, -1)) * Fraction(odd) * Fraction(2) ** rng.randint(-60, 60)
-        levels = analysis._float_level(x)
-        for b in (2 * x, x / 2):
-            for j in (0, 1, 2 ** levels - 1, rng.randrange(2 ** levels)):
-                end = x + (b - x) * Fraction(j, 2 ** levels)
-                assert Fraction(float(x) + float(b - x) * math.ldexp(j, -levels)) == end, (x, b, j)
-    assert analysis._float_level(Fraction(1)) == 52 and analysis._float_level(Fraction(1, 3)) == 0
+def _float_below(x: Fraction) -> float:
+    """The largest float strictly below x."""
+    f = float(x)
+    return f if f < x else math.nextafter(f, -math.inf)
+
+
+def _nearest_float_cases():
+    """(root, lo, hi) triples, seeded: a root on a float, on the rounding
+    boundary halfway to the next float, or between two floats, of either
+    sign, normal, subnormal or below the subnormals; brackets with float
+    ends, with ends that are not floats, a few ulps wide or binades wide,
+    either way round."""
+    rng = random.Random(25)
+    cases = []
+    for _ in range(400):
+        f = rng.choice((-1, 1)) * math.ldexp(1 + rng.random(), rng.choice(
+            (rng.randint(-1074, 1022), rng.randint(-1080, -1020), rng.randint(-60, 60))))
+        step = Fraction(math.nextafter(f, math.inf)) - Fraction(f)
+        root = Fraction(f) + rng.choice((0, Fraction(1, 2), Fraction(rng.randint(1, 999), 1000))) * step
+        if rng.random() < 0.1:  # below the smallest subnormal, whose float is a signed zero
+            root = rng.choice((-1, 1)) * Fraction(rng.randint(1, 10 ** 6), 2 ** 1100)
+        scale = abs(root) * Fraction(1, 2 ** rng.randint(1, 60)) or step
+        below, above = (root + sign * scale * Fraction(rng.randint(1, 10 ** 6), rng.choice((3, 10 ** 6)))
+                        for sign in (-1, 1))
+        if rng.random() < 0.5:  # float ends
+            below, above = Fraction(_float_below(below)), -Fraction(_float_below(-above))
+        cases.append((root, *((below, above) if rng.random() < 0.5 else (above, below))))
+    return cases
+
+
+def test_nearest_float_is_the_float_of_the_root(monkeypatch):
+    # Proposals on, off (_float_spec patched to None) and adversarial
+    # (_float_sign patched to random signs): the float() of the exact root,
+    # signed zeros included, from one certified bisection.
+    eq, rng = EquationSpec.plus(1, 2, 2), random.Random(6)
+    for root, lo, hi in _nearest_float_cases():
+        predicate = _step_predicate(root)
+        side = predicate(eq, lo)
+        for way in ("proposed", "certified only", "adversarial"):
+            with monkeypatch.context() as patch:
+                if way == "certified only":
+                    patch.setattr(analysis, "_float_spec", lambda eq: None)
+                elif way == "adversarial":
+                    patch.setattr(analysis, "_float_sign",
+                                  lambda predicate, spec, x: rng.choice((1, -1, 0, None)))
+                got = analysis._nearest_float(eq, predicate, lo, hi, side)
+            assert repr(got) == repr(float(root)), (way, root, lo, hi)
+
+
+def test_nearest_float_reads_no_sign_past_its_bracket():
+    # A second root just past the bracket, in the same float cell: the
+    # midpoint there lies past an end, whose sign stands in for it.  Roots
+    # at f + u/10 (second at 3u/10) and f + 9u/10 (second at 7u/10).
+    f, u = Fraction(3, 2), Fraction(math.ulp(1.5))
+
+    def between(a, b, inside):
+        """inside strictly between a and b, 0 at them, -inside elsewhere."""
+        def predicate(eq, x):
+            if isinstance(x, Interval):
+                raise Undecided
+            return 0 if x in (a, b) else inside if a < x < b else -inside
+        return predicate
+
+    eq = EquationSpec.plus(1, 2, 2)
+    for predicate, lo, hi, want in ((between(f + u / 10, f + 3 * u / 10, -1), f - 10 * u, f + u / 5, 1.5),
+                                    (between(f + 7 * u / 10, f + 9 * u / 10, 1), f + 4 * u / 5, f + 20 * u,
+                                     math.nextafter(1.5, 2))):
+        assert analysis._nearest_float(eq, predicate, lo, hi, predicate(eq, lo)) == want
+        mirrored = lambda eq, x, predicate=predicate: predicate(eq, -x)
+        assert analysis._nearest_float(eq, mirrored, -lo, -hi, predicate(eq, lo)) == -want
+
+
+def _counted_certificates(monkeypatch, run):
+    """(what run() returns, how many certified signs it took)."""
+    counted, certify = [], analysis._certified_sign
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_certified_sign", lambda *args: counted.append(args) or certify(*args))
+        return run(), len(counted)
+
+
+def test_a_near_miss_proposal_gallops_to_the_change(monkeypatch):
+    # Floats that propose the pair d indices off the change: the linear
+    # scan's answer still, within 2*log2(d) + 4 certified signs, where a
+    # restart from the whole range would take ~22.
+    eq, rng = EquationSpec.plus(1, 2, 2), random.Random(11)
+    for d in (*range(1, 65), *rng.sample(range(65, 1001), 60), 1000):
+        for miss in (d, -d):
+            root = rng.randrange(2000, 2 ** 20 - 2000) + Fraction(1, 2)
+            proposed = _step_predicate(root + miss)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_float_sign", lambda predicate, spec, x: proposed(spec, x))
+                (j, s), signs = _counted_certificates(patch, lambda: analysis._sign_change(
+                    eq, _step_predicate(root), Fraction, float, 0, 2 ** 20, 1))
+            assert (j, s) == (math.ceil(root), -1), (d, miss)
+            assert signs <= 2 * math.log2(d) + 4, (d, miss, signs)
+
+
+def test_equilibria_sign_work(monkeypatch):
+    # Counts of certified signs, not time: the steps to the bracket, its two
+    # confirmed floats and the midpoint between them.  At nu = 20,000 the
+    # floats are wrong a few ulps from the flat roots, so this counts the
+    # gallop too (53 signs where a refuted pair restarted the search).
+    for nu in (2, 100, 400, 1600):
+        _, signs = _counted_certificates(monkeypatch, lambda: equilibria(EquationSpec.plus(2, 5, nu)))
+        assert signs == 5, (nu, signs)
+    eq = EquationSpec.minus(100000, Fraction(199999, 2), 20000)
+    roots, signs = _counted_certificates(monkeypatch, lambda: equilibria(eq))
+    assert len(roots) == 2 and signs <= 20, signs
+    # Two roots of even nu on minus at q = p - 1 + f*(q_max - p + 1), q_max
+    # the float double-root value: 136 cells, 3,760 signs by the dyadic cells
+    # of the parent, 3,883 where a refuted pair restarts the search.
+    cells = []
+    for nu in (2, 4, 10, 20, 50, 100, 400):
+        for p in (3, 10, 100, 1000, 10 ** 5):
+            top = Fraction(p ** (1 + 1 / nu) * nu / (nu + 1) ** (1 + 1 / nu)) - p + 1
+            cells += [EquationSpec.minus(p, p - 1 + f * top, nu)
+                      for f in (Fraction(1, 7), Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000))]
+    cells = [eq for eq in cells if eq.q > eq.p - 1 and analysis._stable(eq) > 0]
+    _, signs = _counted_certificates(monkeypatch, lambda: [equilibria(eq) for eq in cells])
+    assert len(cells) == 136 and signs <= 2200, signs
 
 
 def _certified_signs(monkeypatch, eq):
-    counted = []
-    certify = analysis._certified_sign
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "_certified_sign", lambda *args: counted.append(args) or certify(*args))
-        assert solve_period_two(eq) is not None
-    return len(counted)
+    cycle, signs = _counted_certificates(monkeypatch, lambda: solve_period_two(eq))
+    assert cycle is not None
+    return signs
 
 
 def test_period_two_certifies_only_the_proposals(monkeypatch):

@@ -207,6 +207,56 @@ def test_range_takes_no_gcd_of_two_big_operands(monkeypatch):
     assert seen and max(seen) <= 1024
 
 
+# ROADMAP item 13's invariant: each nu = 1 entry point at a rational cell.
+# `_BIG_BY_DESIGN` build one big Fraction per call (a product or ratio of two
+# sweep values), so a constant number of big gcds per call, not one per index.
+_P, _Q, _X0, _N = Fraction(5, 3), Fraction(9, 4), Fraction(3, 7), 2000
+_SPEC, _CANONICAL = HoradamSpec(Fraction(1, 3), 5, _P, _Q), HoradamSpec.canonical(_P, _Q)
+_PLUS, _MINUS = EquationSpec.plus(_P, _Q), EquationSpec.minus(_P, _Q)
+_NO_BIG_GCD = {
+    "closed_form_series plus": lambda: closed_form.closed_form_series(_PLUS, _X0, _N),
+    "closed_form_series minus": lambda: closed_form.closed_form_series(_MINUS, _X0, _N),
+    "solve_closed_form": lambda: closed_form.solve_closed_form(_PLUS, _X0, _N),
+    "forbidden_points": lambda: closed_form.forbidden_points(_PLUS, _N),
+    "forbidden_depth": lambda: closed_form.forbidden_depth(_PLUS, _X0, _N),
+    "product_analysis": lambda: closed_form.product_analysis(_PLUS, _X0, _N),
+    "iterate": lambda: dynamics.iterate(_PLUS, _X0, _N),
+    "horadam_range": lambda: horadam_range(_SPEC, -_N, _N),
+    "identity_battery": lambda: identity_battery(_CANONICAL, 60),
+    "check_identity": lambda: check_identity(IdentityKind.CASSINI, _CANONICAL, (_N,)),
+}
+_BIG_BY_DESIGN = {
+    "conjugate_orbit_check": lambda: closed_form.conjugate_orbit_check(_P, _Q, _X0, _N),
+    "product_closed_form": lambda: closed_form.product_closed_form(_P, _Q, _X0, _N),
+    "reconstruct_horadam": lambda: closed_form.reconstruct_horadam(_P, _Q, 3, _N),
+    "docagne_product": lambda: closed_form.docagne_product(_P, _Q, _N, 3),
+    "johnson_product": lambda: closed_form.johnson_product(_P, _Q, 3, _N),
+    "horadam_at": lambda: horadam_at(_SPEC, _N),
+    "ratio_estimate": lambda: ratio_estimate(_SPEC, 3, _N),
+}
+
+
+def test_no_entry_point_takes_a_gcd_of_two_big_operands(monkeypatch):
+    # Counts, not time: gcd calls, from `fractions` or the library's own
+    # imported `gcd`, that see two operands above 4,096 bits.
+    big, real_gcd = [], math.gcd
+
+    def recording(*args):
+        big.append(sum(abs(x).bit_length() > 4096 for x in args) >= 2)
+        return real_gcd(*args)
+
+    counts = {}
+    with monkeypatch.context() as patch:
+        for module in (math, closed_form, dynamics):
+            patch.setattr(module, "gcd", recording)
+        for name, call in {**_NO_BIG_GCD, **_BIG_BY_DESIGN}.items():
+            big.clear()
+            call()
+            counts[name] = sum(big)
+    assert all(counts[name] == 0 for name in _NO_BIG_GCD), counts
+    assert all(counts[name] <= 2 for name in _BIG_BY_DESIGN), counts
+
+
 def _count_steps(monkeypatch, core, work, n):
     # a step function counts its calls, the W sweep (a generator) the terms it yields
     calls, step = [], getattr(*core)

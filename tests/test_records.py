@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratdyn.analysis import Bracket, EquilibriumReport, PeriodTwoCycle, Stability
+from ratdyn.analysis import Bracket, EquilibriumReport, PeriodTwoCycle, Stability, equilibria
 from ratdyn.closed_form import ForbiddenPoint, ProductAnalysis, Regime
 from ratdyn.dynamics import (
     BoundsEnvelope,
@@ -134,6 +134,17 @@ def test_equation_spec_refuses_floats(args):
 def test_equation_spec_refuses_nonpositive_parameters_and_bad_nu(args):
     with pytest.raises(ValueError):
         EquationSpec(*args)
+
+
+def test_equation_spec_coerces_and_checks_its_branch():
+    assert EquationSpec("plus", 1, 1) == EquationSpec.plus(1, 1)
+    assert EquationSpec.plus(1, 1)._replace(branch="minus").branch is Branch.MINUS
+    with pytest.raises(ValueError):
+        EquationSpec("up", 1, 1)
+    with pytest.raises(ValueError):
+        EquationSpec.plus(1, 1)._replace(branch="up")
+    # the root of x**2 + x - 1, not a minus-branch search that never ends
+    assert [r.value for r in equilibria(EquationSpec("plus", 1, 1, 1))] == [0.6180339887498949]
 
 
 @pytest.mark.parametrize("position", range(4))
