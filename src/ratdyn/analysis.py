@@ -208,11 +208,17 @@ def _nearest_float(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi:
     virtual ends; r lies between the float it finds and the one before, and
     the certified sign halfway between them (past lo or hi, that end's sign)
     picks the nearer.  A certified 0 at a float is r, at the midpoint a tie
-    that float() breaks to even; r past the largest float raises OverflowError."""
+    that float() breaks to even.  The virtual float past the largest one is
+    2**1024 (mirrored), so r past max + ulp/2 raises OverflowError, as float(r)
+    does."""
     way = 1 if lo < hi else -1  # index i is the float at position way*i
 
     def probe(i: int) -> float:
         return math.copysign(struct.unpack("<d", struct.pack("<q", abs(i)))[0], way * i)
+
+    def point(i: int) -> Fraction:
+        x = probe(i)
+        return Fraction(x) if math.isfinite(x) else Fraction(2 ** 1024 if x > 0 else -2 ** 1024)
 
     def index(end: Fraction, outward: int) -> int:
         """The index of the float on end, else of the first one past it outward."""
@@ -220,11 +226,10 @@ def _nearest_float(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi:
         i = way * (-1 if x < 0 else 1) * struct.unpack("<q", struct.pack("<d", abs(x)))[0]
         return i + outward * (outward * way * (Fraction(x) - end) < 0)  # x inward of end
 
-    j, s = _sign_change(eq, predicate, lambda i: Fraction(probe(i)), probe,
-                        index(lo, -1), index(hi, 1), side)
+    j, s = _sign_change(eq, predicate, point, probe, index(lo, -1), index(hi, 1), side)
     if s == 0:
         return probe(j)
-    near, far = Fraction(probe(j - 1)), Fraction(probe(j))
+    near, far = point(j - 1), point(j)
     mid = (near + far) / 2
     s = (_certified_sign(predicate, eq, mid) if min(lo, hi) < mid < max(lo, hi)
          else side if way * (mid - lo) <= 0 else -side)  # past lo, or past hi

@@ -8,8 +8,13 @@ nothing.  `simulate` stopped at a singularity is a complete document with its
 print, or a proven two-cycle that floats cannot locate, 3 singular or
 forbidden input, 141 (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE killed) when the reader of stdout closed it first, with nothing on
-stderr.  Exact rationals render as num/den strings, floats with 17
-significant digits; both round-trip losslessly.
+stderr, also for --help.  Exact rationals render as num/den strings, floats
+with 17 significant digits; both round-trip losslessly.
+
+`run` returns the exit code to an in-process caller.  `main`, the entry point
+of `ratdyn` and `python -m ratdyn`, ends the process with it as soon as
+stdout and stderr are flushed: the interpreter's teardown (~7 ms) would
+follow a document already written.
 
 The exact exports (`simulate --plane exact`, `closed-form`, `forbidden`,
 `products`) run the library's integer sweeps on integral Decimals under
@@ -21,7 +26,8 @@ the int->str limit is refused (DigitLimit) before the steps after it.
 A table holds columns, not rows.  `render` gives each column of a block one
 conversion by the types of its cells (`%d` ints, `%.17g` floats, `%s`
 Fractions and the texts of a `_Texts` column, all three quoted in JSON; `%s`
-over `fmt` texts otherwise, encoded in JSON) and formats BLOCK_ROWS rows at a
+over `fmt` texts otherwise, quoted by `_quote` in JSON, which loads `json`
+only for text to escape) and formats BLOCK_ROWS rows at a
 time with one `%` of the repeated row template, so a long orbit runs no
 Python code per cell and only one block's cells are alive beside the
 document.  A block whose column repeats
@@ -41,7 +47,7 @@ import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
 from .errors import DigitLimit, SingularInput
@@ -137,27 +143,40 @@ class Table(NamedTuple):
     status: Optional[dict] = None
 
 
+def _quote(text: str) -> str:
+    """json.dumps(text): printable ASCII without '"' or '\\' in quotes as it
+    is, any other text through json's encoder, which only then is loaded."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(text)
+
+
+def _json_object(members: dict) -> str:
+    """json.dumps(members, sort_keys=True) for str keys and str, int or None values."""
+    return "{%s}" % ", ".join(
+        "%s: %s" % (_quote(key), "null" if value is None else value if type(value) is int
+                    else _quote(value))
+        for key, value in sorted(members.items()))
+
+
 def _conversion(kinds: set, json_text: bool):
     """(conv, text) for cells of the types `kinds`: the `%` conversion of a
     cell, and the function applied to each cell first, or None."""
-    if json_text:
-        from json.encoder import encode_basestring_ascii as encode
     if kinds == {int}:
         return "%d", None
     if kinds == {float} or kinds == {Fraction}:
         conv = "%.17g" if kinds == {float} else "%s"
         return (f'"{conv}"' if json_text else conv), None
     # an int stays a JSON number, any other cell a string
-    return "%s", (lambda v: str(v) if type(v) is int else encode(fmt(v))) if json_text else fmt
+    return "%s", (lambda v: str(v) if type(v) is int else _quote(fmt(v))) if json_text else fmt
 
 
 def _row_blocks(table: Table, json_text: bool) -> List[str]:
     """Pieces whose concatenation is every row of `table`: CSV lines joined by
     newlines, or JSON records (keys sorted) joined by ", ".  A JSON cell that
-    is not an int is a quoted string.  Only JSON loads `json`."""
-    if json_text:
-        from json.encoder import encode_basestring_ascii as encode
-    columns = [(f"{encode(name).replace('%', '%%')}: " if json_text else "", cells)
+    is not an int is a quoted string."""
+    columns = [(f"{_quote(name).replace('%', '%%')}: " if json_text else "", cells)
                for name, cells in (sorted if json_text else list)(table.columns.items())]
     sep = ", " if json_text else "\n"
     rows = min(map(len, table.columns.values()), default=0)
@@ -200,18 +219,14 @@ def _row_blocks(table: Table, json_text: bool) -> List[str]:
 
 def _json_document(table: Table, rows: List[str]) -> str:
     """The bytes of `json.dumps(payload, sort_keys=True)`, around `rows`."""
-    import json
-    from json.encoder import encode_basestring_ascii
-
     members = {table.key: (rows or ["null"]) if table.single else ["[", *rows, "]"]}
     if table.status is not None:
-        members["status"] = [json.dumps(table.status, sort_keys=True)]
+        members["status"] = [_json_object(table.status)]
     if table.meta:
-        members["meta"] = [json.dumps({key: fmt(value) for key, value in table.meta.items()},
-                                      sort_keys=True)]
+        members["meta"] = [_json_object({key: fmt(value) for key, value in table.meta.items()})]
     document = []
     for key, value in sorted(members.items()):
-        document += [", " if document else "{", encode_basestring_ascii(key), ": ", *value]
+        document += [", " if document else "{", _quote(key), ": ", *value]
     document.append("}\n")
     return "".join(document)
 
@@ -331,8 +346,22 @@ def _cmd_identities(args) -> Tuple[int, Table]:
                                     "max_abs_residual": [worst for _, _, worst in rows]})
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help into a closed stdout exits 141.  argparse
+    ignores a failed write, which drops the error where stdout is unbuffered
+    (-u); a buffered stdout keeps the help for `main`'s flush to fail on."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:  # None where fd 1 was closed at startup
+            try:
+                file.write(self.format_help())
+            except BrokenPipeError:
+                self.exit(EXIT_BROKEN_PIPE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratdyn",
         description="Orbit, closed-form and stability data for x(n+1) = q/(±p + x(n)^nu).",
     )
@@ -420,11 +449,28 @@ def run(argv=None) -> int:
         sys.stdout.write(document)
         sys.stdout.flush()
     except BrokenPipeError:
-        # stdout goes to devnull, so the flush at interpreter exit stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     return rc
 
 
+def main(argv=None) -> NoReturn:
+    """The process entry point: `run`, with argparse's SystemExit (--help or
+    a flag error) as its exit code, then flush stdout and stderr and end the
+    process at once, without the interpreter's teardown.  A closed stdout
+    is exit 141 with nothing on stderr; any other exception propagates."""
+    try:
+        rc = run(argv)
+    except SystemExit as exc:  # argparse's, with an int code
+        rc = exc.code
+    try:
+        if sys.stdout is not None:  # None where fd 1 was closed at startup
+            sys.stdout.flush()
+    except BrokenPipeError:
+        rc = EXIT_BROKEN_PIPE
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    main()

@@ -160,12 +160,15 @@ def test_plus_equilibrium_where_the_default_bracket_overflows():
 
 def test_plus_equilibrium_at_the_top_of_the_float_range():
     # x**2 + x - q with q = r*r + r has the root r; from 1 the steps x -> 2x
-    # end at 2**1024, past the floats, for every r in [2**1023, 2**1024)
+    # end at 2**1024, past the floats, for every r in [2**1023, 2**1024); the
+    # float after the largest one is taken as 2**1024, so a root below
+    # max + ulp/2 rounds to max and one on or past it overflows, as float(r)
     top, ulp = Fraction(sys.float_info.max), Fraction(math.ulp(sys.float_info.max))
-    for r in (Fraction(3, 2) * 2 ** 1023, top - ulp / 3, top - ulp / 2, top):
+    for r in (Fraction(3, 2) * 2 ** 1023, top - ulp / 3, top - ulp / 2, top, top + ulp / 4):
         assert [report.value for report in equilibria(EquationSpec.plus(1, r * r + r))] == [float(r)]
-    with pytest.raises(OverflowError):  # a root past the largest float
-        equilibria(EquationSpec.plus(1, (top + ulp / 4) * (top + ulp / 4 + 1)))
+    for r in (top + ulp / 2, top + 3 * ulp / 4):
+        with pytest.raises(OverflowError):
+            equilibria(EquationSpec.plus(1, r * r + r))
 
 
 def test_bracket_trichotomy_random():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -206,6 +207,10 @@ TABLES = [
     # `%`, quotes and backslashes in names and cells stay text, not conversions
     Table("flags", {"100%": ("%s", "%", '"q"', "back\\slash"), '%s"\\': (1, 0, -5, 2),
                     "%d": (0.5, -0.0, math.inf, 1e-300)}),
+    # text that JSON escapes: control characters, DEL, non-ASCII, a lone surrogate
+    Table("text", {"caf\u00e9": ("\x00\t", "\x7f", "\u2028\U0001f600", "\ud800"),
+                   "tab\tkey": (1, 2, 3, 4)},
+          meta={"\u00e9": "line\nbreak", "plain": "a\\b"}, status={"kind": "\u00e9", "step": 0}),
     # float series around the real block size
     *(Table("series", {"n": range(rows), "value": FLOATS[:rows]})
       for rows in (cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1)),
@@ -223,6 +228,22 @@ TABLES = [
     Table("kinds", {"int": (), "float": (), "fraction": (), "text": ()}),
     Table("kinds", {"int": (), "float": (), "fraction": (), "text": ()}, single=True),
 ]
+
+
+def test_quote_equals_the_json_encoder():
+    from json.encoder import encode_basestring_ascii
+
+    rng = random.Random(27)
+    alphabet = ['"', "\\", "/", "%", " ", "~", "\x7f", "\u00e9", "\u2028", "\ud800",
+                "\U0001f600", *map(chr, range(32)), *"azAZ09-"]
+    texts = ["", '"', "\\", "plain", "1/3", "-7", *(
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12))) for _ in range(2000))]
+    for text in texts:
+        assert cli._quote(text) == encode_basestring_ascii(text), repr(text)
+    for _ in range(200):
+        members = {rng.choice(texts): rng.choice([None, rng.randint(-10 ** 20, 10 ** 20),
+                                                  rng.choice(texts)]) for _ in range(3)}
+        assert cli._json_object(members) == json.dumps(members, sort_keys=True)
 
 
 @pytest.mark.parametrize("table", TABLES)
@@ -645,3 +666,35 @@ def test_closed_pipe_exits_141_with_empty_stderr():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("flags", [["-E"], ["-E", "-u"]])  # stdout buffered, unbuffered
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["simulate", "--help"],
+    ["horadam", "--p", "1", "--q", "1", "--from", "0", "--to", "10"],
+])
+def test_stdout_closed_before_the_start_exits_141_with_empty_stderr(flags, argv):
+    # the read end is closed before the spawn: every write to stdout fails,
+    # whether it comes from argparse or from the document
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, *flags, "-m", "ratdyn", *argv], stdout=write,
+                                stderr=subprocess.PIPE, cwd=SRC, timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("closed, argv", [
+    (1, ["--help"]),
+    (2, ["horadam", "--p", "1", "--q", "1", "--from", "0", "--to", "15"]),
+])
+def test_a_stream_closed_at_startup_is_left_alone(closed, argv):
+    # Python sets sys.stdout or sys.stderr to None where its fd is closed
+    result = subprocess.run(["sh", "-c", f'exec {closed}>&-; exec "$@"', "sh",
+                             sys.executable, "-m", "ratdyn", *argv],
+                            capture_output=True, cwd=SRC, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.endswith(b"15,610\n") if closed == 2 else result.stderr == b""

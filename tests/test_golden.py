@@ -3,8 +3,10 @@
 The cases are every invocation in the README "Example invocations" table plus
 horadam, closed-form and identities runs that pin the recurrence layer.  The
 expected files live in tests/golden/: `<name>.out` holds stdout and
-`exit.json` holds each case's exit code and stderr.  After a deliberate change
-of output, rewrite the named cases' goldens (every case's with no names) with
+`exit.json` holds each case's exit code and stderr.  Every case runs in
+process through `run`; PROCESS_CASES also run as `python -m ratdyn` processes,
+which end through `main`.  After a deliberate change of output, rewrite the
+named cases' goldens (every case's with no names) with
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
@@ -14,11 +16,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -26,6 +31,9 @@ from ratdyn.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
+# `python -m ratdyn` finds the package in its working directory.
+SRC = Path(__file__).resolve().parents[1] / "src"
+COLUMNS = {"COLUMNS": "80"}  # the width argparse wraps its usage text to
 
 TINY = "1/1" + "0" * 400  # 10**-400, below the smallest positive float
 
@@ -94,6 +102,10 @@ CASES = {
     "period2_plus_nu200": "period2 --branch plus --p 1 --q 2 --nu 200",
     "period2_none_nu48": "period2 --branch plus --p 3 --q 1 --nu 48",
     "horadam_bad_range": "horadam --p 1 --q 1 --from 5 --to 2",
+    # a flag error: exit 2 with argparse's usage text, wrapped at COLUMNS=80
+    "simulate_bad_rational": "simulate --branch plus --p zebra --q 1 --x0 1 --steps 5",
+    # a 71 kB document, more than a 64 kB pipe buffer holds
+    "horadam_past_a_pipe_buffer": "horadam --p 1 --q 1 --from 0 --to 800",
     # float overflow: exit 2, one error line, nothing on stdout
     "overflow_period2_minus": "period2 --branch minus --p 1/10 --q 10 --nu 200",
     "overflow_period2_plus": "period2 --branch plus --p 1/10 --q 10 --nu 200",
@@ -132,7 +144,8 @@ class _Recorder(io.StringIO):
 def invoke(argv):
     """(exit code, stdout, stderr, stdout writes) of one in-process CLI run."""
     out, err = _Recorder(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS):
         try:
             rc = run(argv)
         except SystemExit as exc:
@@ -149,6 +162,25 @@ def test_golden_output(name):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     # the whole document in one write, after the computation has succeeded
     assert len([text for text in writes if text]) <= 1
+
+
+# exit 0 in both formats and past a pipe buffer, 2 for a flag error and an
+# overflow, 3 for a singular start, before and after a partial orbit
+PROCESS_CASES = ("readme_identities", "horadam_rational_json", "products_json",
+                 "horadam_past_a_pipe_buffer", "simulate_bad_rational", "overflow_simulate_float",
+                 "closed_form_forbidden", "simulate_singular_json")
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_golden_output_of_a_process(name):
+    # the same bytes from a real process, which ends through cli.main
+    expected = json.loads((GOLDEN / "exit.json").read_text())[name]
+    result = subprocess.run([sys.executable, "-E", "-s", "-m", "ratdyn", *shlex.split(CASES[name])],
+                            cwd=SRC, stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+                            env={**os.environ, **COLUMNS})
+    assert result.returncode == expected["rc"]
+    assert result.stderr == expected["stderr"].encode()
+    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_readme_examples_are_golden_cases():

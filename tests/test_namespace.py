@@ -75,6 +75,18 @@ def test_a_subcommand_loads_only_its_layers(bare_modules, argv, layers):
     assert added.isdisjoint({"dataclasses", "json"})
 
 
+@pytest.mark.parametrize("argv", [
+    ["products", "--branch", "minus", "--p", "1", "--q", "2", "--x0", "-9", "--steps", "10",
+     "--format", "json"],  # a meta object
+    ["simulate", "--branch", "plus", "--p", "1", "--q", "1", "--x0", "-2", "--steps", "10",
+     "--format", "json"],  # a status object, exit 3
+    ["analyze", "--branch", "minus", "--p", "3", "--q", "1", "--nu", "3", "--format", "json"],
+])
+def test_a_json_document_loads_no_json(bare_modules, argv):
+    added = loaded_modules(f"from ratdyn.cli import run\nrun({argv!r})") - bare_modules
+    assert "ratdyn.cli" in added and "json" not in added
+
+
 def test_every_binding_the_bench_tracer_wraps_exists(monkeypatch):
     # bench/trace_run.py replaces names such as `analysis.binet_roots` that the
     # package itself may no longer call; entering its patch set looks each up
