@@ -7,9 +7,21 @@ nothing.  `simulate` stopped at a singularity is a complete document with its
 2 flag errors, a float overflow or underflow, an exact value too large to
 print, or a proven two-cycle that floats cannot locate, 3 singular or
 forbidden input, 141 (128 + SIGPIPE, as a shell reports a process that
-SIGPIPE killed) when the reader of stdout closed it first, with nothing on
-stderr, also for --help.  Exact rationals render as num/den strings, floats
-with 17 significant digits; both round-trip losslessly.
+SIGPIPE killed) when the reader of stdout closed it first (also for --help)
+or a document finds fd 1 closed at the start, with nothing on stderr.  Exact
+rationals render as num/den strings, floats with 17 significant digits; both
+round-trip losslessly.
+
+The command line is read from `_COMMANDS`, one table of every subcommand's
+handler, help and flags.  `_read` reads its plain form without argparse: the
+subcommand, then each of its flags at most once, spelled in full, as
+`--flag=value` or as `--flag value` with a value that does not start with
+'-', every required flag given, every value converted and among its choices.
+Anything else (--help, a prefix, a repeated flag, `--x0 -3`, an error) goes
+whole to `_argparse_parser`, built from the same table only then, which
+gives argparse's Namespace, help and error bytes.  Importing argparse and
+building its nine parsers takes a job longer than most jobs compute.
+`build_parser().parse_args(argv)` is the two in turn.
 
 `run` returns the exit code to an in-process caller.  `main`, the entry point
 of `ratdyn` and `python -m ratdyn`, ends the process with it as soon as
@@ -39,7 +51,6 @@ imported by the subcommands that use them.
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import math
 import operator
@@ -47,7 +58,8 @@ import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Tuple
 
 from .equation import Branch, EquationSpec
 from .errors import DigitLimit, SingularInput
@@ -77,20 +89,27 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _bad_value(message: str) -> Exception:
+    """argparse's ArgumentTypeError(message).  A value a converter refuses
+    sends the command line to argparse, so argparse is loaded only then."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise _bad_value(f"not a rational number: {text!r}") from exc
 
 
 def _bounded_int(text: str, low: int, high: int, bound: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        raise _bad_value(f"invalid int value: {text!r}") from exc
     if not low <= value <= high:
-        raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        raise _bad_value(f"must be {bound}, got {text!r}")
     return value
 
 
@@ -111,7 +130,7 @@ def _tol_arg(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+        raise _bad_value(f"must be a finite positive number, got {text!r}")
     return value
 
 
@@ -119,7 +138,7 @@ def _branch_arg(text: str) -> Branch:
     try:
         return Branch(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError("branch must be 'plus' or 'minus'") from exc
+        raise _bad_value("branch must be 'plus' or 'minus'") from exc
 
 
 class _Texts(list):
@@ -346,85 +365,147 @@ def _cmd_identities(args) -> Tuple[int, Table]:
                                     "max_abs_residual": [worst for _, _, worst in rows]})
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose help into a closed stdout exits 141.  argparse
-    ignores a failed write, which drops the error where stdout is unbuffered
-    (-u); a buffered stdout keeps the help for `main`'s flush to fail on."""
+def _flag(spelling: str, dest: str, **options) -> Tuple[str, dict]:
+    """A flag: its spelling, and argparse's `add_argument` keywords for it:
+    dest, and any of type (the converter of its text), required, default,
+    choices and help."""
+    return spelling, dict(dest=dest, **options)
 
-    def print_help(self, file=None):
-        file = file or sys.stdout
-        if file is not None:  # None where fd 1 was closed at startup
+
+def _common(branch=True, nu=False, fmt_flag=True) -> tuple:
+    flags = [_flag("--branch", "branch", type=_branch_arg, required=True)] if branch else []
+    flags += [_flag("--p", "p", type=_fraction_arg, required=True),
+              _flag("--q", "q", type=_fraction_arg, required=True)]
+    if nu:
+        flags.append(_flag("--nu", "nu", type=_nu_arg, default=1, help=f"exponent, 1 to {_NU_MAX}"))
+    if fmt_flag:
+        flags.append(_flag("--format", "format", choices=("csv", "json"), default="csv"))
+    return tuple(flags)
+
+
+# Each subcommand's handler, help and flags, in the order of `ratdyn --help`
+# and of each usage line.
+_COMMANDS: Dict[str, Tuple[Callable, str, tuple]] = {
+    "horadam": (
+        _cmd_horadam, "recurrence values W(n) over an index range",
+        _common(branch=False) + (
+            _flag("--a", "a", type=_fraction_arg, default=Fraction(0)),
+            _flag("--b", "b", type=_fraction_arg, default=Fraction(1)),
+            _flag("--from", "start", type=_size_arg, required=True),
+            _flag("--to", "stop", type=_size_arg, required=True))),
+    "simulate": (
+        _cmd_simulate, "iterate an orbit and emit the series",
+        _common(nu=True) + (
+            _flag("--x0", "x0", type=_fraction_arg, required=True),
+            _flag("--steps", "steps", type=_size_arg, required=True),
+            _flag("--plane", "plane", choices=("exact", "float"), default="exact"))),
+    "closed-form": (
+        _cmd_closed_form, "nu=1 series straight from the closed form",
+        _common() + (
+            _flag("--x0", "x0", type=_fraction_arg, required=True),
+            _flag("--n", "n", type=_size_arg, required=True))),
+    "forbidden": (
+        _cmd_forbidden, "forbidden initial conditions by depth (nu=1)",
+        _common() + (
+            _flag("--depth", "depth", type=_size_arg, required=True),)),
+    "products": (
+        _cmd_products, "partial products with regime and limit (nu=1)",
+        _common() + (
+            _flag("--x0", "x0", type=_fraction_arg, required=True),
+            _flag("--steps", "steps", type=_size_arg, required=True))),
+    "analyze": (
+        _cmd_analyze, "equilibria with multipliers and stability",
+        _common(nu=True)),
+    "period2": (
+        _cmd_period2, "prime two-cycle, if one exists",
+        _common(nu=True) + (
+            _flag("--tol", "tol", type=_tol_arg, default=1e-10, help="bisects to width "
+                  "min(tol, 1e-12): any tol >= 1e-12 prints the default"),)),
+    "identities": (
+        _cmd_identities, "exact identity battery; exit 1 on any failure",
+        _common(branch=False, fmt_flag=False) + (
+            _flag("--nmax", "nmax", type=_size_arg, required=True),)),
+}
+
+
+def _read(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The attributes of argparse's Namespace for the plain form of `argv`
+    (see the module docstring), or None for any other argv."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    fn, _, flags = command
+    unread = dict(flags)
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        spelling, joined, value = token.partition("=")
+        options = unread.pop(spelling, None)
+        if options is None:  # not a flag of the command, or given before
+            return None
+        if not joined:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if "type" in options:
             try:
-                file.write(self.format_help())
-            except BrokenPipeError:
-                self.exit(EXIT_BROKEN_PIPE)
+                value = options["type"](value)
+            except Exception:  # argparse reports it, or raises it again
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[options["dest"]] = value
+    for options in unread.values():
+        if options.get("required"):
+            return None
+        values[options["dest"]] = options.get("default")
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _argparse_parser():
+    """The argparse parser of _COMMANDS, for --help and every command line
+    that `_read` declines: its Namespace, its usage and its error bytes."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser, whose help into a closed stdout exits 141.
+        argparse ignores a failed write, which drops the error where stdout
+        is unbuffered (-u); a buffered stdout keeps the help for `main`'s
+        flush to fail on."""
+
+        def print_help(self, file=None):
+            file = file or sys.stdout
+            if file is not None:  # None where fd 1 was closed at startup
+                try:
+                    file.write(self.format_help())
+                except BrokenPipeError:
+                    self.exit(EXIT_BROKEN_PIPE)
+
     parser = _Parser(
         prog="ratdyn",
         description="Orbit, closed-form and stability data for x(n+1) = q/(±p + x(n)^nu).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, branch=True, nu=False, fmt_flag=True):
-        if branch:
-            sp.add_argument("--branch", type=_branch_arg, required=True)
-        sp.add_argument("--p", type=_fraction_arg, required=True)
-        sp.add_argument("--q", type=_fraction_arg, required=True)
-        if nu:
-            sp.add_argument("--nu", type=_nu_arg, default=1, help=f"exponent, 1 to {_NU_MAX}")
-        if fmt_flag:
-            sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    sp = sub.add_parser("horadam", help="recurrence values W(n) over an index range")
-    add_common(sp, branch=False)
-    sp.add_argument("--a", type=_fraction_arg, default=Fraction(0))
-    sp.add_argument("--b", type=_fraction_arg, default=Fraction(1))
-    sp.add_argument("--from", dest="start", type=_size_arg, required=True)
-    sp.add_argument("--to", dest="stop", type=_size_arg, required=True)
-    sp.set_defaults(fn=_cmd_horadam)
-
-    sp = sub.add_parser("simulate", help="iterate an orbit and emit the series")
-    add_common(sp, nu=True)
-    sp.add_argument("--x0", type=_fraction_arg, required=True)
-    sp.add_argument("--steps", type=_size_arg, required=True)
-    sp.add_argument("--plane", choices=("exact", "float"), default="exact")
-    sp.set_defaults(fn=_cmd_simulate)
-
-    sp = sub.add_parser("closed-form", help="nu=1 series straight from the closed form")
-    add_common(sp)
-    sp.add_argument("--x0", type=_fraction_arg, required=True)
-    sp.add_argument("--n", type=_size_arg, required=True)
-    sp.set_defaults(fn=_cmd_closed_form)
-
-    sp = sub.add_parser("forbidden", help="forbidden initial conditions by depth (nu=1)")
-    add_common(sp)
-    sp.add_argument("--depth", type=_size_arg, required=True)
-    sp.set_defaults(fn=_cmd_forbidden)
-
-    sp = sub.add_parser("products", help="partial products with regime and limit (nu=1)")
-    add_common(sp)
-    sp.add_argument("--x0", type=_fraction_arg, required=True)
-    sp.add_argument("--steps", type=_size_arg, required=True)
-    sp.set_defaults(fn=_cmd_products)
-
-    sp = sub.add_parser("analyze", help="equilibria with multipliers and stability")
-    add_common(sp, nu=True)
-    sp.set_defaults(fn=_cmd_analyze)
-
-    sp = sub.add_parser("period2", help="prime two-cycle, if one exists")
-    add_common(sp, nu=True)
-    sp.add_argument("--tol", type=_tol_arg, default=1e-10,
-                    help="bisects to width min(tol, 1e-12): any tol >= 1e-12 prints the default")
-    sp.set_defaults(fn=_cmd_period2)
-
-    sp = sub.add_parser("identities", help="exact identity battery; exit 1 on any failure")
-    add_common(sp, branch=False, fmt_flag=False)
-    sp.add_argument("--nmax", type=_size_arg, required=True)
-    sp.set_defaults(fn=_cmd_identities)
-
+    for name, (fn, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for spelling, options in flags:
+            sp.add_argument(spelling, **options)
+        sp.set_defaults(fn=fn)
     return parser
+
+
+class _CommandLine:
+    """What `build_parser` returns: `parse_args(argv)` is `_read(argv)`, or
+    where that declines, the argparse parser's `parse_args(argv)`."""
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _read(argv)
+        return _argparse_parser().parse_args(argv) if args is None else args
+
+
+def build_parser() -> _CommandLine:
+    return _CommandLine()
 
 
 def run(argv=None) -> int:
@@ -442,9 +523,12 @@ def run(argv=None) -> int:
         print(f"error: float {what} the float range", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        hint = "; use --plane float" if isinstance(exc, DigitLimit) and "plane" in args else ""
+        plane = isinstance(exc, DigitLimit) and hasattr(args, "plane")
+        hint = "; use --plane float" if plane else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
+    if sys.stdout is None:  # fd 1 closed at startup: no reader to write to
+        return EXIT_BROKEN_PIPE
     try:
         sys.stdout.write(document)
         sys.stdout.flush()

@@ -698,3 +698,12 @@ def test_a_stream_closed_at_startup_is_left_alone(closed, argv):
                             capture_output=True, cwd=SRC, timeout=60)
     assert result.returncode == 0
     assert result.stdout.endswith(b"15,610\n") if closed == 2 else result.stderr == b""
+
+
+def test_a_document_with_stdout_closed_at_startup_exits_141_with_empty_stderr():
+    # sys.stdout is None: no reader is left to take the document
+    argv = ["horadam", "--p", "1", "--q", "1", "--from", "0", "--to", "3"]
+    result = subprocess.run(["sh", "-c", 'exec 1>&-; exec "$@"', "sh",
+                             sys.executable, "-m", "ratdyn", *argv],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, cwd=SRC, timeout=60)
+    assert (result.returncode, result.stderr) == (cli.EXIT_BROKEN_PIPE, b"")

@@ -94,3 +94,28 @@ def test_every_binding_the_bench_tracer_wraps_exists(monkeypatch):
     trace_run = importlib.import_module("trace_run")
     with trace_run.traced_bindings(trace_run.Tracer()):
         pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["horadam", "--p", "1", "--q", "1", "--from", "0", "--to", "5"],
+    ["simulate", "--branch", "plus", "--p", "2", "--q", "7", "--x0", "3", "--steps", "5"],
+    ["closed-form", "--branch", "plus", "--p", "2", "--q", "7", "--x0", "3", "--n", "5"],
+    ["forbidden", "--branch", "plus", "--p", "1", "--q", "1", "--depth", "5", "--format", "json"],
+    ["products", "--branch", "minus", "--p", "1", "--q", "2", "--x0=-9", "--steps", "10"],
+    ["analyze", "--branch", "minus", "--p", "3", "--q", "1", "--nu", "2"],
+    ["period2", "--branch", "plus", "--p", "1", "--q", "2", "--nu", "3", "--tol", "1e-4"],
+    ["identities", "--p", "3", "--q", "2", "--nmax", "5"],
+])
+def test_a_plain_command_line_loads_no_argparse(bare_modules, argv):
+    added = loaded_modules(f"from ratdyn.cli import run\nassert run({argv!r}) == 0") - bare_modules
+    assert "ratdyn.cli" in added and "argparse" not in added
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["period2", "--branch", "plus", "--p", "1", "--q", "2", "--nu", "0"],  # a flag error
+    ["period2", "--bra", "plus", "--p", "1", "--q", "2", "--nu", "3"],  # a prefix
+])
+def test_help_a_flag_error_and_a_prefix_load_argparse(bare_modules, argv):
+    statement = f"from ratdyn.cli import run\ntry:\n    run({argv!r})\nexcept SystemExit:\n    pass"
+    assert "argparse" in loaded_modules(statement) - bare_modules
