@@ -8,20 +8,23 @@ nothing.  `simulate` stopped at a singularity is a complete document with its
 print, or a proven two-cycle that floats cannot locate, 3 singular or
 forbidden input, 141 (128 + SIGPIPE, as a shell reports a process that
 SIGPIPE killed) when the reader of stdout closed it first (also for --help)
-or a document finds fd 1 closed at the start, with nothing on stderr.  Exact
-rationals render as num/den strings, floats with 17 significant digits; both
-round-trip losslessly.
+or a document finds fd 1 closed at the start, with nothing on stderr.  An
+error message that a closed fd 2 cannot take is lost, not its exit code.
+Exact rationals render as num/den strings, floats with 17 significant
+digits; both round-trip losslessly.
 
 The command line is read from `_COMMANDS`, one table of every subcommand's
 handler, help and flags.  `_read` reads its plain form without argparse: the
 subcommand, then each of its flags at most once, spelled in full, as
 `--flag=value` or as `--flag value` with a value that does not start with
-'-', every required flag given, every value converted and among its choices.
-Anything else (--help, a prefix, a repeated flag, `--x0 -3`, an error) goes
-whole to `_argparse_parser`, built from the same table only then, which
-gives argparse's Namespace, help and error bytes.  Importing argparse and
-building its nine parsers takes a job longer than most jobs compute.
-`build_parser().parse_args(argv)` is the two in turn.
+'-' or is '-' and ASCII digits (`--from -284`, which argparse reads as a
+value in every supported Python), every required flag given, every value
+converted and among its choices.  Anything else (--help, a prefix, a
+repeated flag, `--x0 -1/2`, an error) goes whole to `_argparse_parser`,
+built from the same table only then, which gives argparse's Namespace, help
+and error bytes.  Importing argparse and building its nine parsers takes a
+job longer than most jobs compute.  `build_parser().parse_args(argv)` is the
+two in turn.
 
 `run` returns the exit code to an in-process caller.  `main`, the entry point
 of `ratdyn` and `python -m ratdyn`, ends the process with it as soon as
@@ -39,14 +42,24 @@ A table holds columns, not rows.  `render` gives each column of a block one
 conversion by the types of its cells (`%d` ints, `%.17g` floats, `%s`
 Fractions and the texts of a `_Texts` column, all three quoted in JSON; `%s`
 over `fmt` texts otherwise, quoted by `_quote` in JSON, which loads `json`
-only for text to escape) and formats BLOCK_ROWS rows at a
-time with one `%` of the repeated row template, so a long orbit runs no
-Python code per cell and only one block's cells are alive beside the
-document.  A block whose column repeats
-two objects in turn, as the tail of an orbit that `dynamics.iterate` found
-periodic, formats those two once, into a two-row template; the test is by
-identity, since 0.0 == -0.0 but they print differently.  The layers are
-imported by the subcommands that use them.
+only for text to escape) and formats up to BLOCK_ROWS rows at a time with
+one `%` of the repeated row template, so a long orbit runs no Python code
+per cell and only one block's cells are alive beside the document.  A block
+whose column repeats two objects in turn, as the tail of an orbit that
+`dynamics._record` found periodic, formats those two once, into a two-row
+template.  The test is by identity, since 0.0 == -0.0 but they print
+differently; a `_Periodic` column, a float orbit of `simulate`, says where
+its tail starts and is not tested.
+
+The index of a table, n or m, is formatted by the block, not by the cell,
+where it holds two whole decades past 999: its blocks then end where it
+crosses a multiple of 1000.  The indices of such a block share k = n // 1000
+and differ in their last three digits, so from the second block on with
+one row template, count and start digits, the template is cut once around
+k with those digits in it (`_cut`), and the block is str(k) joined between
+the pieces, then `%` of its other cells if any are left.  A periodic tail
+costs one join per 1,000 rows.  The layers are imported by the subcommands
+that use them.
 """
 
 from __future__ import annotations
@@ -72,7 +85,8 @@ EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_BROKEN_PIPE = 141
 
-BLOCK_ROWS = 4096  # rows joined at a time by `render`
+BLOCK_ROWS = 4096  # rows joined at a time by `render`, at most
+_DECADE = 1000  # an index's blocks end where it crosses a multiple of this
 _NU_MAX = 20000
 
 # Integer arithmetic on decimal digits: a result it would round raises instead.
@@ -147,6 +161,13 @@ class _Texts(list):
     spell: a JSON cell is the text in quotes, with nothing to escape."""
 
 
+class _Periodic(list):
+    """A float orbit's values whose rows from `tail` on repeat the objects
+    at tail and tail + 1 in turn, as `dynamics._record` filled them."""
+
+    tail: int
+
+
 class Table(NamedTuple):
     """One subcommand's result, held by column.  `columns` maps each column
     name, in CSV order, to its cells: sliceable sequences of one length, such
@@ -191,25 +212,66 @@ def _conversion(kinds: set, json_text: bool):
     return "%s", (lambda v: str(v) if type(v) is int else _quote(fmt(v))) if json_text else fmt
 
 
+def _cut(template: str, low: int, count: int, convert: bool) -> List[str]:
+    """The pieces of `template`, `count` rows whose index is '%i', around
+    the index's leading digits k: a block whose index runs from 1000*k + low
+    is str(k).join(pieces), then `%` of its other cells if `convert`, else
+    with '%%' already undone.  [] where a cell's own text holds '%i' or NUL."""
+    if template.count("%i") != count:
+        return []
+    # '%' doubled, one `%` puts NUL and the last three digits where each index was
+    text = template.replace("%", "%%").replace("%%i", "\0%03i") % tuple(range(low, low + count))
+    cut = (text if convert else text % ()).split("\0")
+    return cut if len(cut) == count + 1 else []
+
+
 def _row_blocks(table: Table, json_text: bool) -> List[str]:
     """Pieces whose concatenation is every row of `table`: CSV lines joined by
     newlines, or JSON records (keys sorted) joined by ", ".  A JSON cell that
     is not an int is a quoted string."""
-    columns = [(f"{_quote(name).replace('%', '%%')}: " if json_text else "", cells)
+    columns = [(f"{_quote(name).replace('%', '%%')}: " if json_text else "", cells,
+                cells.tail if type(cells) is _Periodic else None)
                for name, cells in (sorted if json_text else list)(table.columns.items())]
-    sep = ", " if json_text else "\n"
     rows = min(map(len, table.columns.values()), default=0)
+    # The index, n or m, is the first range of step 1.  Where it holds two
+    # whole decades k >= 1, a template cut at k serves again, so its blocks
+    # end where it crosses a multiple of 1000; elsewhere it is an int column.
+    index = next((cells for _, cells, _ in columns
+                  if type(cells) is range and cells.step == 1), None)
+    if index is not None and (not rows or (index[rows - 1] + 1) // _DECADE
+                              - max(-(-index[0] // _DECADE), 1) < 2):
+        index = None
+    tails = [tail for _, _, tail in columns if tail is not None]
+    sep = ", " if json_text else "\n"
     pieces: List[str] = []
     key = template = None  # the last block's row templates and count, and its template
-    for start in range(0, rows, BLOCK_ROWS):
+    seen, cuts = set(), {}  # each block's (key, low); _cut of a template's second use
+    start = k = 0
+    while start < rows:
         count = min(BLOCK_ROWS, rows - start)
+        if index is not None:
+            k, low = divmod(index[start], _DECADE)
+            count = min(count, _DECADE - low)
+        for tail in tails:  # a periodic tail starts a block
+            if start < tail < start + count:
+                count = tail - start
         parts, fields = [], ([], [])  # the cells to convert; the even and odd rows' fields
-        for head, column in columns:
-            part = column[start:start + count]
-            # Two objects in turn, as the tail of an orbit that dynamics.iterate
+        for head, column, tail in columns:
+            if column is index:
+                at = len(parts)
+                parts.append(column[start:start + count])
+                for row in fields:
+                    row.append(head + "%i")
+                continue
+            # Two objects in turn, as the tail of an orbit that dynamics._record
             # found periodic, are each formatted once, into their row of a
-            # two-row template.  By identity, not value: 0.0 == -0.0.
-            pair = count > 2 and all(map(operator.is_, part[2:], part))
+            # two-row template.  By identity, not value: 0.0 == -0.0.  The
+            # tail of a `_Periodic` column is known, and not tested.
+            if tail is not None and count > 2 and start >= tail:
+                part, pair = column[start:start + 2], True
+            else:
+                part = column[start:start + count]
+                pair = tail is None and count > 2 and all(map(operator.is_, part[2:], part))
             if type(part) is range:
                 kinds = {int}
             elif type(column) is _Texts:
@@ -225,14 +287,26 @@ def _row_blocks(table: Table, json_text: bool) -> List[str]:
             parts.append(part if text is None else map(text, part))
             for row in fields:
                 row.append(head + conv)
-        flat = [None] * (count * len(parts))  # the cells to convert, row by row
-        for i, part in enumerate(parts):
-            flat[i::len(parts)] = part
-        rows_of = ["{" + ", ".join(row) + "}" if json_text else ",".join(row) for row in fields]
+        rows_of = tuple("{" + ", ".join(row) + "}" if json_text else ",".join(row)
+                        for row in fields)
         if key != (rows_of, count):
             key, template = (rows_of, count), sep.join((rows_of * (count // 2 + 1))[:count])
-        block = template % tuple(flat)
+        block, cut = template, None
+        if k > 0:  # each index of the block is str(k), then three digits
+            cut = cuts.get((key, low))
+            if cut is None and (key, low) in seen:
+                cut = cuts[key, low] = _cut(template, low, count, len(parts) > 1)
+            seen.add((key, low))
+        if cut:
+            del parts[at]
+            block = str(k).join(cut)
+        if parts or not cut:  # a cut without other cells to convert has no '%' left
+            flat = [None] * (count * len(parts))  # the cells to convert, row by row
+            for i, part in enumerate(parts):
+                flat[i::len(parts)] = part
+            block %= tuple(flat)
         pieces += [sep, block] if pieces else [block]
+        start += count
     return pieces
 
 
@@ -300,8 +374,10 @@ def _cmd_simulate(args) -> Tuple[int, Table]:
         values, status = _as_texts(dynamics._exact_orbit, eq, args.x0, args.steps)
         values = _Texts(values)
     else:
-        orbit = dynamics.iterate(eq, float(args.x0), args.steps, dynamics.Plane.FLOAT)
-        values, status = orbit.values, orbit.status
+        x = float(args.x0)
+        values = _Periodic([x])
+        _, status, values.tail = dynamics._record(values, dynamics._float_values(eq, x),
+                                                  args.steps, dynamics.StatusKind.NEAR_SINGULAR)
     rc = EXIT_OK if status.ok else EXIT_SINGULAR
     return rc, Table("series", {"n": range(len(values)), "value": values},
                      status={"kind": status.kind.value, "step": status.step})
@@ -445,7 +521,9 @@ def _read(argv: List[str]) -> Optional[SimpleNamespace]:
             return None
         if not joined:
             value = next(tokens, "-")
-            if value.startswith("-"):
+            # argparse reads '-' and ASCII digits as a value, and every other
+            # token that starts with '-' as a flag in some Python version
+            if value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit()):
                 return None
         if "type" in options:
             try:
@@ -508,6 +586,16 @@ def build_parser() -> _CommandLine:
     return _CommandLine()
 
 
+def _error(message: str) -> None:
+    """Print `message` to stderr.  Where fd 2 is closed the message is lost,
+    but not the exit code that goes with it."""
+    try:
+        if sys.stderr is not None:  # print(file=None) would write to stdout
+            print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def run(argv=None) -> int:
     """Parse `argv`, compute, render, and only then write stdout, once."""
     args = build_parser().parse_args(argv)
@@ -515,17 +603,17 @@ def run(argv=None) -> int:
         rc, table = args.fn(args)
         document = render(table, args)
     except SingularInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_SINGULAR
     except (OverflowError, ZeroDivisionError) as exc:  # a float past either end of its range
         what = ("overflow: a value exceeds" if isinstance(exc, OverflowError)
                 else "underflow: a nonzero value rounds to zero in")
-        print(f"error: float {what} the float range", file=sys.stderr)
+        _error(f"float {what} the float range")
         return EXIT_USAGE
     except ValueError as exc:
         plane = isinstance(exc, DigitLimit) and hasattr(args, "plane")
         hint = "; use --plane float" if plane else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        _error(f"{exc}{hint}")
         return EXIT_USAGE
     if sys.stdout is None:  # fd 1 closed at startup: no reader to write to
         return EXIT_BROKEN_PIPE
@@ -551,8 +639,11 @@ def main(argv=None) -> NoReturn:
             sys.stdout.flush()
     except BrokenPipeError:
         rc = EXIT_BROKEN_PIPE
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # fd 2 closed: what was printed there is lost, not the exit code
+        pass
     os._exit(rc)
 
 

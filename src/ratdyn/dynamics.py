@@ -28,11 +28,13 @@ is increasing and a bounded orbit settles on an equilibrium or a two-cycle
 (the odd-nu minus branch mirrors this on the negative one).  Once an iterate
 equals the one two steps before it, x(k) == x(k-2), the orbit is exactly
 periodic from there: x(k+1) = f(x(k)) = f(x(k-2)) = x(k-1), and so on.
-`_record`, the loop of `iterate` and of the CLI's exact orbits, tests for
+`_record`, the loop of `iterate` and of the CLI's orbits, tests for
 that every 1024 steps (_CYCLE_CHECK_STEPS), stops stepping once it holds,
 and fills the remaining steps by repeating the last two values, the same
-objects.  Float orbits usually reach such a k within a few thousand steps;
-near the flip tangency they converge too slowly to.
+objects; it returns the index where that repetition starts, so the CLI
+renders the tail without testing it.  Float orbits usually reach such a k
+within a few thousand steps; near the flip tangency they converge too slowly
+to.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _exact_orbit(eq: EquationSpec, x: Fraction, steps: int, num,
     `_exact_pairs`): (values, status), each value make(n, d) of a reduced pair."""
     after = (make(n, d) for n, d, _ in _exact_pairs(eq, x, num))
     first = make(num(x.numerator), num(x.denominator))
-    return _record(first, after, steps, StatusKind.HIT_SINGULARITY)
+    values, status, _ = _record([first], after, steps, StatusKind.HIT_SINGULARITY)
+    return values, status
 
 
 def _float_values(eq: EquationSpec, x: float) -> Iterator[float]:
@@ -185,19 +188,21 @@ def iterate(eq: EquationSpec, x0, steps: int, plane: Plane = Plane.EXACT) -> Orb
         values, status = _exact_orbit(eq, as_fraction(x0), steps, int, _fraction)
     else:
         x = float(x0)
-        values, status = _record(x, _float_values(eq, x), steps, StatusKind.NEAR_SINGULAR)
+        values, status, _ = _record([x], _float_values(eq, x), steps, StatusKind.NEAR_SINGULAR)
     return Orbit(eq=eq, x0=x0, values=tuple(values), status=status, plane=plane)
 
 
-def _record(x, after: Iterator, steps: int, stop: StatusKind) -> Tuple[list, OrbitStatus]:
-    """x and up to `steps` values of `after`, with the orbit's status: `stop`
-    at step k if `after` ends after k - 1 values.  Values are compared with
-    ==, so `after` may give any kind whose equal values are the same iterate
-    (Fractions, floats, or the CLI's num/den texts).  See `iterate` for the
-    exact-cycle stop."""
+def _record(values: list, after: Iterator, steps: int,
+            stop: StatusKind) -> Tuple[list, OrbitStatus, int]:
+    """`values`, a list holding x, extended by up to `steps` values of
+    `after`; the orbit's status, `stop` at step k if `after` ends after k - 1
+    values; and the tail: the index from which the values repeat the objects
+    at tail and tail + 1 in turn (len(values) where they do not).  Values are
+    compared with ==, so `after` may give any kind whose equal values are the
+    same iterate (Fractions, floats, or the CLI's num/den texts).  See
+    `iterate` for the exact-cycle stop."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    values = [x]
     status = OrbitStatus(StatusKind.COMPLETED)
     k = 0
     while k < steps:
@@ -208,8 +213,8 @@ def _record(x, after: Iterator, steps: int, stop: StatusKind) -> Tuple[list, Orb
             break
         if k > 1 and values[-1] == values[-3]:
             values += islice(cycle(values[-2:]), steps - k)
-            break
-    return values, status
+            return values, status, k - 1
+    return values, status, len(values)
 
 
 class BoundsEnvelope(NamedTuple):

@@ -265,6 +265,70 @@ def test_render_gives_one_document_at_every_block_size(monkeypatch, fmt_flag):
         assert [render(table, args) for table in TABLES] == whole
 
 
+def _periodic(head, pair, rows):
+    """`_cycle_tail` as the CLI's float orbits hold it: a `_Periodic` column
+    that says where its tail starts."""
+    cells = cli._Periodic(_cycle_tail(head, pair, rows))
+    cells.tail = len(head)
+    return cells
+
+
+FRESH = [_rng.uniform(0.1, 3.5) for _ in range(12_000)]  # one object per row
+INDEXED = [
+    # the index crosses 999 -> 1000, 9999 -> 10000 and 99999 -> 100000; the
+    # tails start an even and an odd number of rows into a decade
+    Table("series", {"n": range(500, 3300), "value": FRESH[:2800]}),
+    Table("series", {"n": range(8_000, 11_000),
+                     "value": _periodic(FRESH[:300], (2.5, -1 / 3), 3000)},
+          status={"kind": "completed", "step": None}),
+    Table("series", {"n": range(98_000, 102_000),
+                     "value": _periodic(FRESH[:501], (0.75, 0.125), 4000)}),
+    # from 1 and from an unaligned start, as `forbidden` and a `horadam` range
+    Table("forbidden", {"m": range(1, 3200), "value": cli._Texts(map(str, FRESH[:3199]))}),
+    Table("series", {"n": range(997, 12_345), "value": _periodic(FRESH[:5003], (1e-300, -7.0),
+                                                                   12_345 - 997)}),
+    # from negative to positive, ints beside the index
+    Table("series", {"n": range(-1_500, 3_300), "value": [n * n - 7 for n in range(4_800)]}),
+    # a tail that starts on a decade; of period one; 0.0 and -0.0 in turn
+    Table("series", {"n": range(4_100), "value": _periodic(FRESH[:2000], (4.5, 1.5), 4_100)}),
+    Table("series", {"n": range(4_100), "value": _periodic(FRESH[:1203], (0.5, 0.5), 4_100)}),
+    Table("series", {"n": range(3_100), "value": _periodic((), ZEROS, 3_100)}),
+    # a marked tail beside an unmarked one, and beside a column of fresh objects;
+    # a second range is an int column
+    Table("pair", {"n": range(1_000, 7_000), "x": _periodic(FRESH[:1111], (2.5, -0.5), 6_000),
+                   "y": _cycle_tail(FRESH[:2222], (0.25, 8.0), 6_000)}),
+    Table("pair", {"m": range(4_000, 7_000), "x": _periodic(FRESH[:10], ZEROS, 3_000),
+                   "n": range(3_000), "a": FRESH[:3_000]}),
+    # '%' in the text of a cell; the index's own '%i' or a NUL there
+    Table("text", {"n": range(2_000, 6_000), "text": _cycle_tail((), ("5%", "%d%%"), 4_000)}),
+    Table("text", {"n": range(2_000, 5_000), "text": ("%i",) * 3_000}),
+    Table("text", {"n": range(2_000, 5_000), "text": ("%%i%", "\0") * 1_500}),
+]
+
+
+@pytest.mark.parametrize("fmt_flag", ["csv", "json"])
+@pytest.mark.parametrize("table", INDEXED)
+def test_render_of_an_index_crossing_decades_equals_the_references(monkeypatch, table, fmt_flag):
+    args = argparse.Namespace(format=fmt_flag)
+    reference = (_json_by_dumps if fmt_flag == "json" else _csv_per_cell)(table)
+    assert render(table, args) == reference
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", rows)
+        assert render(table, args) == reference
+
+
+def test_simulate_marks_the_periodic_tail_of_a_float_orbit():
+    # the tail's rows are rendered from the mark, not from a test of each block
+    args = cli.build_parser().parse_args(
+        "simulate --branch plus --p 1 --q 2 --nu 3 --x0=2 --steps 5000 --plane float".split())
+    _, table = cli._cmd_simulate(args)
+    values = table.columns["value"]
+    assert type(values) is cli._Periodic and 2 <= values.tail < 2000 and len(values) == 5001
+    assert all(values[i] is values[i - 2] for i in range(values.tail + 2, len(values)))
+    assert values[values.tail + 1] is not values[values.tail - 1]
+    assert render(table, args) == _csv_per_cell(table)
+
+
 @pytest.mark.parametrize("fmt_flag", ["csv", "json"])
 @pytest.mark.parametrize("kind", [int, Fraction])
 def test_render_past_the_digit_limit_raises_digit_limit(fmt_flag, kind):
@@ -698,6 +762,27 @@ def test_a_stream_closed_at_startup_is_left_alone(closed, argv):
                             capture_output=True, cwd=SRC, timeout=60)
     assert result.returncode == 0
     assert result.stdout.endswith(b"15,610\n") if closed == 2 else result.stderr == b""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["horadam", "--p", "1", "--q", "1", "--from", "5", "--to", "2"], cli.EXIT_USAGE),
+    (["closed-form", "--branch", "plus", "--p", "1", "--q", "1", "--x0=-3/2", "--n", "10"],
+     cli.EXIT_SINGULAR),
+    (["simulate", "--branch", "plus", "--p", "1", "--q", "1", "--nu", "1", "--x0", "-2",
+      "--steps", "10"], cli.EXIT_SINGULAR),  # a partial document, and nothing for stderr
+    (["horadam", "--p", "1", "--q", "1", "--from", "0", "--to", "15"], cli.EXIT_OK),
+])
+@pytest.mark.parametrize("redirect", [
+    "2>&-",  # fd 2 closed: sys.stderr is None
+    "2</dev/null",  # fd 2 open for reading only, as a launcher may leave it: writes fail
+])
+def test_a_closed_stderr_keeps_the_documented_exit_code_and_stdout(capsys, argv, code, redirect):
+    expected = invoke(capsys, argv)
+    result = subprocess.run(["sh", "-c", f'exec {redirect}; exec "$@"', "sh",
+                             sys.executable, "-m", "ratdyn", *argv],
+                            stdout=subprocess.PIPE, cwd=SRC, timeout=60)
+    assert (result.returncode, result.stdout.decode()) == (code, expected[1])
+    assert expected[0] == code
 
 
 def test_a_document_with_stdout_closed_at_startup_exits_141_with_empty_stderr():

@@ -14,6 +14,8 @@ from ratdyn.dynamics import (
     Plane,
     Side,
     StatusKind,
+    _float_values,
+    _record,
     bounds_envelope,
     detect_period,
     iterate,
@@ -268,6 +270,26 @@ def test_iterate_keeps_the_sign_of_zero_in_a_cycle():
     orbit = _assert_stepped(eq, 0.0, 3000, Plane.FLOAT)
     assert list(map(repr, orbit.values)) == ["0.0"] + ["-0.0"] * 3000
     _assert_shared_tail(orbit.values, 2)
+
+
+@pytest.mark.parametrize("eq, x0, steps", [
+    (EquationSpec.plus(1, 2, 3), 2.0, 5000),  # a cycle from step 30, found at step 1024
+    (EquationSpec.plus(2, 3, 4), 1.5, 700),  # from step 48, found at the last step
+    (EquationSpec.plus(1, 2), 1.0, 3000),  # a fixed point
+    (EquationSpec.minus(10 ** 300, Fraction(1, 10 ** 30), 3), 0.0, 3000),  # -0.0 repeated
+    (EquationSpec.plus(1, 2, 2), 1.001, 5000),  # the flip tangency: no tail
+    (EquationSpec.plus(1, 1), -2.0, 10),  # singular at step 2
+])
+def test_record_returns_where_its_values_repeat_two_objects(eq, x0, steps):
+    values, status, tail = _record([x0], _float_values(eq, x0), steps, StatusKind.NEAR_SINGULAR)
+    orbit = iterate(eq, x0, steps, Plane.FLOAT)
+    assert list(map(repr, values)) == list(map(repr, orbit.values)) and status == orbit.status
+    if _cycle_start(values) is None:
+        assert tail == len(values)
+    else:
+        assert 1 <= tail < len(values) - 1
+        assert all(values[j] is values[j - 2] for j in range(tail + 2, len(values)))
+        assert values[tail + 1] is not values[tail - 1]  # stepped, not repeated
 
 
 @pytest.mark.parametrize("eq, x0, plane", [
