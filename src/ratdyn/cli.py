@@ -13,18 +13,13 @@ error message that a closed fd 2 cannot take is lost, not its exit code.
 Exact rationals render as num/den strings, floats with 17 significant
 digits; both round-trip losslessly.
 
-The command line is read from `_COMMANDS`, one table of every subcommand's
-handler, help and flags.  `_read` reads its plain form without argparse: the
-subcommand, then each of its flags at most once, spelled in full, as
-`--flag=value` or as `--flag value` with a value that does not start with
-'-' or is '-' and ASCII digits (`--from -284`, which argparse reads as a
-value in every supported Python), every required flag given, every value
-converted and among its choices.  Anything else (--help, a prefix, a
-repeated flag, `--x0 -1/2`, an error) goes whole to `_argparse_parser`,
-built from the same table only then, which gives argparse's Namespace, help
-and error bytes.  Importing argparse and building its nine parsers takes a
-job longer than most jobs compute.  `build_parser().parse_args(argv)` is the
-two in turn.
+`_read` reads argv by `_COMMANDS`, every subcommand's handler, help and
+flags: the subcommand, then its flags in full or as a unique prefix, the last
+repeat winning, each value joined (`--flag=value`) or the next token, however
+it starts.  `-h`/`--help` prints the help; `--` leaves the rest unrecognized.
+Help and errors keep argparse's 3.10-3.12 layout at 80 columns on every
+Python: the first bad value, else the missing flags, else the unrecognized
+tokens, is exit 2 after the usage and `ratdyn <cmd>: error: ...` on stderr.
 
 `run` returns the exit code to an in-process caller.  `main`, the entry point
 of `ratdyn` and `python -m ratdyn`, ends the process with it as soon as
@@ -88,6 +83,7 @@ EXIT_BROKEN_PIPE = 141
 BLOCK_ROWS = 4096  # rows joined at a time by `render`, at most
 _DECADE = 1000  # an index's blocks end where it crosses a multiple of this
 _NU_MAX = 20000
+_CHOICE = "argument {}: invalid choice: {!r} (choose from {})"  # a flag error's message
 
 # Integer arithmetic on decimal digits: a result it would round raises instead.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
@@ -103,27 +99,22 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _bad_value(message: str) -> Exception:
-    """argparse's ArgumentTypeError(message).  A value a converter refuses
-    sends the command line to argparse, so argparse is loaded only then."""
-    import argparse
-    return argparse.ArgumentTypeError(message)
-
-
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _bad_value(f"not a rational number: {text!r}") from exc
+        if "_" not in text:  # which Fraction reads only from Python 3.11 on
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def _bounded_int(text: str, low: int, high: int, bound: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise _bad_value(f"invalid int value: {text!r}") from exc
+        raise ValueError(f"invalid int value: {text!r}") from exc
     if not low <= value <= high:
-        raise _bad_value(f"must be {bound}, got {text!r}")
+        raise ValueError(f"must be {bound}, got {text!r}")
     return value
 
 
@@ -144,7 +135,7 @@ def _tol_arg(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value) or value <= 0:
-        raise _bad_value(f"must be a finite positive number, got {text!r}")
+        raise ValueError(f"must be a finite positive number, got {text!r}")
     return value
 
 
@@ -152,7 +143,7 @@ def _branch_arg(text: str) -> Branch:
     try:
         return Branch(text)
     except ValueError as exc:
-        raise _bad_value("branch must be 'plus' or 'minus'") from exc
+        raise ValueError("branch must be 'plus' or 'minus'") from exc
 
 
 class _Texts(list):
@@ -442,9 +433,7 @@ def _cmd_identities(args) -> Tuple[int, Table]:
 
 
 def _flag(spelling: str, dest: str, **options) -> Tuple[str, dict]:
-    """A flag: its spelling, and argparse's `add_argument` keywords for it:
-    dest, and any of type (the converter of its text), required, default,
-    choices and help."""
+    """A flag's spelling and argparse `add_argument` keywords; its type raises ValueError."""
     return spelling, dict(dest=dest, **options)
 
 
@@ -504,96 +493,109 @@ _COMMANDS: Dict[str, Tuple[Callable, str, tuple]] = {
 }
 
 
-def _read(argv: List[str]) -> Optional[SimpleNamespace]:
-    """The attributes of argparse's Namespace for the plain form of `argv`
-    (see the module docstring), or None for any other argv."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is None:
-        return None
-    fn, _, flags = command
-    unread = dict(flags)
-    values = {}
-    tokens = iter(argv[1:])
+def _fill(words: Sequence[str], line: str, indent: str) -> List[str]:
+    """`line`, then `words` broken before column 78 onto lines at `indent`."""
+    lines = [line + words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
+
+
+def _help(command: str) -> str:
+    """The help of `ratdyn` ('') or of `ratdyn <command>`; its usage first."""
+    prog = f"ratdyn {command}".strip()
+    options = [("  -h, --help", "show this help message and exit")]
+    if command:
+        head, words, sections = [], [], {"options:": options}
+        for flag, entry in _COMMANDS[command][2]:
+            choices = entry.get("choices")
+            flag += " " + ("{%s}" % ",".join(choices) if choices else entry["dest"].upper())
+            words += flag.split() if entry.get("required") else [f"[{flag}]"]
+            options.append(("  " + flag, entry.get("help")))
+    else:
+        head = ["", "Orbit, closed-form and stability data for x(n+1) = q/(±p + x(n)^nu)."]
+        words = ["{%s}" % ",".join(_COMMANDS), "..."]
+        sections = {"positional arguments:": [("  " + words[0], None)] + [
+            ("    " + name, text) for name, (_, text, _) in _COMMANDS.items()], "options:": options}
+    lines = _fill([prog, "[-h]", *words], "usage: ", " " * (len(prog) + 8)) + head
+    column = min(max(len(entry) for entries in sections.values() for entry, _ in entries) + 2, 24)
+    for title, entries in sections.items():
+        lines += ["", title]
+        for entry, text in entries:
+            lines += _fill(text.split(), entry.ljust(column), " " * column) if text else [entry]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command: str, message: str) -> NoReturn:
+    usage = _help(command).split("\n\n")[0]
+    raise SystemExit(_error(message, f"{usage}\n{f'ratdyn {command}'.strip()}: error: "))
+
+
+def _read(argv=None) -> SimpleNamespace:
+    """`argv`, sys.argv[1:] by default, read as the module docstring says."""
+    command, flags, values, unknown = "", {"-h": None, "--help": None}, {}, []
+    tokens = iter(sys.argv[1:] if argv is None else argv)
     for token in tokens:
         spelling, joined, value = token.partition("=")
-        options = unread.pop(spelling, None)
-        if options is None:  # not a flag of the command, or given before
-            return None
-        if not joined:
-            value = next(tokens, "-")
-            # argparse reads '-' and ASCII digits as a value, and every other
-            # token that starts with '-' as a flag in some Python version
-            if value.startswith("-") and not (value[1:].isascii() and value[1:].isdigit()):
-                return None
-        if "type" in options:
+        matches = [spelling] if spelling in flags else [
+            name for name in flags if spelling.startswith("--") and name.startswith(spelling)]
+        if token == "--":
+            unknown += [token, *tokens]  # which ends the loop
+        elif len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        elif matches and flags[matches[0]] is None:  # -h or --help
             try:
-                value = options["type"](value)
-            except Exception:  # argparse reports it, or raises it again
-                return None
-        if "choices" in options and value not in options["choices"]:
-            return None
-        values[options["dest"]] = value
-    for options in unread.values():
-        if options.get("required"):
-            return None
-        values[options["dest"]] = options.get("default")
-    return SimpleNamespace(command=argv[0], fn=fn, **values)
+                print(_help(command), end="")  # nothing where fd 1 was closed at startup
+            except BrokenPipeError:
+                raise SystemExit(EXIT_BROKEN_PIPE) from None
+            raise SystemExit(EXIT_OK)
+        elif matches:
+            flag, entry = matches[0], flags[matches[0]]
+            if not joined and (value := next(tokens, None)) is None:
+                _fail(command, f"argument {flag}: expected one argument")
+            try:
+                value = entry["type"](value) if "type" in entry else value
+            except ValueError as exc:
+                _fail(command, f"argument {flag}: {exc}")
+            if value not in entry.get("choices", (value,)):
+                _fail(command, _CHOICE.format(flag, value, ", ".join(map(repr, entry["choices"]))))
+            values[entry["dest"]] = value
+        elif command or token.startswith("-") and token != "-":
+            unknown.append(token)
+        elif token in _COMMANDS:
+            command = token
+            flags.update(_COMMANDS[command][2])
+        else:
+            _fail("", _CHOICE.format("command", token, ", ".join(map(repr, _COMMANDS))))
+    if not command:
+        _fail("", "the following arguments are required: command")
+    fn, _, known = _COMMANDS[command]
+    defaults = {entry["dest"]: entry.get("default") for _, entry in known}
+    missing = [flag for flag, entry in known
+               if entry.get("required") and entry["dest"] not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail("", f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, fn=fn, **{**defaults, **values})
 
 
-def _argparse_parser():
-    """The argparse parser of _COMMANDS, for --help and every command line
-    that `_read` declines: its Namespace, its usage and its error bytes."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse's parser, whose help into a closed stdout exits 141.
-        argparse ignores a failed write, which drops the error where stdout
-        is unbuffered (-u); a buffered stdout keeps the help for `main`'s
-        flush to fail on."""
-
-        def print_help(self, file=None):
-            file = file or sys.stdout
-            if file is not None:  # None where fd 1 was closed at startup
-                try:
-                    file.write(self.format_help())
-                except BrokenPipeError:
-                    self.exit(EXIT_BROKEN_PIPE)
-
-    parser = _Parser(
-        prog="ratdyn",
-        description="Orbit, closed-form and stability data for x(n+1) = q/(±p + x(n)^nu).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, flags) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for spelling, options in flags:
-            sp.add_argument(spelling, **options)
-        sp.set_defaults(fn=fn)
-    return parser
+def build_parser() -> SimpleNamespace:
+    """What `run` reads argv through: its `parse_args` is `_read`."""
+    return SimpleNamespace(parse_args=_read)
 
 
-class _CommandLine:
-    """What `build_parser` returns: `parse_args(argv)` is `_read(argv)`, or
-    where that declines, the argparse parser's `parse_args(argv)`."""
-
-    def parse_args(self, argv=None):
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = _read(argv)
-        return _argparse_parser().parse_args(argv) if args is None else args
-
-
-def build_parser() -> _CommandLine:
-    return _CommandLine()
-
-
-def _error(message: str) -> None:
-    """Print `message` to stderr.  Where fd 2 is closed the message is lost,
-    but not the exit code that goes with it."""
+def _error(message: str, head: str = "error: ") -> int:
+    """Print `message` after `head` to stderr, lost where fd 2 is closed; return EXIT_USAGE."""
     try:
         if sys.stderr is not None:  # print(file=None) would write to stdout
-            print(f"error: {message}", file=sys.stderr)
+            print(head + message, file=sys.stderr)
     except OSError:
         pass
+    return EXIT_USAGE
 
 
 def run(argv=None) -> int:
@@ -608,13 +610,11 @@ def run(argv=None) -> int:
     except (OverflowError, ZeroDivisionError) as exc:  # a float past either end of its range
         what = ("overflow: a value exceeds" if isinstance(exc, OverflowError)
                 else "underflow: a nonzero value rounds to zero in")
-        _error(f"float {what} the float range")
-        return EXIT_USAGE
+        return _error(f"float {what} the float range")
     except ValueError as exc:
         plane = isinstance(exc, DigitLimit) and hasattr(args, "plane")
         hint = "; use --plane float" if plane else ""
-        _error(f"{exc}{hint}")
-        return EXIT_USAGE
+        return _error(f"{exc}{hint}")
     if sys.stdout is None:  # fd 1 closed at startup: no reader to write to
         return EXIT_BROKEN_PIPE
     try:
@@ -626,13 +626,13 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> NoReturn:
-    """The process entry point: `run`, with argparse's SystemExit (--help or
-    a flag error) as its exit code, then flush stdout and stderr and end the
+    """The process entry point: `run`, with the SystemExit of --help or of a
+    flag error as its exit code, then flush stdout and stderr and end the
     process at once, without the interpreter's teardown.  A closed stdout
     is exit 141 with nothing on stderr; any other exception propagates."""
     try:
         rc = run(argv)
-    except SystemExit as exc:  # argparse's, with an int code
+    except SystemExit as exc:  # _read's, with an int code
         rc = exc.code
     try:
         if sys.stdout is not None:  # None where fd 1 was closed at startup

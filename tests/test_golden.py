@@ -33,7 +33,7 @@ GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 # `python -m ratdyn` finds the package in its working directory.
 SRC = Path(__file__).resolve().parents[1] / "src"
-COLUMNS = {"COLUMNS": "80"}  # the width argparse wraps its usage text to
+COLUMNS = {"COLUMNS": "80"}  # a terminal width, which help and flag errors do not follow
 
 TINY = "1/1" + "0" * 400  # 10**-400, below the smallest positive float
 
@@ -102,8 +102,24 @@ CASES = {
     "period2_plus_nu200": "period2 --branch plus --p 1 --q 2 --nu 200",
     "period2_none_nu48": "period2 --branch plus --p 3 --q 1 --nu 48",
     "horadam_bad_range": "horadam --p 1 --q 1 --from 5 --to 2",
-    # a flag error: exit 2 with argparse's usage text, wrapped at COLUMNS=80
+    # a flag error: exit 2 with the usage text
     "simulate_bad_rational": "simulate --branch plus --p zebra --q 1 --x0 1 --steps 5",
+    # the help of ratdyn and of each subcommand, and each other shape of a flag error
+    "help": "--help",
+    "help_horadam": "horadam -h",
+    "help_simulate": "simulate -h",
+    "help_closed_form": "closed-form -h",
+    "help_forbidden": "forbidden -h",
+    "help_products": "products -h",
+    "help_analyze": "analyze -h",
+    "help_period2": "period2 -h",
+    "help_identities": "identities -h",
+    "flag_missing": "period2 --branch plus --p 1",
+    "flag_bad_choice": "period2 --branch plus --p 1 --q 2 --format xml",
+    "flag_unrecognized": "analyze --branch plus --p 1 --q 1 --bogus 1",
+    "flag_ambiguous_prefix": "horadam --p 1 --q 2 --f 0 --to 5",
+    # a value token that starts with '-' is the value of the flag before it
+    "simulate_negative_rational_token": "simulate --branch minus --p 2 --q 7 --x0 -1/2 --steps 5",
     # a 71 kB document, more than a 64 kB pipe buffer holds
     "horadam_past_a_pipe_buffer": "horadam --p 1 --q 1 --from 0 --to 800",
     # float overflow: exit 2, one error line, nothing on stdout
@@ -164,11 +180,11 @@ def test_golden_output(name):
     assert len([text for text in writes if text]) <= 1
 
 
-# exit 0 in both formats and past a pipe buffer, 2 for a flag error and an
-# overflow, 3 for a singular start, before and after a partial orbit
+# exit 0 in both formats, past a pipe buffer and for help, 2 for a flag error
+# and an overflow, 3 for a singular start, before and after a partial orbit
 PROCESS_CASES = ("readme_identities", "horadam_rational_json", "products_json",
                  "horadam_past_a_pipe_buffer", "simulate_bad_rational", "overflow_simulate_float",
-                 "closed_form_forbidden", "simulate_singular_json")
+                 "closed_form_forbidden", "simulate_singular_json", "help", "help_period2")
 
 
 @pytest.mark.parametrize("name", PROCESS_CASES)
@@ -180,6 +196,16 @@ def test_golden_output_of_a_process(name):
                             env={**os.environ, **COLUMNS})
     assert result.returncode == expected["rc"]
     assert result.stderr == expected["stderr"].encode()
+    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])  # 80 in PROCESS_CASES
+@pytest.mark.parametrize("name", ["help", "help_period2"])
+def test_help_is_the_same_at_every_terminal_width(name, columns):
+    result = subprocess.run([sys.executable, "-E", "-s", "-m", "ratdyn", *shlex.split(CASES[name])],
+                            cwd=SRC, stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+                            env={**os.environ, "COLUMNS": columns})
+    assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 

@@ -116,6 +116,23 @@ def test_a_plain_command_line_loads_no_argparse(bare_modules, argv):
     ["period2", "--branch", "plus", "--p", "1", "--q", "2", "--nu", "0"],  # a flag error
     ["period2", "--bra", "plus", "--p", "1", "--q", "2", "--nu", "3"],  # a prefix
 ])
-def test_help_a_flag_error_and_a_prefix_load_argparse(bare_modules, argv):
+def test_help_a_flag_error_and_a_prefix_load_no_argparse(bare_modules, argv):
     statement = f"from ratdyn.cli import run\ntry:\n    run({argv!r})\nexcept SystemExit:\n    pass"
-    assert "argparse" in loaded_modules(statement) - bare_modules
+    added = loaded_modules(statement) - bare_modules
+    assert "ratdyn.cli" in added and "argparse" not in added
+
+
+def test_a_traced_run_reads_its_argv_through_the_parser_seam(monkeypatch):
+    # bench/trace_run.py times cli.parse_s by wrapping `build_parser` and the
+    # `parse_args` it returns, both as `cli.parse` spans: two per job, where
+    # a run that bypassed the seam would record none
+    monkeypatch.syspath_prepend(str(BENCH))
+    trace_run, deck = importlib.import_module("trace_run"), importlib.import_module("jobs")
+    jobs = [job for workload in deck.WORKLOADS for job in next(iter(deck.rounds(workload, 1)))]
+    tracer = trace_run.Tracer()
+    with trace_run.traced_bindings(tracer) as run:
+        assert trace_run.run_pass(jobs, run, tracer).failed == 0
+    runs = [span for span in tracer.spans if (span.layer, span.name) == ("cli", "run")]
+    parses = [span for span in tracer.spans if (span.layer, span.name) == ("cli", "parse")]
+    assert len(runs) == len(jobs) and len(parses) == 2 * len(jobs)
+    assert all(span.parent in runs for span in parses)
