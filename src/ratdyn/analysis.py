@@ -5,19 +5,21 @@ on minus.  For odd nu, (-x)**nu = -x**nu makes the minus map the plus map in
 y = -x, so its equilibrium and two-cycle are computed as the plus branch's,
 negated (exactly, in floats): analyze and period2 share one equilibrium and
 print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
-(sign +1 on the plus branch, -1 on minus), bracketed by steps x -> 2x or
-x/2, then rounded to the nearest float.  How many equilibria there are, the
-stability class of each, and whether a prime two-cycle exists are decided
-exactly, by one integer comparison, _stable; only the multiplier beside the
-class is a float evaluation.  The one search, _cycle_search, then only
-locates the cycle, or refuses with ValueError where floats cannot: the sign
-change of a sign predicate along rational grids, bisection, then Newton
-polish on the cycle system.  A region supplies only its predicate and
-grids: g(x) = f(f(x)) - x above the equilibrium on the plus branch, and a
-one-variable reduction of the cycle equations in the mixed-sign region.
-Each sign is evaluated first on an outward-rounded float enclosure
-(ratdyn.interval); where that cannot prove the sign it abstains and the same
-predicate runs on Fractions, so every sign the search sees is exact.
+(sign +1 on the plus branch, -1 on minus), bracketed by steps x -> 2x, 8x,
+128x, ... or x/2, x/8, ..., then rounded to the nearest float.  How many
+equilibria there are, the stability class of each, and whether a prime
+two-cycle exists are decided exactly, by one integer comparison, _stable;
+only the multiplier beside the class is a float evaluation.  The one
+search, _cycle_search, then only locates the cycle, or refuses with
+ValueError where floats cannot: the sign change of a sign predicate along
+rational grids, bisection, then Newton polish on the cycle system.  A
+region supplies only its predicate and grids: g(x) = f(f(x)) - x above the
+equilibrium on the plus branch, and a one-variable reduction of the cycle
+equations in the mixed-sign region.
+Each sign is evaluated on outward-rounded dyadic enclosures
+(ratdyn.interval) of 64, 256, 1024 and 4096 bits in turn, none wider than
+x**nu; where none of them proves the sign the same predicate runs on
+Fractions, so every sign the search sees is exact.
 Every root is the one sign change of a certified predicate along a sequence
 of points (the floats inside an equilibrium's bracket, _nearest_float; a
 grid, then a bracket's dyadic cells, for a cycle point), found by one
@@ -47,6 +49,8 @@ from .horadam import binet_roots  # noqa: F401
 from .interval import Interval, Undecided
 
 CYCLE_SEPARATION = 1e-8
+# The enclosure precisions, in bits, _certified_sign tries before exact arithmetic
+_LADDER = (64, 256, 1024, 4096)
 _UNLOCATED = "a prime two-cycle exists, but float arithmetic cannot locate it"
 
 SignPredicate = Callable[[EquationSpec, object], Optional[int]]
@@ -88,12 +92,15 @@ def _equilibrium_sign(eq: EquationSpec, x) -> int:
 
 def _rounded_root(eq: EquationSpec, inside: Fraction, factor: Fraction) -> float:
     """The float nearest the first root of the equilibrium polynomial met
-    from inside (not a root) by steps x -> x*factor (2 or 1/2): a certified
-    0 is the root itself, else _nearest_float rounds the one root of the
-    last step's bracket, whose end inside keeps the start's sign."""
+    from inside (not a root) by steps x -> x*factor, the factor squared
+    after each step (2, 4, 16, ... or 1/2, 1/4, ...), so a root 2**k away
+    takes ~log2(k) steps: a certified 0 is the root itself, else
+    _nearest_float rounds the one root of the last step's bracket, whose
+    end inside keeps the start's sign."""
     side = _certified_sign(_equilibrium_sign, eq, inside)
     outside = inside * factor
     while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
+        factor *= factor
         inside, outside = outside, outside * factor
     if s == 0:
         return float(outside)
@@ -261,20 +268,6 @@ def _split_point(eq: EquationSpec) -> Fraction:
     return -eq.q * (eq.nu + 1) / (eq.p * eq.nu)
 
 
-def _dyadic_start(eq: EquationSpec) -> Fraction:
-    """A short dyadic rational strictly between the two even-nu roots on
-    minus: -c of _split_point rounded to 1, 2, 4, ..., 32 significant bits,
-    the first at which the certified polynomial sign is still +1; -c itself
-    where none is."""
-    c = _split_point(eq)
-    for bits in (1, 2, 4, 8, 16, 32):
-        scale = Fraction(2) ** (bits - c.numerator.bit_length() + c.denominator.bit_length())
-        start = round(c * scale) / scale
-        if _certified_sign(_equilibrium_sign, eq, start) == 1:
-            return start
-    return c
-
-
 def _bracket(x: float) -> Bracket:
     """|x| <, = or > 1: Bracket lists these for x > 0, then for x < 0."""
     return list(Bracket)[3 * (x < 0) + (abs(x) >= 1) + (abs(x) > 1)]
@@ -305,8 +298,7 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     elif (count := _stable(eq)) <= 0:
         roots = [float(_split_point(eq))] if count == 0 else []
     else:
-        # from -1 or a short dyadic between the roots, the bisection stays dyadic
-        start = -one if q < p - 1 else _dyadic_start(eq)
+        start = -one if q < p - 1 else _split_point(eq)  # between the two roots
         roots = [_rounded_root(eq, start, half), _rounded_root(eq, start, double)]
         if roots[0] == roots[1]:
             raise ValueError(f"two equilibria round to the one float {roots[0]!r}")
@@ -399,12 +391,17 @@ def _cycle_defects(eq: EquationSpec, phi: float, psi: float) -> List[Tuple[float
 
 def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> Optional[int]:
     """The exact value of a region's sign predicate (None outside the region)
-    at x: decided on an interval enclosure of x when that proves it, else by
-    running the predicate on x itself."""
-    try:
-        return predicate(eq, Interval.enclose(x))
-    except Undecided:
-        return predicate(eq, x)
+    at x: decided on the enclosure of x at the first level of _LADDER that
+    proves it, else by running the predicate on x itself.  No level wider
+    than x**nu is tried: exact arithmetic on so short an operand is cheaper,
+    as at a grid end q/p at nu = 48, where g ~ -2**-4500 and no level decides."""
+    size = eq.nu * (x.numerator.bit_length() + x.denominator.bit_length())
+    for bits in (bits for bits in _LADDER if bits <= size):
+        try:
+            return predicate(eq, Interval.enclose(x, bits))
+        except Undecided:
+            pass
+    return predicate(eq, x)
 
 
 def _cycle_search(eq: EquationSpec, predicate: SignPredicate,

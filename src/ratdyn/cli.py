@@ -548,7 +548,10 @@ def _read(argv=None) -> SimpleNamespace:
             _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
         elif matches and flags[matches[0]] is None:  # -h or --help
             try:
-                print(_help(command), end="")  # nothing where fd 1 was closed at startup
+                # '±' as \xb1 where stdout cannot encode it, as on stderr;
+                # nothing where fd 1 was closed at startup
+                encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+                print(_help(command).encode(encoding, "backslashreplace").decode(encoding), end="")
             except BrokenPipeError:
                 raise SystemExit(EXIT_BROKEN_PIPE) from None
             raise SystemExit(EXIT_OK)

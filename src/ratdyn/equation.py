@@ -86,5 +86,5 @@ class EquationSpec(_EquationFields):
 
     def denominator(self, x):
         """sign*p + x**nu, staying in the arithmetic of x (Fraction, float or
-        Interval)."""
+        an Interval, with p enclosed at its precision)."""
         return x ** self.nu + self.p if self.branch is Branch.PLUS else x ** self.nu - self.p

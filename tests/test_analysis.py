@@ -613,17 +613,64 @@ def test_smallest_even_cycle_exponent():
 # --- certified signs --------------------------------------------------------------
 
 PREDICATES = {"second_iterate": analysis._second_iterate_sign, "psi": analysis._psi_sign}
+LADDER = analysis._LADDER
+# analyze at the nu bound: one root, two roots from -1, two from the split point
+BOUND_CELLS = (EquationSpec.plus(1, 3, 20000), EquationSpec.minus(3, 1, 20000),
+               EquationSpec.minus(100000, Fraction(199999, 2), 20000))
+# The equation a test predicate is called with: only its nu is read, by
+# _certified_sign, which tries no level wider than x**nu.
+EVERY_LEVEL = EquationSpec.plus(1, 2, 4096)
 
 
-def _filtered_sign(predicate, eq, x):
-    """The predicate on an enclosure of x, or Undecided when it abstains."""
+def _filtered_sign(predicate, eq, x, bits):
+    """The predicate on the bits-bit enclosure of x, or Undecided when it abstains."""
     try:
-        return predicate(eq, Interval.enclose(x))
+        return predicate(eq, Interval.enclose(x, bits))
     except Undecided:
         return Undecided
 
 
-def test_certified_signs_equal_exact_signs_on_acceptance_grid():
+def _bounds(x):
+    """An Interval's bounds as Fractions."""
+    scale = Fraction(2) ** x.e
+    return x.lo * scale, x.hi * scale
+
+
+def _assert_certified_at_every_level(predicate, eq, x):
+    """At each level of the ladder the enclosure abstains or gives the exact sign."""
+    exact = predicate(eq, x)
+    for bits in LADDER:
+        filtered = _filtered_sign(predicate, eq, x, bits)
+        assert filtered is Undecided or filtered == exact, (eq, x, predicate, bits)
+
+
+def test_enclosures_hold_the_exact_values():
+    # +, -, *, / and powers of enclosures of seeded rationals, at 2**+-300
+    # scales and of either sign, hold the exact results at every level
+    # and at a few bits; an exact int or short dyadic encloses as itself
+    rng = random.Random(31)
+    for _ in range(3000):
+        bits = rng.choice((2, 5, *LADDER))
+        a = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+        b = (Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+             * Fraction(2) ** rng.randint(-300, 300))
+        n = rng.randint(0, 12)
+        x, y = Interval.enclose(a, bits), Interval.enclose(b, bits)
+        pairs = [(x, a), (y, b), (x + y, a + b), (x - y, a - b), (y - x, b - a), (x * y, a * b),
+                 (x ** n, a ** n), (y + 1, b + 1), (x - b, a - b), (x * b, a * b)]
+        if b:
+            pairs += [(x / y, a / b), (a / y, a / b)]
+        for enclosure, exact in pairs:
+            lo, hi = _bounds(enclosure)
+            assert lo <= exact <= hi, (a, b, bits)
+            assert max(abs(enclosure.lo), abs(enclosure.hi)) <= 2 ** bits
+    for value in (0, 7, -2 ** 70, Fraction(3, 8), Fraction(-5, 2 ** 40)):
+        for bits in LADDER:
+            assert _bounds(Interval.enclose(value, bits)) == (value, value)
+
+
+@pytest.mark.parametrize("bits", LADDER)
+def test_certified_signs_equal_exact_signs_on_acceptance_grid(bits):
     decided = total = 0
     for p in (1, 2, 3):
         for nu in range(1, 9):
@@ -632,7 +679,7 @@ def test_certified_signs_equal_exact_signs_on_acceptance_grid():
                 for k in range(-40, 41):
                     x = Fraction(k, 8)
                     for predicate in PREDICATES.values():
-                        filtered = _filtered_sign(predicate, eq, x)
+                        filtered = _filtered_sign(predicate, eq, x, bits)
                         total += 1
                         if filtered is not Undecided:
                             decided += 1
@@ -650,9 +697,22 @@ def test_certified_signs_equal_exact_signs_on_acceptance_grid():
     name=st.sampled_from(sorted(PREDICATES)),
 )
 def test_certified_signs_equal_exact_signs_on_random_rationals(p, q, nu, branch, x, name):
-    eq, predicate = EquationSpec(branch, p, q, nu), PREDICATES[name]
-    filtered = _filtered_sign(predicate, eq, x)
-    assert filtered is Undecided or filtered == predicate(eq, x)
+    _assert_certified_at_every_level(PREDICATES[name], EquationSpec(branch, p, q, nu), x)
+
+
+# An exact sign at nu = 400 with a 30-bit x is a Fraction power of ~5M bits
+# (~1 s), so large nu draws shorter points.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    p=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    q=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    nu=st.integers(41, 400),
+    branch=st.sampled_from(Branch),
+    x=st.fractions(min_value=-6, max_value=6, max_denominator=1000),
+    name=st.sampled_from(sorted(PREDICATES)),
+)
+def test_certified_signs_equal_exact_signs_at_large_nu(p, q, nu, branch, x, name):
+    _assert_certified_at_every_level(PREDICATES[name], EquationSpec(branch, p, q, nu), x)
 
 
 def test_denominator_equals_the_signed_sum_bit_for_bit():
@@ -664,46 +724,73 @@ def test_denominator_equals_the_signed_sum_bit_for_bit():
                           Fraction(rng.randint(1, 99), rng.randint(1, 12)),
                           Fraction(rng.randint(1, 99), rng.randint(1, 12)), rng.randint(1, 12))
         x = Fraction(rng.randint(-600, 600), rng.randint(1, 97))
-        for value in (x, float(x), Interval.enclose(x)):
+        for value in (x, float(x), *(Interval.enclose(x, bits) for bits in LADDER)):
             new, ref = eq.denominator(value), value ** eq.nu + eq.sign * eq.p
             if isinstance(value, Interval):
-                new, ref = (new.lo, new.hi), (ref.lo, ref.hi)
+                new, ref = (new.lo, new.hi, new.e), (ref.lo, ref.hi, ref.e)
             assert type(new) is type(ref) and repr(new) == repr(ref), (eq, value)
 
 
-def test_enclosure_abstains_where_the_exact_sign_is_degenerate():
-    # g(1) = 0 exactly at the flip tangency (1,2,2)
-    tangent = EquationSpec.plus(1, 2, 2)
-    assert _filtered_sign(analysis._second_iterate_sign, tangent, Fraction(1)) is Undecided
-    assert analysis._certified_sign(analysis._second_iterate_sign, tangent, Fraction(1)) == 0
-    # alpha**nu - p = 0 at alpha = -2 on minus (4,1,2): the region edge
-    edge = EquationSpec.minus(4, 1, 2)
-    assert _filtered_sign(analysis._psi_sign, edge, Fraction(-2)) is Undecided
-    assert analysis._certified_sign(analysis._psi_sign, edge, Fraction(-2)) is None
+@pytest.mark.parametrize("bits", LADDER)
+def test_enclosure_abstains_where_the_exact_sign_is_degenerate(bits):
+    # g(1/3) = 0 exactly at the flip tangency (1/9, 2/27, 2), whose
+    # equilibrium 1/3 no dyadic enclosure holds exactly
+    tangent = EquationSpec.plus(Fraction(1, 9), Fraction(2, 27), 2)
+    g = analysis._second_iterate_sign
+    assert _filtered_sign(g, tangent, Fraction(1, 3), bits) is Undecided
+    assert analysis._certified_sign(g, tangent, Fraction(1, 3)) == 0
+    # alpha**nu - p = 0 at alpha = -2/3 on minus (4/9,1,2): the region edge
+    edge = EquationSpec.minus(Fraction(4, 9), 1, 2)
+    assert _filtered_sign(analysis._psi_sign, edge, Fraction(-2, 3), bits) is Undecided
+    assert analysis._certified_sign(analysis._psi_sign, edge, Fraction(-2, 3)) is None
 
 
-def _sign_evaluations(monkeypatch, eq):
-    """(all, exact) sign-predicate evaluations made by solve_period_two(eq)."""
+@pytest.mark.parametrize("bits", LADDER)
+def test_an_exact_enclosure_decides_a_degenerate_sign(bits):
+    # g(1) = 0 at the flip tangency (1,2,2) and alpha**nu - p = 0 at
+    # alpha = -2 on minus (4,1,2): every value is a short dyadic, so every
+    # enclosure is exact and proves the 0 (and the region edge's None)
+    tangent, edge = EquationSpec.plus(1, 2, 2), EquationSpec.minus(4, 1, 2)
+    assert _filtered_sign(analysis._second_iterate_sign, tangent, Fraction(1), bits) == 0
+    assert _filtered_sign(analysis._psi_sign, edge, Fraction(-2), bits) is None
+
+
+def _sign_evaluations(monkeypatch, run):
+    """(all, exact) sign-predicate evaluations made by run()."""
     kinds = []
     with monkeypatch.context() as patch:
-        for name in ("_second_iterate_sign", "_psi_sign"):
+        for name in ("_equilibrium_sign", "_second_iterate_sign", "_psi_sign"):
             predicate = getattr(analysis, name)
             patch.setattr(analysis, name,
                           lambda eq, x, predicate=predicate: kinds.append(type(x)) or predicate(eq, x))
-        solve_period_two(eq)
+        run()
     return len(kinds), kinds.count(Fraction)
 
 
 def test_period_two_sign_work(monkeypatch):
     # Counts of predicate evaluations, not time.  The criterion decides
     # no-cycle and tangency cells without a sign; at nu = 200 an exact sign
-    # costs ~0.3 s of Fraction powers, so the enclosure must decide nearly all.
+    # costs ~0.3 s of Fraction powers, and ~1.4 s at nu = 400, so the
+    # enclosures must decide nearly all, and at nu = 400 all of them.
     for eq in (EquationSpec.plus(3, 1, 48), EquationSpec.plus(1, 2, 2),
                EquationSpec.plus(2, 3, 3), EquationSpec.plus(3, 4, 4)):
-        assert _sign_evaluations(monkeypatch, eq) == (0, 0), eq
+        assert _sign_evaluations(monkeypatch, lambda: solve_period_two(eq)) == (0, 0), eq
     for eq in (EquationSpec.minus(3, 1, 200), EquationSpec.plus(1, 2, 200)):
-        total, exact = _sign_evaluations(monkeypatch, eq)
+        total, exact = _sign_evaluations(monkeypatch, lambda: solve_period_two(eq))
         assert total > 0 and exact <= 4, (eq, total, exact)
+    eq = EquationSpec.minus(3, 1, 400)
+    total, exact = _sign_evaluations(monkeypatch, lambda: solve_period_two(eq))
+    assert total > 0 and exact == 0, (total, exact)
+
+
+@pytest.mark.parametrize("eq", BOUND_CELLS, ids=str)
+def test_equilibria_at_the_nu_bound_run_no_exact_sign(monkeypatch, eq):
+    # The Baseline cells at nu = 20,000, where an exact sign is a Fraction
+    # power of ~1.2M bits: the roots, their neighbour signs and classes.
+    def run():
+        return [classify_stability(eq, report) for report in equilibria(eq)]
+    total, exact = _sign_evaluations(monkeypatch, run)
+    assert total > 0 and exact == 0, (total, exact)
 
 
 # --- float proposals, certified decisions --------------------------------------------
@@ -742,7 +829,7 @@ def _proposal_cells():
 
 # Equilibria alone: from nu ~ 1750 a float probe 1.5**nu of the bracket [1, 2]
 # overflows and its certified sign stands in; the overflow goldens' cycle
-# searches are never reached (approx_form overflows first) and take ~20 s.
+# searches are never reached (approx_form overflows first).
 OVERFLOW_EQUILIBRIA = [EquationSpec.plus(2, 5, 2000), EquationSpec.minus(3, 1, 1800),
                        EquationSpec.plus(Fraction(1, 10), 10, 1800),
                        EquationSpec.plus(Fraction(1, 10), 10, 200),
@@ -802,6 +889,41 @@ def test_float_proposals_change_no_result(monkeypatch):
         assert (certified_kind, type(certified), certified) == (kind, type(result), result), (name, args)
 
 
+def _recorded_signs(monkeypatch):
+    """{(predicate, eq, x): certified sign} of every sign the searches of the
+    differential cells certify, with the proposals on, then off."""
+    signs, certify = {}, analysis._certified_sign
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_certified_sign",
+                      lambda *args: signs.setdefault(args, certify(*args)))
+        for proposals_off in (False, True):
+            if proposals_off:
+                patch.setattr(analysis, "_float_spec", lambda eq: None)
+            for eq in _proposal_cells():
+                _search(eq)
+            for eq in OVERFLOW_EQUILIBRIA:
+                equilibria(eq)
+    return signs
+
+
+def test_certified_signs_equal_exact_signs_on_the_differential_cells(monkeypatch):
+    # Every point these searches certify, at every level of the ladder: the
+    # enclosure abstains or gives the exact sign, and each level is the
+    # first to decide some point, as is the exact evaluation.  The cycle
+    # predicate at (1, 3/2, 1600) nests powers of ~53*1600**2 bits, seconds
+    # an exact sign, so there the levels are held to the certified sign.
+    first = dict.fromkeys((*LADDER, "exact"), 0)
+    for (predicate, eq, x), certified in _recorded_signs(monkeypatch).items():
+        costly = predicate is not analysis._equilibrium_sign and eq.nu > 200
+        exact = certified if costly else predicate(eq, x)
+        assert certified == exact, (predicate, eq, x)
+        filtered = [_filtered_sign(predicate, eq, x, bits) for bits in LADDER]
+        assert set(filtered) <= {Undecided, exact}, (predicate, eq, x, filtered)
+        deciding = [bits for bits, s in zip(LADDER, filtered) if s is not Undecided]
+        first[deciding[0] if deciding else "exact"] += 1
+    assert all(first.values()), first
+
+
 def _step_predicate(root, edge=None):
     """A sign predicate +1 below root, 0 at it and -1 above it, None past
     edge: exact on floats and Fractions, on an Interval where it proves it."""
@@ -812,7 +934,7 @@ def _step_predicate(root, edge=None):
 
     def predicate(eq, x):
         if isinstance(x, Interval):
-            lo, hi = sign(x.lo), sign(x.hi)
+            lo, hi = map(sign, _bounds(x))
             if lo != hi or lo == 0:
                 raise Undecided
             return lo
@@ -879,11 +1001,15 @@ def _sign_change_outcome(monkeypatch, eq, predicate, grid, dyadic):
             return None
 
 
-def test_sign_change_matches_the_linear_scan(monkeypatch):
+@pytest.mark.parametrize("bits", LADDER)
+def test_sign_change_matches_the_linear_scan(monkeypatch, bits):
     # Proposals on, off (_float_spec patched to None) and adversarial
     # (_float_sign patched to random signs) give the linear certified scan's
-    # result in every case, since certified signs confirm each proposal.
-    eq, rng = EquationSpec.plus(1, 2, 2), random.Random(5)
+    # result in every case, since certified signs confirm each proposal;
+    # with each level of the ladder alone before the exact signs (at a nu
+    # for which _certified_sign tries every level).
+    monkeypatch.setattr(analysis, "_LADDER", (bits,))
+    eq, rng = EVERY_LEVEL, random.Random(5)
     for predicate, grid, dyadic in _sign_change_cases():
         if grid is None:
             a, b, levels = dyadic
@@ -933,11 +1059,15 @@ def _nearest_float_cases():
     return cases
 
 
-def test_nearest_float_is_the_float_of_the_root(monkeypatch):
+@pytest.mark.parametrize("bits", LADDER)
+def test_nearest_float_is_the_float_of_the_root(monkeypatch, bits):
     # Proposals on, off (_float_spec patched to None) and adversarial
     # (_float_sign patched to random signs): the float() of the exact root,
-    # signed zeros included, from one certified bisection.
-    eq, rng = EquationSpec.plus(1, 2, 2), random.Random(6)
+    # signed zeros included, from one certified bisection; with each level
+    # of the ladder alone before the exact signs (at a nu for which
+    # _certified_sign tries every level).
+    monkeypatch.setattr(analysis, "_LADDER", (bits,))
+    eq, rng = EVERY_LEVEL, random.Random(6)
     for root, lo, hi in _nearest_float_cases():
         predicate = _step_predicate(root)
         side = predicate(eq, lo)
@@ -1023,6 +1153,27 @@ def test_equilibria_sign_work(monkeypatch):
     cells = [eq for eq in cells if eq.q > eq.p - 1 and analysis._stable(eq) > 0]
     _, signs = _counted_certificates(monkeypatch, lambda: [equilibria(eq) for eq in cells])
     assert len(cells) == 136 and signs <= 2200, signs
+
+
+def test_a_root_far_from_the_start_takes_log_many_steps(monkeypatch):
+    # The step factor squares after each step, so a root 2**k or 2**-k from
+    # the start is bracketed in ~log2(k) certified signs, where steps of 2
+    # took k: at most log2(k) + 6 a root, the rounding included.  The roots
+    # near 10**-100000 and 10**50000 round to 0.0 and overflow a float.
+    cases = [(EquationSpec.plus(10 ** 300, 1), [1e-300], [997]),
+             (EquationSpec.plus(1, 10 ** 300), [1e150], [498]),
+             (EquationSpec.minus(10 ** 300, 1, 2), [-1e-300, -1e150], [997, 498]),
+             (EquationSpec.plus(10 ** 100000, 1), [0.0], [332193]),
+             (EquationSpec.plus(1, 10 ** 100000), OverflowError, [166096])]
+    for eq, want, steps in cases:
+        def run():
+            try:
+                return [report.value for report in equilibria(eq)]
+            except OverflowError:
+                return OverflowError
+        roots, signs = _counted_certificates(monkeypatch, run)
+        assert roots == want, eq
+        assert signs <= sum(math.log2(k) + 6 for k in steps), (eq, signs)
 
 
 def _certified_signs(monkeypatch, eq):

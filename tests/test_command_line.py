@@ -5,7 +5,8 @@ argv of every golden case, of seeded rounds of every bench workload and of
 the variants below, wherever an argparse parser built from the same table
 accepts the argv, the reader gives the attributes of its Namespace.  The
 jobs of two rounds of seed 1 also run in process, checked by bench/oracle.py,
-and the help layout's line filling is pinned on its own.
+as do two mixed-region cycles at large nu, and the help layout's line
+filling is pinned on its own.
 Each variant's exit code, stdout and stderr from `run` are pinned in
 golden/variants.json.  Those of a command line that argparse also reads are
 its bytes on Python 3.10-3.12 at 80 columns; after a deliberate change,
@@ -199,6 +200,17 @@ RUN_JOBS = _bench_jobs(SEEDS[:1], RUN_ROUNDS)
 def test_a_bench_job_run_in_process_passes_the_oracle(job):
     rc, out, err = _outcome(list(job.argv))
     verdict = ORACLE.check(job.argv, rc, out.encode(), err.encode(), clean_refusal_ok=job.defect)
+    assert verdict.ok, verdict.reason
+
+
+@pytest.mark.parametrize("nu", [600, 2000])
+def test_the_mixed_region_past_nu_400_prints_a_cycle_the_oracle_passes(nu):
+    # minus (3, 1) at nu = 600 did not finish in 95 s while the signs next to
+    # the cycle point fell back to Fraction powers of ~53*nu**2 bits
+    argv = ["period2", "--branch", "minus", "--p", "3", "--q", "1", "--nu", str(nu)]
+    rc, out, err = _outcome(argv)
+    assert (rc, err, out.count("\n")) == (0, "", 2), (rc, out, err)
+    verdict = ORACLE.check(argv, rc, out.encode(), err.encode())
     assert verdict.ok, verdict.reason
 
 

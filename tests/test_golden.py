@@ -101,6 +101,12 @@ CASES = {
     "period2_minus_nu200": "period2 --branch minus --p 3 --q 1 --nu 200",
     "period2_plus_nu200": "period2 --branch plus --p 1 --q 2 --nu 200",
     "period2_none_nu48": "period2 --branch plus --p 3 --q 1 --nu 48",
+    # the mixed region at nu = 400, and analyze at the nu bound: one root,
+    # two from -1 and two from the split point
+    "period2_minus_nu400": "period2 --branch minus --p 3 --q 1 --nu 400",
+    "analyze_plus_nu20000": "analyze --branch plus --p 1 --q 3 --nu 20000",
+    "analyze_minus_nu20000": "analyze --branch minus --p 3 --q 1 --nu 20000",
+    "analyze_minus_split_nu20000": "analyze --branch minus --p 100000 --q 199999/2 --nu 20000",
     "horadam_bad_range": "horadam --p 1 --q 1 --from 5 --to 2",
     # a flag error: exit 2 with the usage text
     "simulate_bad_rational": "simulate --branch plus --p zebra --q 1 --x0 1 --steps 5",
@@ -207,6 +213,18 @@ def test_help_is_the_same_at_every_terminal_width(name, columns):
                             env={**os.environ, "COLUMNS": columns})
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_help_on_a_stdout_that_cannot_encode_it():
+    # the help's one non-ASCII character, '\u00b1', escaped as stderr
+    # escapes it; -E would drop PYTHONIOENCODING
+    result = subprocess.run([sys.executable, "-s", "-m", "ratdyn", "--help"], cwd=SRC,
+                            stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+                            env={**os.environ, **COLUMNS, "PYTHONIOENCODING": "ascii"})
+    assert (result.returncode, result.stderr) == (0, b"")
+    golden = (GOLDEN / "help.out").read_bytes()
+    assert "\u00b1".encode() in golden
+    assert result.stdout == golden.replace("\u00b1".encode(), b"\\xb1")
 
 
 def test_readme_examples_are_golden_cases():
