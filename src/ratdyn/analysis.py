@@ -9,29 +9,26 @@ print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
 128x, ... or x/2, x/8, ..., then rounded to the nearest float.  How many
 equilibria there are, the stability class of each, and whether a prime
 two-cycle exists are decided exactly, by one integer comparison, _stable;
-only the multiplier beside the class is a float evaluation.  The one
-search, _cycle_search, then only locates the cycle, or refuses with
-ValueError where floats cannot: the sign change of a sign predicate along
-rational grids, bisection, then Newton polish on the cycle system.  A
-region supplies only its predicate and grids: g(x) = f(f(x)) - x above the
-equilibrium on the plus branch, and a one-variable reduction of the cycle
-equations in the mixed-sign region.
+only the multiplier beside the class is a float evaluation.  Each cycle
+point is then rounded the same way, as the root of one sign predicate,
+_cycle_sign, over a bracket the equation gives: on the plus branch above
+and below the printed equilibrium, in the mixed-sign region on either side
+of 0.
 Each sign is evaluated on outward-rounded dyadic enclosures
 (ratdyn.interval) of 64, 256, 1024 and 4096 bits in turn, none wider than
 x**nu; where none of them proves the sign the same predicate runs on
-Fractions, so every sign the search sees is exact.
-Every root is the one sign change of a certified predicate along a sequence
-of points (the floats inside an equilibrium's bracket, _nearest_float; a
-grid, then a bracket's dyadic cells, for a cycle point), found by one
-helper, _sign_change: plain floats bisect the sequence, certified signs
-confirm the pair they reach, a refuted pair gallops outward to a certified
-bracket, and a certified bisection narrows it.  That is sound because each
-predicate changes sign once where it is searched: the equilibrium
-polynomial on each root's bracket; g from + to - above the equilibrium (the
-only fixed points of f(f(x)) are psi < equilibrium < phi, by the negative
-Schwarzian derivative); and in the mixed region h(alpha) =
-alpha*(B**nu - p) - q from + to -, strictly decreasing where B**nu < p and
-negative elsewhere.  So the result is the certified bisection's alone.
+Fractions, so every sign a search sees is exact.
+Every root is the float nearest the one sign change of a certified
+predicate between two ends, _nearest_float, which searches the floats in
+between with one helper, _sign_change: plain floats bisect the sequence,
+certified signs confirm the pair they reach, a refuted pair gallops outward
+to a certified bracket, and a certified bisection narrows it.  That is
+sound because each predicate changes sign once in its bracket: the
+equilibrium polynomial on each root's bracket; f(f(x)) - x once on each
+side of the equilibrium (the only fixed points of f(f(x)) are psi <
+equilibrium < phi, by the negative Schwarzian derivative); and in the mixed
+region once on each side of 0 (see _mixed_cycle).  So the result is the
+certified bisection's alone.
 """
 
 from __future__ import annotations
@@ -48,10 +45,8 @@ from .equation import Branch, EquationSpec
 from .horadam import binet_roots  # noqa: F401
 from .interval import Interval, Undecided
 
-CYCLE_SEPARATION = 1e-8
 # The enclosure precisions, in bits, _certified_sign tries before exact arithmetic
 _LADDER = (64, 256, 1024, 4096)
-_UNLOCATED = "a prime two-cycle exists, but float arithmetic cannot locate it"
 
 SignPredicate = Callable[[EquationSpec, object], Optional[int]]
 
@@ -127,12 +122,12 @@ def _float_spec(eq: EquationSpec) -> Optional[_FloatSpec]:
 
 
 def _float_sign(predicate: SignPredicate, spec: _FloatSpec, x) -> Optional[int]:
-    """The predicate's sign in floats, a proposal only: 0 where it is NaN,
-    None outside the region or where a float overflows."""
+    """The predicate's sign in floats, a proposal only: None outside the
+    region, 0 where it is NaN or a float overflows."""
     try:
         return predicate(spec, float(x))
     except ArithmeticError:
-        return None
+        return 0
 
 
 def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[int], Fraction],
@@ -147,8 +142,9 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
     TOMS 17(3), 1991).  Plain floats bisect the indices at probe(j), a
     monotone float stand-in for point(j), stopping early where a probe no
     longer falls strictly between the probes of its pair or a probe
-    overflows; a probe whose float sign is 0 or None (an overflow) is
-    decided by its certified sign instead.  The certified signs of the pair
+    overflows; a probe whose float sign is 0 (also an overflow) is decided
+    by its certified sign instead, and one outside the region (None) reads
+    as not side, as a certified None does.  The certified signs of the pair
     the floats reach then confirm it: side at its lower index, not side at
     its upper one.  A refuted pair gallops outward from the refuted end, by
     1, 2, 4, ... indices within (lo, hi), to a certified bracket (~2*log2(d)
@@ -170,7 +166,9 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
             x = probe(mid)
             if not min(x_lo, x_hi) < x < max(x_lo, x_hi):
                 break
-            s = _float_sign(predicate, spec, x) or certified(mid)  # a float 0 or None: certified
+            s = _float_sign(predicate, spec, x)
+            if s == 0:  # a root, NaN or an overflow in floats: certified
+                s = certified(mid)
             if s == 0:
                 return mid, 0
             if s == side:
@@ -191,19 +189,6 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
             return mid, 0
         lo, hi = (mid, hi) if s == side else (lo, mid)
     return hi, signs[hi]
-
-
-def _dyadic_cell(eq: EquationSpec, predicate: SignPredicate, a: Fraction, b: Fraction,
-                 side: int, levels: int) -> Tuple[Fraction, Fraction]:
-    """The cell a + (b - a)*[j-1, j]/2**levels, a's side first, that holds
-    the one change of the certified sign from side at a to not side at b,
-    or (x, x) at a certified 0 x (_sign_change, probes in floats)."""
-    width = b - a
-    step = width / 2 ** levels
-    j, s = _sign_change(eq, predicate, lambda j: a + step * j,
-                        lambda j: float(a) + float(width) * math.ldexp(j, -levels),
-                        0, 2 ** levels, side)
-    return (a + step * j,) * 2 if s == 0 else (a + step * (j - 1), a + step * j)
 
 
 def _nearest_float(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi: Fraction,
@@ -351,50 +336,12 @@ class PeriodTwoCycle(NamedTuple):
     approx_form: Tuple[float, float]
 
 
-def _second_iterate_sign(eq: EquationSpec, x) -> Optional[int]:
-    """Sign of f(f(x)) - x, or None when the evaluation crosses a pole."""
-    den1 = eq.denominator(x)
-    if den1 == 0:
-        return None
-    x1 = eq.q / den1
-    den2 = eq.denominator(x1)
-    if den2 == 0:
-        return None
-    return _sign_of(eq.q / den2 - x)
-
-
-def _cycle_newton(eq: EquationSpec, phi: float, psi: float) -> Tuple[float, float]:
-    """Polish the pair on the full 2x2 cycle system for machine-level residuals."""
-    q, nu = float(eq.q), eq.nu
-    for _ in range(8):
-        a11 = eq.denominator(psi)
-        a22 = eq.denominator(phi)
-        f1 = phi * a11 - q
-        f2 = psi * a22 - q
-        a12 = phi * nu * psi ** (nu - 1)
-        a21 = psi * nu * phi ** (nu - 1)
-        det = a11 * a22 - a12 * a21
-        if det == 0.0:
-            break
-        phi -= (f1 * a22 - f2 * a12) / det
-        psi -= (f2 * a11 - f1 * a21) / det
-    return phi, psi
-
-
-def _cycle_defects(eq: EquationSpec, phi: float, psi: float) -> List[Tuple[float, float]]:
-    """(|a*(sign*p + b**nu) - q|, its largest term) for (a, b) = (phi, psi)
-    and (psi, phi): the defects of the two cycle equations and their scales."""
-    p, q = float(eq.p), float(eq.q)
-    return [(abs(a * eq.denominator(b) - q), max(q, abs(a * b ** eq.nu), abs(a * p)))
-            for a, b in ((phi, psi), (psi, phi))]
-
-
 def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> Optional[int]:
     """The exact value of a region's sign predicate (None outside the region)
     at x: decided on the enclosure of x at the first level of _LADDER that
     proves it, else by running the predicate on x itself.  No level wider
-    than x**nu is tried: exact arithmetic on so short an operand is cheaper,
-    as at a grid end q/p at nu = 48, where g ~ -2**-4500 and no level decides."""
+    than x**nu is tried: exact arithmetic on so short an operand, such as an
+    equilibrium's bracket step 2 or 1/2, is cheaper."""
     size = eq.nu * (x.numerator.bit_length() + x.denominator.bit_length())
     for bits in (bits for bits in _LADDER if bits <= size):
         try:
@@ -402,51 +349,6 @@ def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> 
         except Undecided:
             pass
     return predicate(eq, x)
-
-
-def _cycle_search(eq: EquationSpec, predicate: SignPredicate,
-                  grids: Sequence[Sequence[Fraction]], tol: float) -> Fraction:
-    """Cycle point phi, from the first ascending grid on which the certified
-    sign falls from +1: the first point where it is not +1, if it is 0
-    there; else, where it is -1 after a +1 point, the midpoint of the dyadic
-    cell of that pair, of width below min(tol, 1e-12) (at most 80
-    halvings), that holds the change, or a point inside where the sign is 0.
-    Each region's predicate changes sign once along each grid, from + to -,
-    with None only after it (see _positive_root and _mixed_root), so
-    _sign_change finds that point on the grid's indices, with virtual ends,
-    and then the cell.  The criterion has already proved that a cycle
-    exists, so when no grid holds a bracket the search refuses with
-    ValueError."""
-    for grid in grids:
-        n = len(grid)
-        j, s = _sign_change(eq, predicate, grid.__getitem__,
-                            lambda j, grid=grid, n=n: (-math.inf if j < 0 else math.inf if j == n
-                                                       else float(grid[j])),
-                            -1, n, 1)
-        if s == 0:
-            return grid[j]
-        if s == -1 and j > 0:
-            lo, hi = grid[j - 1], grid[j]
-            levels = min(80, max(1, ((hi - lo) // Fraction(min(tol, 1e-12))).bit_length()))
-            lo, hi = _dyadic_cell(eq, predicate, lo, hi, 1, levels)
-            return (lo + hi) / 2
-    raise ValueError(_UNLOCATED)
-
-
-def _finish_cycle(eq: EquationSpec, root: Fraction, approx_form: Tuple[float, float]
-                  ) -> PeriodTwoCycle:
-    """The cycle through root, polished in floats; ValueError where the float
-    pair leaves the region (denominator > 0), collapses onto an equilibrium,
-    or misses a cycle equation by more than 1e-9 of its largest term."""
-    phi = float(root)
-    den = eq.denominator(phi)
-    if den > 0.0:
-        phi, psi = _cycle_newton(eq, phi, float(eq.q) / den)
-        if abs(phi - psi) > CYCLE_SEPARATION and eq.denominator(Fraction(phi)) > 0:
-            defects = _cycle_defects(eq, phi, psi)
-            if all(defect <= 1e-9 * scale for defect, scale in defects):
-                return PeriodTwoCycle(phi, psi, max(d for d, _ in defects), approx_form)
-    raise ValueError(_UNLOCATED)
 
 
 def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
@@ -459,68 +361,56 @@ def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
     return (sign * q / p, sign * q / (p + ratio_pow))
 
 
-def _positive_root(eq: EquationSpec, tol: float) -> Fraction:
-    """Cycle point of the plus branch inside (equilibrium, q/p].  The map is
-    decreasing on positive values, so the cycle straddles the equilibrium
-    x = q/(p + x**nu) < q/p.  The grid ends at q/p, where g < 0 strictly
-    (f(q/p) > 0 implies f(f(q/p)) < q/p), so a positive point has a bracket.
-    g changes sign once above the equilibrium: with negative Schwarzian
-    derivative the only fixed points of f(f(x)) are psi < equilibrium < phi,
-    so g > 0 on (equilibrium, phi) and g < 0 beyond phi.  The whole grid
-    lies above the exact equilibrium x, so g changes sign once along it:
-    x is unstable, x**nu*(nu-1) > p, so q/p - x = x**(nu+1)/p > x/(nu-1),
-    and the float xbar of x is within x*2**-53 of it; the first grid point
-    xbar + (q/p - xbar)*10**-9 then exceeds x for every nu < 9*10**6."""
-    xbar = Fraction(equilibria(eq)[0].value)
-    hi = eq.q / eq.p
-    offsets = {Fraction(1, 10 ** k) for k in range(1, 10)}
-    offsets |= {Fraction(j, 64) for j in range(1, 65)}
-    grid = [xbar + (hi - xbar) * tau for tau in sorted(offsets)]
-    return _cycle_search(eq, _second_iterate_sign, [grid], tol)
-
-
-def _psi_sign(eq: EquationSpec, alpha) -> Optional[int]:
-    """Sign of alpha*(B**nu - p) - q with B = q/(alpha**nu - p), or None
-    outside the mixed-cycle region alpha**nu > p."""
-    den = eq.denominator(alpha)
-    if den <= 0:
+def _cycle_sign(eq: EquationSpec, x, region: int = 1) -> Optional[int]:
+    """Sign of x*(B**nu + sign*p) - q with B = q/(x**nu + sign*p), or None
+    outside the region, where the sign of x**nu + sign*p is not region.
+    On the plus branch it is minus the sign of f(f(x)) - x."""
+    den = eq.denominator(x)
+    if _sign_of(den) != region:
         return None
-    return _sign_of(alpha * eq.denominator(eq.q / den) - eq.q)
+    return _sign_of(x * eq.denominator(eq.q / den) - eq.q)
 
 
-def _mixed_root(eq: EquationSpec, tol: float) -> Fraction:
-    """Negative point alpha of the mixed-sign two-cycle, minus branch, even
-    nu: alpha**nu > p (its image is positive) and _psi_sign changes sign at
-    alpha.  No equilibrium can enter this region (alpha**nu > p forces the
-    equilibrium polynomial negative), so any root is a genuine prime cycle.
-    A second grid, down to -top*(1 + 10**-16) for an exact top >= p**(1/nu),
-    seeks a root closer to the edge than the first grid's nearest point.
-    The sign changes once in the region, as _cycle_search needs: as alpha
-    rises to the edge B = q/(alpha**nu - p) grows, so h(alpha) =
-    alpha*(B**nu - p) - q = |alpha|*(p - B**nu) - q is strictly decreasing
-    where B**nu < p, and negative where B**nu >= p; the region is
-    alpha < -p**(1/nu), so None follows every sign on an ascending grid."""
+def _plus_cycle(eq: EquationSpec) -> Tuple[float, float]:
+    """(phi, psi) of the plus branch, each the float nearest its point.  The
+    map is decreasing with negative Schwarzian derivative, so the only fixed
+    points of f(f(x)) are psi < equilibrium < phi, and g(x) = f(f(x)) - x is
+    > 0 on (0, psi) and (equilibrium, phi), < 0 on (psi, equilibrium) and
+    (phi, q/p]: _cycle_sign is -g's sign, so phi is its root over
+    (xbar, q/p] and psi over (0, xbar), all three ends virtual.  xbar is the
+    float nearest the equilibrium, so every float above it lies above the
+    equilibrium and every float below it below.  Where phi or psi rounds to
+    xbar (within half a float of it) the pair is refused with ValueError."""
+    xbar = equilibria(eq)[0].value
+    phi = _nearest_float(eq, _cycle_sign, Fraction(xbar), eq.q / eq.p, -1)
+    psi = _nearest_float(eq, _cycle_sign, Fraction(0), Fraction(xbar), -1)
+    if xbar in (phi, psi):
+        raise ValueError(f"a prime two-cycle rounds to the equilibrium's float {xbar!r}")
+    return phi, psi
+
+
+def _mixed_cycle(eq: EquationSpec) -> Tuple[float, float]:
+    """(alpha, beta) of the mixed-sign two-cycle, minus branch, even nu,
+    alpha**nu > p > beta**nu (its image is positive): each the float nearest
+    its point.  No equilibrium can enter the region alpha**nu > p (it forces
+    the equilibrium polynomial negative), so any root is a prime cycle.
+    alpha is the root of _cycle_sign over (left, 0), left found by doubling,
+    where as alpha rises to the edge -p**(1/nu) B = q/(alpha**nu - p) grows,
+    so h(alpha) = |alpha|*(p - B**nu) - q is strictly decreasing where
+    B**nu < p and negative where B**nu >= p; past the edge it is None.
+    beta is the root of the same expression in the region x**nu < p over
+    (0, inf): with |alpha| = q/(p - beta**nu), k(beta) = beta*(|alpha|**nu -
+    p) - q is negative where |alpha|**nu <= p and strictly increasing
+    elsewhere, so it changes sign once, from - to +, and is None past the
+    edge p**(1/nu)."""
     p, q, nu = eq.p, eq.q, eq.nu
-    edge = float(p) ** (1.0 / nu)
-    far = max(float(q / p) + 2.0, edge + 2.0, 4.0)
-    for _ in range(40):
-        left = Fraction(-far).limit_denominator(10 ** 9)
-        if _certified_sign(_psi_sign, eq, left) == 1:
-            break
+    far = max(float(q / p) + 2.0, float(p) ** (1.0 / nu) + 2.0, 4.0)
+    while _certified_sign(_cycle_sign, eq, Fraction(-far)) != 1:
         far *= 2.0
-    else:
-        raise ValueError(_UNLOCATED)
-
-    span = -float(left) - edge
-    grid = [left] + [Fraction(-(edge + span * (96 - j) / 96.0)).limit_denominator(10 ** 12)
-                     for j in range(1, 97)]
-    near = [Fraction(-(edge * (1.0 + 10.0 ** -k))).limit_denominator(10 ** 12)
-            for k in range(1, 10)]
-    top = Fraction(edge)
-    while top ** nu < p:
-        top = Fraction(math.nextafter(float(top), math.inf))
-    nearer = [-top * (1 + Fraction(1, 10 ** k)) for k in range(10, 17)]
-    return _cycle_search(eq, _psi_sign, [sorted(set(grid + near)), sorted(near + nearer)], tol)
+    alpha = _nearest_float(eq, _cycle_sign, Fraction(-far), Fraction(0), 1)
+    beta = _nearest_float(eq, lambda eq, x: _cycle_sign(eq, x, -1), Fraction(0),
+                          Fraction(2 ** 1024), -1)  # 2**1024: past the largest float
+    return alpha, beta
 
 
 def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwoCycle]:
@@ -535,31 +425,33 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     Math. 1978).  Equality is the flip tangency, for example (1,2,2), where
     f(f(x)) - x has numerator -(x-1)^3 (x^2+x+2): no prime cycle.  For even
     nu on minus the mixed-sign cycle always exists (intermediate value
-    theorem).  The search only locates the cycle, bisecting to width
-    min(tol, 1e-12), so every tol >= 1e-12 gives the cycle of the default
-    tol; where floats cannot (near the flip tangency, or at the mixed
-    region's edge), or the polished pair misses a cycle equation, it raises
-    ValueError.  Every cycle reports approx_form, so its float overflow is
-    raised before the search."""
+    theorem).  phi and psi are then each the float nearest the exact cycle
+    point, and the residual is a float evaluation of the cycle equations
+    at them.  A cycle with a point that rounds to the equilibrium's float
+    (so near the flip tangency as (1, 2 + 10**-40, 2)) raises ValueError.
+    tol is validated (it must be positive) but has no effect.  Every cycle
+    reports approx_form, so its float overflow is raised first."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p, q, nu = eq.p, eq.q, eq.nu
-    mixed = eq.branch is Branch.MINUS and nu % 2 == 0
+    mixed = eq.branch is Branch.MINUS and eq.nu % 2 == 0
     if not mixed and _stable(eq) >= 0:
         return None
     approx_form = _approx_form(eq)
     if mixed:
-        return _finish_cycle(eq, _mixed_root(eq, tol), approx_form)
-    plus = EquationSpec.plus(p, q, nu)
-    cycle = _finish_cycle(plus, _positive_root(plus, tol), approx_form)
+        (phi, psi), sign = _mixed_cycle(eq), 1
+    else:  # odd nu on minus: the plus cycle, negated
+        eq, sign = EquationSpec.plus(eq.p, eq.q, eq.nu), eq.sign
+        phi, psi = _plus_cycle(eq)
+    q = float(eq.q)
+    residual = max(abs(a * eq.denominator(b) - q) for a, b in ((phi, psi), (psi, phi)))
     # negation is exact, so odd nu on minus has the plus residual's bits
-    return cycle._replace(phi=eq.sign * cycle.phi, psi=eq.sign * cycle.psi)
+    return PeriodTwoCycle(sign * phi, sign * psi, residual, approx_form)
 
 
 def smallest_even_cycle_exponent(p, q, cap: int = 64) -> Optional[int]:
     """Smallest even nu <= cap for which the minus branch has a prime
     two-cycle.  For every even nu the mixed-sign cycle exists (intermediate
-    value theorem on the one-variable cycle map of _mixed_root), so this is
+    value theorem on the one-variable cycle map of _mixed_cycle), so this is
     2 when cap >= 2 and None otherwise."""
     EquationSpec.minus(p, q, 2)  # validates p and q
     return 2 if cap >= 2 else None

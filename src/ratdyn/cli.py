@@ -5,13 +5,13 @@ to stdout once, after it has been computed: a run prints its whole document or
 nothing.  `simulate` stopped at a singularity is a complete document with its
 `# status=` line and exit 3.  Exit codes: 0 success, 1 failed identity suite,
 2 flag errors, a float overflow or underflow, an exact value too large to
-print, or a proven two-cycle that floats cannot locate, 3 singular or
-forbidden input, 141 (128 + SIGPIPE, as a shell reports a process that
-SIGPIPE killed) when the reader of stdout closed it first (also for --help)
-or a document finds fd 1 closed at the start, with nothing on stderr.  An
-error message that a closed fd 2 cannot take is lost, not its exit code.
-Exact rationals render as num/den strings, floats with 17 significant
-digits; both round-trip losslessly.
+print, or a proven two-cycle with a point that rounds to the equilibrium's
+float, 3 singular or forbidden input, 141 (128 + SIGPIPE, as a shell reports
+a process that SIGPIPE killed) when the reader of stdout closed it first
+(also for --help) or a document finds fd 1 closed at the start, with
+nothing on stderr.  An error message that a closed fd 2 cannot take is
+lost, not its exit code.  Exact rationals render as num/den strings, floats
+with 17 significant digits; both round-trip losslessly.
 
 `_read` reads argv by `_COMMANDS`, every subcommand's handler, help and
 flags: the subcommand, then its flags in full or as a unique prefix, the last
@@ -484,8 +484,8 @@ _COMMANDS: Dict[str, Tuple[Callable, str, tuple]] = {
     "period2": (
         _cmd_period2, "prime two-cycle, if one exists",
         _common(nu=True) + (
-            _flag("--tol", "tol", type=_tol_arg, default=1e-10, help="bisects to width "
-                  "min(tol, 1e-12): any tol >= 1e-12 prints the default"),)),
+            _flag("--tol", "tol", type=_tol_arg, default=1e-10,
+                  help="no effect: every cycle point is correctly rounded"),)),
     "identities": (
         _cmd_identities, "exact identity battery; exit 1 on any failure",
         _common(branch=False, fmt_flag=False) + (

@@ -1,8 +1,8 @@
 """Exception types shared across the package, one family per CLI exit code.
 
 A failed precondition raises a `ValueError` (exit 2), as does a two-cycle
-that the exact criterion proves but float arithmetic cannot locate; singular
-or forbidden input raises a `SingularInput` (exit 3)."""
+that the exact criterion proves but whose point rounds to the equilibrium's
+float; singular or forbidden input raises a `SingularInput` (exit 3)."""
 
 
 class RatdynError(Exception):

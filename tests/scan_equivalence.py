@@ -1,11 +1,17 @@
-"""The near-tangent, mixed and deck scans through both decision paths.
+"""The near-tangent, mixed and deck scans: both decision paths, nearest floats.
 
 Runs `period2` and `analyze` on every cell of three scans, once as shipped
 (floats propose, certified signs decide) and once with the float proposals
 off, so that only the certified bisection runs.  It exits 1 on any
-difference in exit code, stdout or stderr, or where the sha256 of the
-shipped outputs differs from the one pinned in scan_equivalence.sha256, so
-any change of the printed bytes fails too.
+difference in exit code, stdout or stderr, where the sha256 of the shipped
+outputs differs from the one pinned in scan_equivalence.sha256, so any
+change of the printed bytes fails too, or where a printed cycle point is not
+the float nearest the exact one.  That check is exact and written here,
+with no ratdyn predicate: x*(f(x)**nu + sign*p) - q, which has no pole where
+x**nu + sign*p != 0 and changes sign at each cycle point (extended past the
+mixed region's edge by its sign at the edge), must change sign between the
+midpoints to the point's two float neighbours, or be 0 at it.
+It also lists each `period2` invocation that exits 2.
 
 - Near-tangent scan (2,240 cells): nu 2-12, p in {1, 2, 3, 1/2, 5/3} and
   q = Fraction(q*)*(1 +- 10**-e) for e = 3..16, where q* is the float
@@ -28,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -92,6 +99,42 @@ def digest(results) -> str:
     return sha.hexdigest()
 
 
+def _cycle_sign(argv, x: Fraction) -> int:
+    """Sign of x*(f(x)**nu + sign*p) - q, f(x) = q/(x**nu + sign*p), in
+    Fractions.  In the mixed region (even nu on minus) x**nu > p for x < 0
+    and x**nu < p for x > 0; past that edge, where a second cycle of the map
+    can lie within a float of it, the sign is the one inside next to the
+    edge, -1 for x < 0 and +1 for x > 0, as the expression tends to -inf and
+    +inf there."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    sign = 1 if flags["--branch"] == "plus" else -1
+    p, q, nu = Fraction(flags["--p"]), Fraction(flags["--q"]), int(flags["--nu"])
+    den = x ** nu + sign * p
+    if sign < 0 and nu % 2 == 0 and (den if x < 0 else -den) <= 0:
+        return 1 if x > 0 else -1
+    value = x * ((q / den) ** nu + sign * p) - q
+    return (value > 0) - (value < 0)
+
+
+def is_nearest_float(argv, x: float) -> bool:
+    """Whether the exact cycle point lies within half a float of x: the
+    sign changes between the midpoints to x's float neighbours, or is 0 at x."""
+    below, above = ((Fraction(x) + Fraction(math.nextafter(x, end))) / 2
+                    for end in (-math.inf, math.inf))
+    return (_cycle_sign(argv, Fraction(x)) == 0
+            or _cycle_sign(argv, below) * _cycle_sign(argv, above) < 0)
+
+
+def misses(results):
+    """(argv, point) of every printed cycle point that is not the nearest float."""
+    for argv, code, out, _ in results:
+        lines = out.splitlines()
+        if argv[0] == "period2" and code == 0 and lines[1] != "none":
+            for x in map(float, lines[1].split(",")[:2]):
+                if not is_nearest_float(argv, x):
+                    yield argv, x
+
+
 def main() -> int:
     start = time.perf_counter()
     proposed = list(outputs())
@@ -106,12 +149,20 @@ def main() -> int:
     differences = [(a, b) for a, b in zip(proposed, certified) if a != b]
     for a, b in differences[:20]:
         print(f"differs: {' '.join(a[0])}\n  proposed:  {a[1:]!r}\n  certified: {b[1:]!r}")
+    missed = list(misses(proposed))
+    for argv, x in missed[:20]:
+        print(f"not the nearest float: {x!r} of {' '.join(argv)}")
+    refused = [(argv, err) for argv, code, _, err in proposed if argv[0] == "period2" and code == 2]
+    for argv, err in refused:
+        print(f"exit 2: {' '.join(argv)}: {err.strip()}")
     shipped, pinned = digest(proposed), DIGEST.read_text().strip()
-    print(f"{len(proposed)} invocations, {len(differences)} differences "
+    print(f"{len(proposed)} invocations, {len(differences)} differences, {len(missed)} cycle "
+          f"points not the nearest float, {len(refused)} period2 exits 2 "
           f"({middle - start:.1f} s proposed, {end - middle:.1f} s certified only)")
     print(f"sha256 {shipped} ({'matches' if shipped == pinned else 'differs from'} "
           f"{DIGEST.name})")
-    return 1 if differences or len(proposed) != len(certified) or shipped != pinned else 0
+    failed = differences or missed or len(proposed) != len(certified) or shipped != pinned
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

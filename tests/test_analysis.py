@@ -191,16 +191,32 @@ def test_bracket_trichotomy_random():
             assert count == (1 if q == p - 1 else 2 if left > right else 1 if left == right else 0)
 
 
-def _rounds_a_root(eq, x) -> bool:
-    """x is the float nearest a root of x**(nu+1) + sign*p*x - q: x is a root,
-    or the exact polynomial has opposite signs, or a zero, at the midpoints
-    between x and its two float neighbours."""
-    def value(t):
-        return t ** (eq.nu + 1) + eq.sign * eq.p * t - eq.q
-
+def _is_nearest_float(value, x) -> bool:
+    """x is the float nearest a simple root of value, exact on Fractions: x is
+    a root, or value has opposite signs, or a zero, at the midpoints between x
+    and its two float neighbours."""
     below, above = ((Fraction(x) + Fraction(math.nextafter(x, side))) / 2
                     for side in (-math.inf, math.inf))
     return value(Fraction(x)) == 0 or value(below) * value(above) <= 0
+
+
+def _rounds_a_root(eq, x) -> bool:
+    """x is the float nearest a root of x**(nu+1) + sign*p*x - q."""
+    return _is_nearest_float(lambda t: t ** (eq.nu + 1) + eq.sign * eq.p * t - eq.q, x)
+
+
+def _rounds_the_cycle(eq, cycle) -> bool:
+    """phi and psi are the floats nearest the cycle points: the roots of
+    t*(f(t)**nu + sign*p) - q, which has no pole where t**nu + sign*p != 0
+    and changes sign at each cycle point.  Past the mixed region's edge,
+    where a second cycle of the map can lie within a float of it, it reads
+    as its sign inside next to the edge: -1 for t < 0, +1 for t > 0."""
+    def value(t):
+        den = t ** eq.nu + eq.sign * eq.p
+        if eq.branch is Branch.MINUS and eq.nu % 2 == 0 and (den if t < 0 else -den) <= 0:
+            return 1 if t > 0 else -1
+        return t * ((eq.q / den) ** eq.nu + eq.sign * eq.p) - eq.q
+    return all(_is_nearest_float(value, x) for x in (cycle.phi, cycle.psi))
 
 
 def test_equilibria_are_the_floats_nearest_the_exact_roots():
@@ -507,11 +523,45 @@ def test_minus_even_mixed_cycle():
     assert cycle.phi == pytest.approx(-1.9067, abs=2e-3)
 
 
-def test_mixed_pair_that_misses_the_cycle_equations_is_refused():
-    # Newton starts within float resolution of the edge -p**(1/nu) and lands on
-    # a pair in the region whose cycle equations miss by ~6e131
-    with pytest.raises(ValueError, match="cannot locate"):
-        solve_period_two(EquationSpec.minus(10 ** 16, 1000, 10))
+def test_a_mixed_pair_near_the_region_edge_is_the_nearest_float():
+    # alpha lies within a float of the edge -p**(1/nu), where float Newton
+    # steps landed on a pair whose cycle equations missed by ~6e131.  The
+    # float residual at the rounded pair is ~7e-16 of the equations' largest
+    # term, |alpha|*p.
+    eq = EquationSpec.minus(10 ** 16, 1000, 10)
+    cycle = solve_period_two(eq)
+    assert cycle.phi < 0 < cycle.psi and Fraction(cycle.phi) ** 10 > eq.p
+    assert _rounds_the_cycle(eq, cycle)
+    assert cycle.residual < 1e-15 * abs(cycle.phi) * float(eq.p)
+
+
+def test_the_cycle_at_the_nu_2_flip_scales_as_the_square_root():
+    # On the plus branch at (1, q, 2) the cycle is the roots of x**2 - q*x + 1
+    # (phi*psi = 1, phi + psi = q), (q +- sqrt(q**2 - 4))/2; the float nearest
+    # each is pinned by the signs of that quadratic at the midpoints.
+    for k in range(1, 21):
+        q = 2 + Fraction(1, 10 ** k)
+        cycle = solve_period_two(EquationSpec.plus(1, q, 2))
+        for x in (cycle.phi, cycle.psi):
+            assert _is_nearest_float(lambda t: t * t - q * t + 1, x), (k, x)
+        assert cycle.phi > 1 > cycle.psi, k
+    assert solve_period_two(EquationSpec.plus(1, 2 + Fraction(1, 10 ** 20), 2))[:2] == (
+        1.0000000001, 0.9999999999)
+
+
+def test_a_cycle_that_rounds_to_the_equilibrium_float_is_refused(capsys):
+    # From q - 2 ~ 1e-32 on, phi and psi of (1, q, 2) lie within half a float
+    # of the equilibrium 1.0: a proven cycle whose points round to one float
+    eq = EquationSpec.plus(1, 2 + Fraction(1, 10 ** 40), 2)
+    assert analysis._stable(eq) < 0
+    with pytest.raises(ValueError, match="rounds to the equilibrium's float 1.0"):
+        solve_period_two(eq)
+    code = cli.run(["period2", "--branch", "minus", "--p", "1", "--q", str(eq.q), "--nu", "3"])
+    assert code == 0  # nu = 3 at q = 2 + 1e-40 is far from its tangency
+    capsys.readouterr()
+    code = cli.run(["period2", "--branch", "plus", "--p", "1", "--q", str(eq.q), "--nu", "2"])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: a prime two-cycle rounds to the equilibrium's float 1.0\n"))
 
 
 def test_cycle_existence_matches_criterion_on_random_rationals():
@@ -537,14 +587,67 @@ def test_cycle_existence_matches_criterion_on_random_rationals():
                 assert cycle.phi < 0 < cycle.psi, eq
 
 
+def test_cycle_points_are_the_floats_nearest_the_exact_ones():
+    rng = random.Random(33)
+    checked = 0
+    for _ in range(150):
+        p = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+        q = Fraction(rng.randint(1, 40), rng.randint(1, 6))
+        eq = EquationSpec(rng.choice(list(Branch)), p, q, rng.randint(2, 30))
+        cycle = solve_period_two(eq)
+        if cycle is not None:
+            assert _rounds_the_cycle(eq, cycle), eq
+            checked += 1
+    assert checked > 100
+
+
+# x = lam*y maps (branch, p, q, nu) to (p/|lam|**nu, q/|lam|**(nu+1), nu), on
+# the other branch where lam < 0 (odd nu only: for even nu q would change
+# sign), and each cycle point to itself over lam.  For lam = +-2**k a float
+# divides by lam exactly, so the floats nearest the cycle points must too.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    p=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    q=st.fractions(min_value=Fraction(1, 10), max_value=40, max_denominator=12),
+    nu=st.integers(2, 12),
+    branch=st.sampled_from(Branch),
+    k=st.integers(-90, 90),
+    negative=st.booleans(),
+)
+def test_cycles_scale_bit_for_bit_under_x_equals_lambda_y(p, q, nu, branch, k, negative):
+    lam = Fraction(2) ** k * (-1 if negative and nu % 2 else 1)
+    other = branch if lam > 0 else [b for b in Branch if b is not branch][0]
+    scaled = EquationSpec(other, p / abs(lam) ** nu, q / abs(lam) ** (nu + 1), nu)
+
+    def points(eq):
+        try:
+            cycle = solve_period_two(eq)
+        except ArithmeticError:  # p, q or approx_form over- or underflows a float
+            return ArithmeticError
+        except ValueError:  # a cycle point rounds to the equilibrium's float
+            return ValueError
+        return cycle and (cycle.phi, cycle.psi)
+
+    xs, ys = points(EquationSpec(branch, p, q, nu)), points(scaled)
+    if ArithmeticError in (xs, ys):
+        return
+    if isinstance(xs, tuple) and isinstance(ys, tuple):
+        if all(sys.float_info.min <= abs(v) for v in xs + ys):  # no subnormal
+            assert ys == tuple(x / float(lam) for x in xs), (branch, p, q, nu, lam)
+    else:
+        assert xs == ys, (branch, p, q, nu, lam)
+
+
 def _period2_cells():
     """A seeded sample of the mixed region at even nu, p = 10**0..10**20 and
     q in {1/1000, 1, 7, 1000}, where the cycle can lie within float
     resolution of the edge -p**(1/nu); and the plus branch at (1, 2 +- 10**-k, 2),
-    on both sides of the flip tangency q = 2."""
+    on both sides of the flip tangency q = 2, down to where a cycle point
+    rounds to the equilibrium's float."""
     mixed = [("minus", 10 ** e, q, nu) for nu in (2, 4, 6, 8, 10, 20) for e in range(21)
              for q in (Fraction(1, 1000), 1, 7, 1000)]
-    plus = [("plus", 1, 2 + s * Fraction(1, 10 ** k), 2) for k in range(12, 21) for s in (1, -1)]
+    plus = [("plus", 1, 2 + s * Fraction(1, 10 ** k), 2) for k in (*range(12, 21), 40)
+            for s in (1, -1)]
     return random.Random(504).sample(mixed, 48) + plus
 
 
@@ -557,15 +660,24 @@ def test_period2_prints_none_only_where_the_criterion_says_no_cycle(capsys, bran
     if not proven:
         assert (code, out.splitlines()[1:]) == (0, ["none"])
         return
-    if code == 2:  # floats cannot locate the proven cycle: a clean refusal
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if code == 2:  # only a cycle whose points round to the equilibrium's float
+        xbar = equilibria(eq)[0].value
+        assert (out, err) == ("", f"error: a prime two-cycle rounds to the equilibrium's "
+                                  f"float {xbar!r}\n")
+        below, above = ((Fraction(xbar) + Fraction(math.nextafter(xbar, end))) / 2
+                        for end in (-math.inf, math.inf))
+        flip = lambda t: t * t - eq.q * t + 1  # at (1, q, 2) the cycle is its two roots
+        assert branch == "plus" and flip(below) > 0 < flip(above) and below < eq.q / 2 < above
         return
     assert code == 0 and err == ""
-    phi, psi = map(Fraction, out.splitlines()[1].split(",")[:2])
+    cycle = PeriodTwoCycle(*map(float, out.splitlines()[1].split(",")[:2]), 0.0, (0.0, 0.0))
+    # each point within half a float of an exact cycle point inside the
+    # region; the float of alpha may lie on or past the edge -p**(1/nu)
+    assert _rounds_the_cycle(eq, cycle)
     if branch == "minus":
-        assert phi < 0 < psi and phi ** nu > eq.p
+        assert cycle.phi < 0 < cycle.psi
     else:
-        assert phi > 0 and psi > 0 and phi != psi
+        assert cycle.phi > 0 and cycle.psi > 0 and cycle.phi != cycle.psi
 
 
 def test_cycle_existence_matches_sympy_root_isolation():
@@ -612,7 +724,10 @@ def test_smallest_even_cycle_exponent():
 
 # --- certified signs --------------------------------------------------------------
 
-PREDICATES = {"second_iterate": analysis._second_iterate_sign, "psi": analysis._psi_sign}
+# _cycle_sign in its two regions: x**nu + sign*p > 0 (the plus branch and
+# alpha of the mixed region) and < 0 (beta of the mixed region)
+PREDICATES = {"cycle": analysis._cycle_sign,
+              "cycle_inner": lambda eq, x: analysis._cycle_sign(eq, x, -1)}
 LADDER = analysis._LADDER
 # analyze at the nu bound: one root, two roots from -1, two from the split point
 BOUND_CELLS = (EquationSpec.plus(1, 3, 20000), EquationSpec.minus(3, 1, 20000),
@@ -733,36 +848,40 @@ def test_denominator_equals_the_signed_sum_bit_for_bit():
 
 @pytest.mark.parametrize("bits", LADDER)
 def test_enclosure_abstains_where_the_exact_sign_is_degenerate(bits):
-    # g(1/3) = 0 exactly at the flip tangency (1/9, 2/27, 2), whose
-    # equilibrium 1/3 no dyadic enclosure holds exactly
+    # the cycle expression is 0 exactly at the flip tangency (1/9, 2/27, 2),
+    # whose equilibrium 1/3 no dyadic enclosure holds exactly
     tangent = EquationSpec.plus(Fraction(1, 9), Fraction(2, 27), 2)
-    g = analysis._second_iterate_sign
-    assert _filtered_sign(g, tangent, Fraction(1, 3), bits) is Undecided
-    assert analysis._certified_sign(g, tangent, Fraction(1, 3)) == 0
+    sign = analysis._cycle_sign
+    assert _filtered_sign(sign, tangent, Fraction(1, 3), bits) is Undecided
+    assert analysis._certified_sign(sign, tangent, Fraction(1, 3)) == 0
     # alpha**nu - p = 0 at alpha = -2/3 on minus (4/9,1,2): the region edge
     edge = EquationSpec.minus(Fraction(4, 9), 1, 2)
-    assert _filtered_sign(analysis._psi_sign, edge, Fraction(-2, 3), bits) is Undecided
-    assert analysis._certified_sign(analysis._psi_sign, edge, Fraction(-2, 3)) is None
+    for predicate in PREDICATES.values():
+        assert _filtered_sign(predicate, edge, Fraction(-2, 3), bits) is Undecided
+        assert analysis._certified_sign(predicate, edge, Fraction(-2, 3)) is None
 
 
 @pytest.mark.parametrize("bits", LADDER)
 def test_an_exact_enclosure_decides_a_degenerate_sign(bits):
-    # g(1) = 0 at the flip tangency (1,2,2) and alpha**nu - p = 0 at
-    # alpha = -2 on minus (4,1,2): every value is a short dyadic, so every
-    # enclosure is exact and proves the 0 (and the region edge's None)
+    # the cycle expression is 0 at the flip tangency (1,2,2) and
+    # alpha**nu - p = 0 at alpha = -2 on minus (4,1,2): every value is a short
+    # dyadic, so every enclosure is exact and proves the 0 (and the region
+    # edge's None, in both regions)
     tangent, edge = EquationSpec.plus(1, 2, 2), EquationSpec.minus(4, 1, 2)
-    assert _filtered_sign(analysis._second_iterate_sign, tangent, Fraction(1), bits) == 0
-    assert _filtered_sign(analysis._psi_sign, edge, Fraction(-2), bits) is None
+    assert _filtered_sign(analysis._cycle_sign, tangent, Fraction(1), bits) == 0
+    for predicate in PREDICATES.values():
+        assert _filtered_sign(predicate, edge, Fraction(-2), bits) is None
 
 
 def _sign_evaluations(monkeypatch, run):
     """(all, exact) sign-predicate evaluations made by run()."""
     kinds = []
     with monkeypatch.context() as patch:
-        for name in ("_equilibrium_sign", "_second_iterate_sign", "_psi_sign"):
+        for name in ("_equilibrium_sign", "_cycle_sign"):
             predicate = getattr(analysis, name)
             patch.setattr(analysis, name,
-                          lambda eq, x, predicate=predicate: kinds.append(type(x)) or predicate(eq, x))
+                          lambda eq, x, *region, predicate=predicate:
+                          kinds.append(type(x)) or predicate(eq, x, *region))
         run()
     return len(kinds), kinds.count(Fraction)
 
@@ -770,17 +889,18 @@ def _sign_evaluations(monkeypatch, run):
 def test_period_two_sign_work(monkeypatch):
     # Counts of predicate evaluations, not time.  The criterion decides
     # no-cycle and tangency cells without a sign; at nu = 200 an exact sign
-    # costs ~0.3 s of Fraction powers, and ~1.4 s at nu = 400, so the
-    # enclosures must decide nearly all, and at nu = 400 all of them.
+    # costs ~0.3 s of Fraction powers, ~1.4 s at nu = 400 and 0.29 s at
+    # q/p = 3/2 of (1, 3/2, 1600), a bracket end that must stay virtual; so
+    # the enclosures must decide nearly all, and at nu >= 400 all of them.
     for eq in (EquationSpec.plus(3, 1, 48), EquationSpec.plus(1, 2, 2),
                EquationSpec.plus(2, 3, 3), EquationSpec.plus(3, 4, 4)):
         assert _sign_evaluations(monkeypatch, lambda: solve_period_two(eq)) == (0, 0), eq
     for eq in (EquationSpec.minus(3, 1, 200), EquationSpec.plus(1, 2, 200)):
         total, exact = _sign_evaluations(monkeypatch, lambda: solve_period_two(eq))
         assert total > 0 and exact <= 4, (eq, total, exact)
-    eq = EquationSpec.minus(3, 1, 400)
-    total, exact = _sign_evaluations(monkeypatch, lambda: solve_period_two(eq))
-    assert total > 0 and exact == 0, (total, exact)
+    for eq in (EquationSpec.minus(3, 1, 400), EquationSpec.plus(1, Fraction(3, 2), 1600)):
+        total, exact = _sign_evaluations(monkeypatch, lambda: solve_period_two(eq))
+        assert total > 0 and exact == 0, (eq, total, exact)
 
 
 @pytest.mark.parametrize("eq", BOUND_CELLS, ids=str)
@@ -795,7 +915,7 @@ def test_equilibria_at_the_nu_bound_run_no_exact_sign(monkeypatch, eq):
 
 # --- float proposals, certified decisions --------------------------------------------
 
-PROPOSED = ("_rounded_root", "_nearest_float", "_cycle_search", "_dyadic_cell", "_sign_change")
+PROPOSED = ("_rounded_root", "_nearest_float", "_sign_change")
 
 
 def _tangent_q(p, nu):
@@ -819,12 +939,16 @@ def _proposal_cells():
         q = rng.choice((Fraction(1, 1000), 1, 7, 1000))
         cells.append(EquationSpec.minus(10 ** rng.randint(0, 20), q, rng.choice((2, 4, 6, 8, 10, 20))))
     # floats propose a pair that the certificate refutes: (-, -) at (1, 2 + 2e-13, 2), (+, +) at
-    # (2, 2**2.5*(1 + 1e-13), 2); (1e6, 1/1000, 60): a float B**nu overflows on the mixed grid
+    # (2, 2**2.5*(1 + 1e-13), 2); (1, 3/2, 1600) and (1e6, 1/1000, 60) at large nu (a float
+    # x**nu overflows past beta's edge in several mixed cells above); an equilibrium
+    # 2**-700 from a rounding midpoint, whose sign there only 1024 bits decide
     tangent = Fraction(_tangent_q(2, 2))
+    near_midpoint = 1 + Fraction(3, 2 ** 53) + Fraction(1, 2 ** 700)
     return cells + [EquationSpec.plus(1, 2 + Fraction(2, 10 ** 13), 2),
                     EquationSpec.plus(2, tangent * (1 + Fraction(1, 10 ** 13)), 2),
                     EquationSpec.plus(1, Fraction(3, 2), 1600),
-                    EquationSpec.minus(10 ** 6, Fraction(1, 1000), 60)]
+                    EquationSpec.minus(10 ** 6, Fraction(1, 1000), 60),
+                    EquationSpec.plus(1, near_midpoint ** 11 + near_midpoint, 10)]
 
 
 # Equilibria alone: from nu ~ 1750 a float probe 1.5**nu of the bracket [1, 2]
@@ -842,13 +966,13 @@ def _search(eq):
     mixed = eq.branch is Branch.MINUS and eq.nu % 2 == 0
     runs = [lambda: equilibria(eq)]
     if mixed:
-        runs.append(lambda: analysis._mixed_root(eq, 1e-10))
+        runs.append(lambda: analysis._mixed_cycle(eq))
     elif analysis._stable(eq) < 0:
-        runs.append(lambda: analysis._positive_root(EquationSpec.plus(eq.p, eq.q, eq.nu), 1e-10))
+        runs.append(lambda: analysis._plus_cycle(EquationSpec.plus(eq.p, eq.q, eq.nu)))
     for run in runs:
         try:
             run()
-        except ValueError:  # two roots that round to one float, or an unlocated cycle
+        except ValueError:  # two roots, or a cycle point and the equilibrium, round to one float
             pass
 
 
@@ -960,10 +1084,10 @@ def _linear_scan(eq, predicate, points):
 
 
 def _sign_change_cases():
-    """(predicate, grid, dyadic) triples: seeded ascending Fraction grids
-    with the root on a grid point, between two, outside the grid and past a
-    region edge (an all-None tail among them), and dyadic brackets
-    (a, b, levels) with the root inside, on a cell end or not."""
+    """(predicate, grid) pairs: seeded ascending Fraction grids with the root
+    on a grid point, between two, outside the grid and past a region edge
+    (an all-None tail among them), and the cells a + (b - a)*j/2**levels of
+    brackets with the root inside, on a cell end or not."""
     rng = random.Random(24)
     cases = []
     for _ in range(300):
@@ -974,7 +1098,7 @@ def _sign_change_cases():
                            grid[-1] + 1))
         edge = rng.choice((None, None, None, root + Fraction(rng.randint(0, 10 ** 5), 3),
                            rng.choice(grid), grid[0] - 1))
-        cases.append((_step_predicate(root, edge), grid, None))
+        cases.append((_step_predicate(root, edge), grid))
     for _ in range(150):
         levels = rng.randint(0, 9)
         a = Fraction(rng.randint(-2 ** 20, 2 ** 20), rng.choice((2 ** rng.randint(0, 30), 3, 10 ** 7)))
@@ -983,22 +1107,21 @@ def _sign_change_cases():
         root = rng.choice((on_cell, a + (b - a) * Fraction(rng.randint(1, 10 ** 6 - 1), 10 ** 6)))
         if root == b:
             root = (a + b) / 2
-        cases.append((_step_predicate(root), None, (a, b, levels)))
+        cases.append((_step_predicate(root), [a + (b - a) * Fraction(j, 2 ** levels)
+                                              for j in range(2 ** levels + 1)]))
     return cases
 
 
-def _sign_change_outcome(monkeypatch, eq, predicate, grid, dyadic):
-    """The dyadic bracket's cell, or the cycle search's result on the grid
-    with its bracket left whole: (lo + hi)/2, or None for ValueError."""
-    if grid is None:
-        a, b, levels = dyadic
-        return analysis._dyadic_cell(eq, predicate, a, b, 1, levels)
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "_dyadic_cell", lambda eq, predicate, lo, hi, *rest: (lo, hi))
-        try:
-            return analysis._cycle_search(eq, predicate, [grid], 1e-10)
-        except ValueError:
-            return None
+def _sign_change_outcome(eq, predicate, grid):
+    """_sign_change along the grid, virtual ends before and after it, read
+    as the linear scan reads: the point of a 0, the (+, -) pair, or None."""
+    n = len(grid)
+    j, s = analysis._sign_change(eq, predicate, grid.__getitem__,
+                                 lambda j: -math.inf if j < 0 else math.inf if j == n
+                                 else float(grid[j]), -1, n, 1)
+    if s == 0:
+        return grid[j], grid[j]
+    return (grid[j - 1], grid[j]) if s == -1 and j > 0 else None
 
 
 @pytest.mark.parametrize("bits", LADDER)
@@ -1010,14 +1133,8 @@ def test_sign_change_matches_the_linear_scan(monkeypatch, bits):
     # for which _certified_sign tries every level).
     monkeypatch.setattr(analysis, "_LADDER", (bits,))
     eq, rng = EVERY_LEVEL, random.Random(5)
-    for predicate, grid, dyadic in _sign_change_cases():
-        if grid is None:
-            a, b, levels = dyadic
-            want = _linear_scan(eq, predicate, [a + (b - a) * Fraction(j, 2 ** levels)
-                                                for j in range(2 ** levels + 1)])
-        else:
-            found = _linear_scan(eq, predicate, grid)
-            want = found and (found[0] + found[1]) / 2
+    for predicate, grid in _sign_change_cases():
+        want = _linear_scan(eq, predicate, grid)
         for way in ("proposed", "certified only", "adversarial"):
             with monkeypatch.context() as patch:
                 if way == "certified only":
@@ -1025,8 +1142,8 @@ def test_sign_change_matches_the_linear_scan(monkeypatch, bits):
                 elif way == "adversarial":
                     patch.setattr(analysis, "_float_sign",
                                   lambda predicate, spec, x: rng.choice((1, -1, 0, None)))
-                got = _sign_change_outcome(patch, eq, predicate, grid, dyadic)
-            assert got == want, (way, grid, dyadic)
+                got = _sign_change_outcome(eq, predicate, grid)
+            assert got == want, (way, grid)
 
 
 def _float_below(x: Fraction) -> float:
@@ -1183,9 +1300,10 @@ def _certified_signs(monkeypatch, eq):
 
 
 def test_period_two_certifies_only_the_proposals(monkeypatch):
-    # The certified-only path takes 98 and 42 certified signs on these cells
-    # (a bisection of the grid's indices, then of the bracket's dyadic
-    # cells); a proposal that silently fell back to it would fail here.
+    # The certified-only path takes 172 and 128 certified signs on these
+    # cells (a bisection of the floats' indices for each root), the
+    # proposals 10 and 7; a proposal that silently fell back to it would
+    # fail here.
     for eq in (EquationSpec.plus(1, 4, 48), EquationSpec.minus(3, 1, 40)):
         assert _certified_signs(monkeypatch, eq) <= 20, eq
         with monkeypatch.context() as patch:

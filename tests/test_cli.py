@@ -675,6 +675,17 @@ def test_period2_rejects_bad_tol_at_parse_time(capsys, tol):
     assert f"argument --tol: must be a finite positive number, got {tol!r}" in captured.err
 
 
+@pytest.mark.parametrize("cell", [("plus", "1", "2", "6"), ("minus", "1", "2", "5"),
+                                  ("minus", "3", "1", "2"), ("plus", "1", "4", "12"),
+                                  ("plus", "1", "2000000000001/1000000000000", "2")])
+def test_period2_prints_the_same_bytes_at_every_tol(capsys, cell):
+    # every cycle point is the float nearest the exact one, whatever --tol says
+    branch, p, q, nu = cell
+    argv = ["period2", "--branch", branch, "--p", p, "--q", q, "--nu", nu]
+    outcomes = {invoke(capsys, argv + [f"--tol={tol}"]) for tol in ("1e-4", "1e-10", "1e-15")}
+    assert outcomes == {invoke(capsys, argv)} and next(iter(outcomes))[0] == 0
+
+
 def test_each_error_class_is_in_one_exit_code_family():
     """`run` maps a ValueError to exit 2 and a SingularInput to exit 3, so every
     class of `ratdyn.errors` but the two bases must be exactly one of them."""
