@@ -8,12 +8,12 @@ print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
 (sign +1 on the plus branch, -1 on minus), bracketed by steps x -> 2x, 8x,
 128x, ... or x/2, x/8, ..., then rounded to the nearest float.  How many
 equilibria there are, the stability class of each, and whether a prime
-two-cycle exists are decided exactly, by one integer comparison, _stable;
-only the multiplier beside the class is a float evaluation.  Each cycle
-point is then rounded the same way, as the root of one sign predicate,
-_cycle_sign, over a bracket the equation gives: on the plus branch above
-and below the printed equilibrium, in the mixed-sign region on either side
-of 0.
+two-cycle exists are decided exactly, by one certified sign, _stable, of a
+predicate at one critical point; only the multiplier beside the class is a
+float evaluation.  Each cycle point is then rounded the same way, as the
+root of one sign predicate, _cycle_sign, over a bracket the equation gives:
+on the plus branch above and below the printed equilibrium, in the
+mixed-sign region on either side of 0.
 Each sign is evaluated on outward-rounded dyadic enclosures
 (ratdyn.interval) of 64, 256, 1024 and 4096 bits in turn, none wider than
 x**nu; where none of them proves the sign the same predicate runs on
@@ -229,28 +229,31 @@ def _nearest_float(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi:
     return x or math.copysign(0.0, near + far)  # a zero takes the sign of r
 
 
+def _critical_point(eq: EquationSpec) -> Fraction:
+    """c = k*q/(nu*p), k = nu+1 for even nu on minus and nu-1 elsewhere: an
+    equilibrium x at |x| = c has multiplier -1 (+1 for even nu on minus),
+    since x**nu = q/x - sign*p there."""
+    k = eq.nu + 1 if eq.branch is Branch.MINUS and eq.nu % 2 == 0 else eq.nu - 1
+    return k * eq.q / (eq.nu * eq.p)
+
+
+def _criterion_sign(eq: EquationSpec, c) -> int:
+    """Sign of q/nu - c**(nu+1), in the arithmetic of c."""
+    return -_sign_of(c ** (eq.nu + 1) - eq.q / eq.nu)
+
+
 def _stable(eq: EquationSpec) -> int:
-    """Sign of nu^nu p^(nu+1) - q^nu k^(nu+1), k = nu+1 for even nu on minus
-    and nu-1 elsewhere: the one exact criterion behind every stability class,
-    equilibrium count and cycle existence.  It is the sign of q/nu - c**(nu+1)
-    at c = k*q/(nu*p), and x**nu = q/x - sign*p turns |multiplier| < 1 at an
-    equilibrium x into |x| > c on the plus branch, |x| < c for even nu on
-    minus.  On the plus branch (odd nu on minus mirrored) the polynomial is
-    increasing and c**(nu+1) - q/nu at c: +1 is a stable equilibrium, 0 the
-    flip tangency, -1 an unstable one beside a prime two-cycle.  For even nu
-    on minus it is h(c) for the concave h(t) = -t**(nu+1) + p*t - q, t = -x:
+    """Sign of q/nu - c**(nu+1) at c = _critical_point(eq), certified as
+    every sign is: the one exact criterion behind every stability class,
+    equilibrium count and cycle existence.  On the plus branch (odd nu on
+    minus mirrored) the polynomial is increasing, -(q/nu - c**(nu+1)) at c,
+    and |multiplier| < 1 at the equilibrium iff it lies above c: +1 is a
+    stable equilibrium, 0 the flip tangency, -1 an unstable one beside a
+    prime two-cycle.  For even nu on minus the sign is h(c) for the concave
+    h(t) = -t**(nu+1) + p*t - q, t = -x, and |multiplier| < 1 iff |x| < c:
     +1 is two roots on either side of -c, the inner one stable, 0 a double
     root at -c, -1 no root."""
-    nu = eq.nu
-    k = nu + 1 if eq.branch is Branch.MINUS and nu % 2 == 0 else nu - 1
-    (pn, pd), (qn, qd) = eq.p.as_integer_ratio(), eq.q.as_integer_ratio()
-    return _sign_of(nu ** nu * pn ** (nu + 1) * qd ** nu
-                    - qn ** nu * k ** (nu + 1) * pd ** (nu + 1))
-
-
-def _split_point(eq: EquationSpec) -> Fraction:
-    """-c of _stable for even nu on minus."""
-    return -eq.q * (eq.nu + 1) / (eq.p * eq.nu)
+    return _certified_sign(_criterion_sign, eq, _critical_point(eq))
 
 
 def _bracket(x: float) -> Bracket:
@@ -281,9 +284,9 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     elif q == p - 1:
         roots = [-1.0]
     elif (count := _stable(eq)) <= 0:
-        roots = [float(_split_point(eq))] if count == 0 else []
+        roots = [float(-_critical_point(eq))] if count == 0 else []
     else:
-        start = -one if q < p - 1 else _split_point(eq)  # between the two roots
+        start = -one if q < p - 1 else -_critical_point(eq)  # between the two roots
         roots = [_rounded_root(eq, start, half), _rounded_root(eq, start, double)]
         if roots[0] == roots[1]:
             raise ValueError(f"two equilibria round to the one float {roots[0]!r}")
@@ -298,7 +301,8 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     the even-nu double root; else ValueError.  The class is exact: _stable,
     or for even nu on minus the polynomial's slope across the value, falling
     at the stable inner root.  The multiplier is a float evaluation of the
-    map derivative, -q*nu*x**(nu-1) / (sign*p + x**nu)**2.
+    map derivative, -q*nu*x**(nu-1) / (sign*p + x**nu)**2, or where its
+    numerator overflows -nu * (q/den) * (x**(nu-1)/den).
     """
     x = report.value
     if not math.isfinite(x):
@@ -306,11 +310,13 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     below, above = (_certified_sign(_equilibrium_sign, eq, Fraction(math.nextafter(x, end)))
                     for end in (-math.inf, math.inf))
     mixed = eq.branch is Branch.MINUS and eq.nu % 2 == 0
-    if not (below * above <= 0 or mixed and x == float(_split_point(eq)) and _stable(eq) == 0):
+    if not (below * above <= 0 or mixed and x == float(-_critical_point(eq)) and _stable(eq) == 0):
         raise ValueError(f"{x} does not satisfy the equilibrium polynomial")
-    num, den = -float(eq.q) * eq.nu * x ** (eq.nu - 1), eq.denominator(float(x))
+    q, nu = float(eq.q), eq.nu
+    num, den = -q * nu * x ** (nu - 1), eq.denominator(float(x))
     try:
-        multiplier = num / den ** 2
+        multiplier = (num / den ** 2 if math.isfinite(num)
+                      else -nu * (q / den) * (x ** (nu - 1) / den))  # num overflowed
     except OverflowError:  # den**2 overflows where num/den/den may be finite
         multiplier = num / den / den
     sign = _sign_of(below - above) if mixed else _stable(eq)  # +1 stable, 0, -1 unstable
@@ -352,13 +358,11 @@ def _certified_sign(predicate: SignPredicate, eq: EquationSpec, x: Fraction) -> 
 
 
 def _approx_form(eq: EquationSpec) -> Tuple[float, float]:
-    p, q, nu = float(eq.p), float(eq.q), eq.nu
-    ratio_pow = (q / p) ** nu
-    if eq.branch is Branch.MINUS and nu % 2 == 0:
-        den = -p + ratio_pow
-        return (-q / p, q / den if den != 0.0 else float("inf"))
-    sign = eq.sign  # odd nu on minus: the plus pair, negated
-    return (sign * q / p, sign * q / (p + ratio_pow))
+    """(x, q/(sign*p + x**nu)) at x = sign*q/p, in floats: the plus branch's
+    pair, or the mixed region's."""
+    p, q = float(eq.p), float(eq.q)
+    den = eq.sign * p + (q / p) ** eq.nu
+    return (eq.sign * q / p, q / den if den != 0.0 else float("inf"))
 
 
 def _cycle_sign(eq: EquationSpec, x, region: int = 1) -> Optional[int]:
@@ -421,9 +425,9 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     Existence is decided first, exactly, and is the only source of None.  On
     the plus branch, mirrored for odd nu on minus, the map is decreasing with
     negative Schwarzian derivative, so a cycle exists iff the equilibrium is
-    unstable: iff nu^nu p^(nu+1) < q^nu (nu-1)^(nu+1) (Singer, SIAM J. Appl.
-    Math. 1978).  Equality is the flip tangency, for example (1,2,2), where
-    f(f(x)) - x has numerator -(x-1)^3 (x^2+x+2): no prime cycle.  For even
+    unstable: iff c**(nu+1) > q/nu at c = (nu-1)*q/(nu*p) (Singer, SIAM J.
+    Appl. Math. 1978).  Equality is the flip tangency, for example (1,2,2),
+    where f(f(x)) - x has numerator -(x-1)^3 (x^2+x+2): no prime cycle.  For even
     nu on minus the mixed-sign cycle always exists (intermediate value
     theorem).  phi and psi are then each the float nearest the exact cycle
     point, and the residual is a float evaluation of the cycle equations
@@ -433,19 +437,17 @@ def solve_period_two(eq: EquationSpec, tol: float = 1e-10) -> Optional[PeriodTwo
     reports approx_form, so its float overflow is raised first."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mixed = eq.branch is Branch.MINUS and eq.nu % 2 == 0
-    if not mixed and _stable(eq) >= 0:
-        return None
+    mixed, sign = eq.branch is Branch.MINUS and eq.nu % 2 == 0, 1
+    if not mixed:
+        if _stable(eq) >= 0:
+            return None
+        eq, sign = EquationSpec.plus(eq.p, eq.q, eq.nu), eq.sign  # odd nu on minus: negated
     approx_form = _approx_form(eq)
-    if mixed:
-        (phi, psi), sign = _mixed_cycle(eq), 1
-    else:  # odd nu on minus: the plus cycle, negated
-        eq, sign = EquationSpec.plus(eq.p, eq.q, eq.nu), eq.sign
-        phi, psi = _plus_cycle(eq)
+    phi, psi = _mixed_cycle(eq) if mixed else _plus_cycle(eq)
     q = float(eq.q)
     residual = max(abs(a * eq.denominator(b) - q) for a, b in ((phi, psi), (psi, phi)))
     # negation is exact, so odd nu on minus has the plus residual's bits
-    return PeriodTwoCycle(sign * phi, sign * psi, residual, approx_form)
+    return PeriodTwoCycle(sign * phi, sign * psi, residual, tuple(sign * x for x in approx_form))
 
 
 def smallest_even_cycle_exponent(p, q, cap: int = 64) -> Optional[int]:

@@ -873,11 +873,11 @@ def test_an_exact_enclosure_decides_a_degenerate_sign(bits):
         assert _filtered_sign(predicate, edge, Fraction(-2), bits) is None
 
 
-def _sign_evaluations(monkeypatch, run):
-    """(all, exact) sign-predicate evaluations made by run()."""
+def _sign_evaluations(monkeypatch, run, names=("_equilibrium_sign", "_cycle_sign")):
+    """(all, exact) evaluations of the named sign predicates made by run()."""
     kinds = []
     with monkeypatch.context() as patch:
-        for name in ("_equilibrium_sign", "_cycle_sign"):
+        for name in names:
             predicate = getattr(analysis, name)
             patch.setattr(analysis, name,
                           lambda eq, x, *region, predicate=predicate:
@@ -911,6 +911,60 @@ def test_equilibria_at_the_nu_bound_run_no_exact_sign(monkeypatch, eq):
         return [classify_stability(eq, report) for report in equilibria(eq)]
     total, exact = _sign_evaluations(monkeypatch, run)
     assert total > 0 and exact == 0, (total, exact)
+    # the criterion, counted apart: q/nu - c**(nu+1) with c**(nu+1) ~600k bits exact
+    total, exact = _sign_evaluations(monkeypatch, run, ("_criterion_sign",))
+    assert total > 0 and exact == 0, (total, exact)
+
+
+def _integer_criterion(eq):
+    """Sign of nu^nu p^(nu+1) - q^nu k^(nu+1), k = nu+1 for even nu on minus
+    and nu-1 elsewhere, in integers: the criterion as _stable computed it
+    before its sign was certified."""
+    nu = eq.nu
+    k = nu + 1 if eq.branch is Branch.MINUS and nu % 2 == 0 else nu - 1
+    (pn, pd), (qn, qd) = eq.p.as_integer_ratio(), eq.q.as_integer_ratio()
+    left = nu ** nu * pn ** (nu + 1) * qd ** nu
+    right = qn ** nu * k ** (nu + 1) * pd ** (nu + 1)
+    return (left > right) - (left < right)
+
+
+def _criterion_cells():
+    """The acceptance grid, the tangencies, the mixed double roots, q = p - 1,
+    the near-tangent scan, random rationals, and nu = 1,000 and 20,000 (the
+    last two cells 10**-12 from the flip tangency at nu and at odd nu + 1)."""
+    import scan_equivalence
+
+    rng = random.Random(34)
+
+    def rational():
+        return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 99))
+
+    cells = [EquationSpec(branch, p, p + 1, nu)
+             for p in (1, 2, 3) for nu in range(1, 9) for branch in Branch]
+    cells += [EquationSpec.plus(1, 2, 2), EquationSpec.plus(2, 3, 3), EquationSpec.plus(3, 4, 4),
+              EquationSpec.minus(12, 16, 2), EquationSpec.minus(Fraction(1, 3), Fraction(2, 27), 2)]
+    cells += [EquationSpec.minus(p, p - 1, nu)
+              for p in (2, Fraction(7, 2), 3, 5, 7, 1000, 10 ** 6) for nu in (1, 2, 3, 4, 6)]
+    cells += [EquationSpec(*cell) for cell in scan_equivalence.near_tangent_cells()]
+    cells += [EquationSpec(rng.choice(list(Branch)), rational(), rational(), rng.randint(1, 60))
+              for _ in range(300)]
+    for nu in (1000, 20000):
+        above, below = 1 + Fraction(1, 10 ** 12), 1 - Fraction(1, 10 ** 12)
+        cells += [EquationSpec.plus(1, 3, nu), EquationSpec.minus(3, 1, nu),
+                  EquationSpec.minus(100000, Fraction(199999, 2), nu),
+                  EquationSpec.plus(3, Fraction(_tangent_q(3, nu)) * above, nu),
+                  EquationSpec.minus(3, Fraction(_tangent_q(3, nu + 1)) * below, nu + 1)]
+    return cells
+
+
+def test_stable_equals_the_integer_criterion():
+    # The certified sign of q/nu - c**(nu+1) against the integer expression
+    # it replaced, on cells where it is 0, near 0, or where c**(nu+1) has ~600k bits
+    cells = _criterion_cells()
+    for eq in cells:
+        assert analysis._stable(eq) == _integer_criterion(eq), eq
+    signs = {_integer_criterion(eq) for eq in cells}
+    assert signs == {-1, 0, 1}, signs
 
 
 # --- float proposals, certified decisions --------------------------------------------

@@ -532,6 +532,29 @@ def test_analyze_json(capsys):
         assert invoke(capsys, ["analyze", *argv, "--nu", "1", "--format", "json"]) == expected
 
 
+@pytest.mark.parametrize("branch, p, q, nu", [
+    # q*nu*x**(nu-1) overflows a float where the multiplier is near -nu
+    ("plus", "1e-300", "1e300", "3"), ("minus", "1e-300", "1e300", "3"),
+    ("plus", "1", "1e300", "2"), ("plus", "1e-300", "1e300", "4"),
+    ("minus", "1e-300", "1e300", "5"), ("plus", "1e-100", "1e300", "40"),
+    # a finite numerator, in the last two over an overflowing squared denominator
+    ("plus", "1", "2", "6"), ("plus", "1/10", "10", "400"), ("plus", "1e155", "1", "1"),
+    ("minus", "1e160", "3", "1"),
+])
+def test_analyze_prints_the_multiplier_at_the_printed_root(capsys, branch, p, q, nu):
+    # within a few ulps of the exact derivative -q*nu*x**(nu-1)/(x**nu + sign*p)**2
+    # at the printed root x
+    code, out, err = invoke(capsys, ["analyze", "--branch", branch, "--p", p, "--q", q,
+                                     "--nu", nu])
+    assert (code, err) == (0, "")
+    eq = EquationSpec(branch, p, q, int(nu))
+    for row in out.splitlines()[1:]:
+        value, multiplier = map(float, row.split(",")[:2])
+        x = Fraction(value)
+        exact = float(-eq.q * eq.nu * x ** (eq.nu - 1) / eq.denominator(x) ** 2)
+        assert abs(multiplier - exact) <= 4 * math.ulp(exact), (row, exact)
+
+
 @pytest.mark.parametrize("branch, p, q, classes", [
     # the outer root's polynomial terms reach 1e9: an absolute residual bound rejects it
     ("minus", "1000000", "1/1000000", ["locally_asymptotically_stable", "unstable"]),
