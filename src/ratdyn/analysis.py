@@ -5,15 +5,17 @@ on minus.  For odd nu, (-x)**nu = -x**nu makes the minus map the plus map in
 y = -x, so its equilibrium and two-cycle are computed as the plus branch's,
 negated (exactly, in floats): analyze and period2 share one equilibrium and
 print exact mirrors.  Equilibria are roots of x**(nu+1) + sign*p*x - q
-(sign +1 on the plus branch, -1 on minus), bracketed by steps x -> 2x, 8x,
-128x, ... or x/2, x/8, ..., then rounded to the nearest float.  How many
-equilibria there are, the stability class of each, and whether a prime
-two-cycle exists are decided exactly, by one certified sign, _stable, of a
-predicate at one critical point; only the multiplier beside the class is a
-float evaluation.  Each cycle point is then rounded the same way, as the
-root of one sign predicate, _cycle_sign, over a bracket the equation gives:
-on the plus branch above and below the printed equilibrium, in the
-mixed-sign region on either side of 0.
+(sign +1 on the plus branch, -1 on minus), each rounded to the nearest
+float between ends the equation gives: 0 and 2**1024 on the plus branch,
+and for even nu on minus 0 and -c, or -c and -2**1024, on either side of
+the critical point -c of _stable.  How many equilibria there are, the
+stability class of each, and whether a prime two-cycle exists are decided
+exactly, by one certified sign, _stable, of a predicate at one critical
+point; only the multiplier beside the class is a float evaluation.  Each
+cycle point is then rounded the same way, as the root of one sign
+predicate, _cycle_sign, over a bracket the equation gives: on the plus
+branch above and below the printed equilibrium, in the mixed-sign region
+between 0 and -2**1024 or 2**1024.
 Each sign is evaluated on outward-rounded dyadic enclosures
 (ratdyn.interval) of 64, 256, 1024 and 4096 bits in turn, none wider than
 x**nu; where none of them proves the sign the same predicate runs on
@@ -47,6 +49,8 @@ from .interval import Interval, Undecided
 
 # The enclosure precisions, in bits, _certified_sign tries before exact arithmetic
 _LADDER = (64, 256, 1024, 4096)
+# Past the largest float: the virtual end of a root search with no finite end
+_PAST_MAX = Fraction(2 ** 1024)
 
 SignPredicate = Callable[[EquationSpec, object], Optional[int]]
 
@@ -85,32 +89,20 @@ def _equilibrium_sign(eq: EquationSpec, x) -> int:
     return _sign_of(x * eq.denominator(x) - eq.q)
 
 
-def _rounded_root(eq: EquationSpec, inside: Fraction, factor: Fraction) -> float:
-    """The float nearest the first root of the equilibrium polynomial met
-    from inside (not a root) by steps x -> x*factor, the factor squared
-    after each step (2, 4, 16, ... or 1/2, 1/4, ...), so a root 2**k away
-    takes ~log2(k) steps: a certified 0 is the root itself, else
-    _nearest_float rounds the one root of the last step's bracket, whose
-    end inside keeps the start's sign."""
-    side = _certified_sign(_equilibrium_sign, eq, inside)
-    outside = inside * factor
-    while (s := _certified_sign(_equilibrium_sign, eq, outside)) == side:
-        factor *= factor
-        inside, outside = outside, outside * factor
-    if s == 0:
-        return float(outside)
-    return _nearest_float(eq, _equilibrium_sign, inside, outside, side)
-
-
 class _FloatSpec(NamedTuple):
-    """An equation's q, sign*p and nu in floats: what a sign predicate reads."""
+    """An equation's q, sign*p and nu in floats: what a sign predicate reads,
+    with an x**nu past the float range read as its infinite limit."""
 
     q: float
     signed_p: float
     nu: int
 
     def denominator(self, x: float) -> float:
-        return x ** self.nu + self.signed_p
+        try:
+            power = x ** self.nu
+        except OverflowError:
+            power = math.copysign(math.inf, x) ** self.nu
+        return power + self.signed_p
 
 
 def _float_spec(eq: EquationSpec) -> Optional[_FloatSpec]:
@@ -123,7 +115,7 @@ def _float_spec(eq: EquationSpec) -> Optional[_FloatSpec]:
 
 def _float_sign(predicate: SignPredicate, spec: _FloatSpec, x) -> Optional[int]:
     """The predicate's sign in floats, a proposal only: None outside the
-    region, 0 where it is NaN or a float overflows."""
+    region, 0 where it is NaN or a float division by 0.0 raises."""
     try:
         return predicate(spec, float(x))
     except ArithmeticError:
@@ -142,15 +134,16 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
     TOMS 17(3), 1991).  Plain floats bisect the indices at probe(j), a
     monotone float stand-in for point(j), stopping early where a probe no
     longer falls strictly between the probes of its pair or a probe
-    overflows; a probe whose float sign is 0 (also an overflow) is decided
-    by its certified sign instead, and one outside the region (None) reads
-    as not side, as a certified None does.  The certified signs of the pair
-    the floats reach then confirm it: side at its lower index, not side at
-    its upper one.  A refuted pair gallops outward from the refuted end, by
-    1, 2, 4, ... indices within (lo, hi), to a certified bracket (~2*log2(d)
-    signs for a pair d indices off), which the certified bisection narrows:
-    the result is the certified bisection's alone, bit for bit.  A certified
-    0 is the change itself, since only signs equal to side precede a 0."""
+    overflows; a probe whose float sign is 0 (a float root, NaN or a
+    division by 0.0) is decided by its certified sign instead, and one
+    outside the region (None) reads as not side, as a certified None does.
+    The certified signs of the pair the floats reach then confirm it: side
+    at its lower index, not side at its upper one.  A refuted pair gallops
+    outward from the refuted end, by 1, 2, 4, ... indices within (lo, hi),
+    to a certified bracket (~2*log2(d) signs for a pair d indices off),
+    which the certified bisection narrows: the result is the certified
+    bisection's alone, bit for bit.  A certified 0 is the change itself,
+    since only signs equal to side precede a 0."""
     signs = {lo: side, hi: None}  # certified signs by index
 
     def certified(j: int) -> Optional[int]:
@@ -167,7 +160,7 @@ def _sign_change(eq: EquationSpec, predicate: SignPredicate, point: Callable[[in
             if not min(x_lo, x_hi) < x < max(x_lo, x_hi):
                 break
             s = _float_sign(predicate, spec, x)
-            if s == 0:  # a root, NaN or an overflow in floats: certified
+            if s == 0:  # a root, NaN or a division by 0.0 in floats: certified
                 s = certified(mid)
             if s == 0:
                 return mid, 0
@@ -210,7 +203,7 @@ def _nearest_float(eq: EquationSpec, predicate: SignPredicate, lo: Fraction, hi:
 
     def point(i: int) -> Fraction:
         x = probe(i)
-        return Fraction(x) if math.isfinite(x) else Fraction(2 ** 1024 if x > 0 else -2 ** 1024)
+        return Fraction(x) if math.isfinite(x) else (_PAST_MAX if x > 0 else -_PAST_MAX)
 
     def index(end: Fraction, outward: int) -> int:
         """The index of the float on end, else of the first one past it outward."""
@@ -265,29 +258,32 @@ def equilibria(eq: EquationSpec) -> List[EquilibriumReport]:
     """All equilibria in the studied range, with location brackets; each
     value is the float nearest the exact root.
 
-    Plus branch: the single positive root (the polynomial is strictly
-    increasing on (0, inf)); it sits below, at, or above 1 according to
-    q <=> p+1.  Minus branch, odd nu: (-x)**nu = -x**nu, so the map is the
-    plus map in y = -x, and its single negative root is the plus root
-    negated.  Minus branch, even nu: the negative roots, as many as _stable
-    counts; at q = p-1 the root -1 alone, though the other exists unless
-    p = nu+1.  Two roots that round to one float raise ValueError.  The
-    positive root of the minus branch (x**nu > p) is out of scope.
+    Plus branch: the single positive root, between 0 and 2**1024 (the
+    polynomial is -q at 0 and strictly increasing on (0, inf)); it sits
+    below, at, or above 1 according to q <=> p+1.  Minus branch, odd nu:
+    (-x)**nu = -x**nu, so the map is the plus map in y = -x, and its single
+    negative root is the plus root negated.  Minus branch, even nu: the
+    negative roots, as many as _stable counts; where there are two, the
+    polynomial is positive at -c between them and negative at 0 and towards
+    -inf, so the inner root lies between 0 and -c and the outer one between
+    -c and -2**1024.  At q = p-1 the root -1 alone, though the other exists
+    unless p = nu+1.  Two roots that round to one float raise ValueError.
+    A root past the largest float raises OverflowError.  The positive root
+    of the minus branch (x**nu > p) is out of scope.
     """
     p, q, nu = eq.p, eq.q, eq.nu
-    one, half, double = Fraction(1), Fraction(1, 2), Fraction(2)
-
     if eq.branch is Branch.MINUS and nu % 2 == 1:
         roots = [-plus.value for plus in equilibria(EquationSpec.plus(p, q, nu))]
     elif eq.branch is Branch.PLUS:
-        roots = [1.0 if q == p + 1 else _rounded_root(eq, one, half if q < p + 1 else double)]
+        roots = [_nearest_float(eq, _equilibrium_sign, Fraction(0), _PAST_MAX, -1)]
     elif q == p - 1:
         roots = [-1.0]
     elif (count := _stable(eq)) <= 0:
         roots = [float(-_critical_point(eq))] if count == 0 else []
     else:
-        start = -one if q < p - 1 else -_critical_point(eq)  # between the two roots
-        roots = [_rounded_root(eq, start, half), _rounded_root(eq, start, double)]
+        c = _critical_point(eq)  # the polynomial is positive at -c, between the two roots
+        roots = [_nearest_float(eq, _equilibrium_sign, -c, end, 1)
+                 for end in (Fraction(0), -_PAST_MAX)]
         if roots[0] == roots[1]:
             raise ValueError(f"two equilibria round to the one float {roots[0]!r}")
     return [EquilibriumReport(x, _bracket(x)) for x in roots]
@@ -302,7 +298,9 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     or for even nu on minus the polynomial's slope across the value, falling
     at the stable inner root.  The multiplier is a float evaluation of the
     map derivative, -q*nu*x**(nu-1) / (sign*p + x**nu)**2, or where its
-    numerator overflows -nu * (q/den) * (x**(nu-1)/den).
+    numerator overflows or its squared denominator underflows -nu * (q/den)
+    * (x**(nu-1)/den); where q itself underflows to 0.0 no float form is
+    left, and the division by 0.0 raises ZeroDivisionError.
     """
     x = report.value
     if not math.isfinite(x):
@@ -315,8 +313,9 @@ def classify_stability(eq: EquationSpec, report: EquilibriumReport) -> Equilibri
     q, nu = float(eq.q), eq.nu
     num, den = -q * nu * x ** (nu - 1), eq.denominator(float(x))
     try:
-        multiplier = (num / den ** 2 if math.isfinite(num)
-                      else -nu * (q / den) * (x ** (nu - 1) / den))  # num overflowed
+        # factored where num overflows or den**2 underflows (unless q did too)
+        multiplier = (num / den ** 2 if math.isfinite(num) and (den ** 2 or not q)
+                      else -nu * (q / den) * (x ** (nu - 1) / den))
     except OverflowError:  # den**2 overflows where num/den/den may be finite
         multiplier = num / den / den
     sign = _sign_of(below - above) if mixed else _stable(eq)  # +1 stable, 0, -1 unstable
@@ -398,22 +397,17 @@ def _mixed_cycle(eq: EquationSpec) -> Tuple[float, float]:
     alpha**nu > p > beta**nu (its image is positive): each the float nearest
     its point.  No equilibrium can enter the region alpha**nu > p (it forces
     the equilibrium polynomial negative), so any root is a prime cycle.
-    alpha is the root of _cycle_sign over (left, 0), left found by doubling,
-    where as alpha rises to the edge -p**(1/nu) B = q/(alpha**nu - p) grows,
-    so h(alpha) = |alpha|*(p - B**nu) - q is strictly decreasing where
-    B**nu < p and negative where B**nu >= p; past the edge it is None.
-    beta is the root of the same expression in the region x**nu < p over
-    (0, inf): with |alpha| = q/(p - beta**nu), k(beta) = beta*(|alpha|**nu -
-    p) - q is negative where |alpha|**nu <= p and strictly increasing
-    elsewhere, so it changes sign once, from - to +, and is None past the
-    edge p**(1/nu)."""
-    p, q, nu = eq.p, eq.q, eq.nu
-    far = max(float(q / p) + 2.0, float(p) ** (1.0 / nu) + 2.0, 4.0)
-    while _certified_sign(_cycle_sign, eq, Fraction(-far)) != 1:
-        far *= 2.0
-    alpha = _nearest_float(eq, _cycle_sign, Fraction(-far), Fraction(0), 1)
-    beta = _nearest_float(eq, lambda eq, x: _cycle_sign(eq, x, -1), Fraction(0),
-                          Fraction(2 ** 1024), -1)  # 2**1024: past the largest float
+    alpha is the root of _cycle_sign over (-2**1024, 0): with
+    B = q/(alpha**nu - p), h(alpha) = |alpha|*(p - B**nu) - q tends to +inf
+    as alpha -> -inf; as alpha rises to the edge -p**(1/nu) B grows, so h is
+    strictly decreasing where B**nu < p and negative where B**nu >= p; past
+    the edge it is None.  beta is the root of the same expression in the
+    region x**nu < p over (0, 2**1024): with |alpha| = q/(p - beta**nu),
+    k(beta) = beta*(|alpha|**nu - p) - q is negative where |alpha|**nu <= p
+    and strictly increasing elsewhere, so it changes sign once, from - to +,
+    and is None past the edge p**(1/nu)."""
+    alpha = _nearest_float(eq, _cycle_sign, -_PAST_MAX, Fraction(0), 1)
+    beta = _nearest_float(eq, lambda eq, x: _cycle_sign(eq, x, -1), Fraction(0), _PAST_MAX, -1)
     return alpha, beta
 
 

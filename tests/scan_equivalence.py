@@ -11,7 +11,8 @@ with no ratdyn predicate: x*(f(x)**nu + sign*p) - q, which has no pole where
 x**nu + sign*p != 0 and changes sign at each cycle point (extended past the
 mixed region's edge by its sign at the edge), must change sign between the
 midpoints to the point's two float neighbours, or be 0 at it.
-It also lists each `period2` invocation that exits 2.
+It also lists each `period2` invocation that exits 2, and prints each
+pass's time beside the number of certified signs it took.
 
 - Near-tangent scan (2,240 cells): nu 2-12, p in {1, 2, 3, 1/2, 5/3} and
   q = Fraction(q*)*(1 +- 10**-e) for e = 3..16, where q* is the float
@@ -135,14 +136,31 @@ def misses(results):
                     yield argv, x
 
 
+def counted_outputs():
+    """(list(outputs()), how many certified signs it took), counted through
+    a wrapper of analysis._certified_sign."""
+    count, certify = 0, analysis._certified_sign
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return certify(*args)
+
+    analysis._certified_sign = counting
+    try:
+        return list(outputs()), count
+    finally:
+        analysis._certified_sign = certify
+
+
 def main() -> int:
     start = time.perf_counter()
-    proposed = list(outputs())
+    proposed, proposed_signs = counted_outputs()
     middle = time.perf_counter()
     float_spec = analysis._float_spec
     analysis._float_spec = lambda eq: None  # no float proposal: the certified path alone
     try:
-        certified = list(outputs())
+        certified, certified_signs = counted_outputs()
     finally:
         analysis._float_spec = float_spec
     end = time.perf_counter()
@@ -158,7 +176,8 @@ def main() -> int:
     shipped, pinned = digest(proposed), DIGEST.read_text().strip()
     print(f"{len(proposed)} invocations, {len(differences)} differences, {len(missed)} cycle "
           f"points not the nearest float, {len(refused)} period2 exits 2 "
-          f"({middle - start:.1f} s proposed, {end - middle:.1f} s certified only)")
+          f"({middle - start:.1f} s and {proposed_signs} certified signs proposed, "
+          f"{end - middle:.1f} s and {certified_signs} certified only)")
     print(f"sha256 {shipped} ({'matches' if shipped == pinned else 'differs from'} "
           f"{DIGEST.name})")
     failed = differences or missed or len(proposed) != len(certified) or shipped != pinned

@@ -969,7 +969,7 @@ def test_stable_equals_the_integer_criterion():
 
 # --- float proposals, certified decisions --------------------------------------------
 
-PROPOSED = ("_rounded_root", "_nearest_float", "_sign_change")
+PROPOSED = ("_nearest_float", "_sign_change")
 
 
 def _tangent_q(p, nu):
@@ -994,7 +994,8 @@ def _proposal_cells():
         cells.append(EquationSpec.minus(10 ** rng.randint(0, 20), q, rng.choice((2, 4, 6, 8, 10, 20))))
     # floats propose a pair that the certificate refutes: (-, -) at (1, 2 + 2e-13, 2), (+, +) at
     # (2, 2**2.5*(1 + 1e-13), 2); (1, 3/2, 1600) and (1e6, 1/1000, 60) at large nu (a float
-    # x**nu overflows past beta's edge in several mixed cells above); an equilibrium
+    # x**nu overflows past beta's edge in several mixed cells above); (1/10, 10, 200) on
+    # minus, where alpha's floats overflow to their infinite limit; an equilibrium
     # 2**-700 from a rounding midpoint, whose sign there only 1024 bits decide
     tangent = Fraction(_tangent_q(2, 2))
     near_midpoint = 1 + Fraction(3, 2 ** 53) + Fraction(1, 2 ** 700)
@@ -1002,6 +1003,7 @@ def _proposal_cells():
                     EquationSpec.plus(2, tangent * (1 + Fraction(1, 10 ** 13)), 2),
                     EquationSpec.plus(1, Fraction(3, 2), 1600),
                     EquationSpec.minus(10 ** 6, Fraction(1, 1000), 60),
+                    EquationSpec.minus(Fraction(1, 10), 10, 200),
                     EquationSpec.plus(1, near_midpoint ** 11 + near_midpoint, 10)]
 
 
@@ -1088,11 +1090,14 @@ def test_certified_signs_equal_exact_signs_on_the_differential_cells(monkeypatch
     # Every point these searches certify, at every level of the ladder: the
     # enclosure abstains or gives the exact sign, and each level is the
     # first to decide some point, as is the exact evaluation.  The cycle
-    # predicate at (1, 3/2, 1600) nests powers of ~53*1600**2 bits, seconds
-    # an exact sign, so there the levels are held to the certified sign.
+    # predicate at (1, 3/2, 1600) nests powers of ~53*1600**2 bits, and at
+    # (1/10, 10, 200) on minus, near beta's point below 2**-1074, of
+    # ~1075*200**2 bits: seconds an exact sign, so from nu = 200 the levels
+    # are held to the certified sign.
     first = dict.fromkeys((*LADDER, "exact"), 0)
     for (predicate, eq, x), certified in _recorded_signs(monkeypatch).items():
-        costly = predicate is not analysis._equilibrium_sign and eq.nu > 200
+        costly = eq.nu >= 200 and predicate not in (analysis._equilibrium_sign,
+                                                     analysis._criterion_sign)
         exact = certified if costly else predicate(eq, x)
         assert certified == exact, (predicate, eq, x)
         filtered = [_filtered_sign(predicate, eq, x, bits) for bits in LADDER]
@@ -1302,19 +1307,20 @@ def test_a_near_miss_proposal_gallops_to_the_change(monkeypatch):
 
 
 def test_equilibria_sign_work(monkeypatch):
-    # Counts of certified signs, not time: the steps to the bracket, its two
-    # confirmed floats and the midpoint between them.  At nu = 20,000 the
-    # floats are wrong a few ulps from the flat roots, so this counts the
-    # gallop too (53 signs where a refuted pair restarted the search).
+    # Counts of certified signs, not time: a root's two confirmed floats and
+    # the midpoint between them, plus _stable's one sign where there are two
+    # roots.  At nu = 20,000 the floats are wrong a few ulps from the flat
+    # roots, so this counts the gallop too (53 signs where a refuted pair
+    # restarted the search).
     for nu in (2, 100, 400, 1600):
         _, signs = _counted_certificates(monkeypatch, lambda: equilibria(EquationSpec.plus(2, 5, nu)))
-        assert signs == 5, (nu, signs)
+        assert signs == 3, (nu, signs)
     eq = EquationSpec.minus(100000, Fraction(199999, 2), 20000)
     roots, signs = _counted_certificates(monkeypatch, lambda: equilibria(eq))
-    assert len(roots) == 2 and signs <= 20, signs
+    assert len(roots) == 2 and signs <= 10, signs
     # Two roots of even nu on minus at q = p - 1 + f*(q_max - p + 1), q_max
-    # the float double-root value: 136 cells, 3,760 signs by the dyadic cells
-    # of the parent, 3,883 where a refuted pair restarts the search.
+    # the float double-root value: 136 cells, 1,290 signs (3,883 where a
+    # refuted pair restarts the search).
     cells = []
     for nu in (2, 4, 10, 20, 50, 100, 400):
         for p in (3, 10, 100, 1000, 10 ** 5):
@@ -1323,20 +1329,24 @@ def test_equilibria_sign_work(monkeypatch):
                       for f in (Fraction(1, 7), Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000))]
     cells = [eq for eq in cells if eq.q > eq.p - 1 and analysis._stable(eq) > 0]
     _, signs = _counted_certificates(monkeypatch, lambda: [equilibria(eq) for eq in cells])
-    assert len(cells) == 136 and signs <= 2200, signs
+    assert len(cells) == 136 and signs <= 1400, signs
 
 
-def test_a_root_far_from_the_start_takes_log_many_steps(monkeypatch):
-    # The step factor squares after each step, so a root 2**k or 2**-k from
-    # the start is bracketed in ~log2(k) certified signs, where steps of 2
-    # took k: at most log2(k) + 6 a root, the rounding included.  The roots
-    # near 10**-100000 and 10**50000 round to 0.0 and overflow a float.
-    cases = [(EquationSpec.plus(10 ** 300, 1), [1e-300], [997]),
-             (EquationSpec.plus(1, 10 ** 300), [1e150], [498]),
-             (EquationSpec.minus(10 ** 300, 1, 2), [-1e-300, -1e150], [997, 498]),
-             (EquationSpec.plus(10 ** 100000, 1), [0.0], [332193]),
-             (EquationSpec.plus(1, 10 ** 100000), OverflowError, [166096])]
-    for eq, want, steps in cases:
+def test_a_root_far_from_one_takes_a_fixed_sign_budget(monkeypatch):
+    # Every root is searched between ends the equation gives (0, -c or
+    # +-2**1024), so its distance from 1 costs no bracket steps.
+    # Where p and q are floats, the floats propose the root: its two
+    # confirmed floats and their midpoint, plus _stable's one sign for two
+    # roots.  Where p or q is past the float range nothing proposes, and the
+    # certified bisection of the ~2**63 float indices takes up to 64 signs,
+    # plus 3 a root.  The roots near 10**-100000 and 10**50000 round to 0.0
+    # and overflow a float.
+    cases = [(EquationSpec.plus(10 ** 300, 1), [1e-300], 3),
+             (EquationSpec.plus(1, 10 ** 300), [1e150], 3),
+             (EquationSpec.minus(10 ** 300, 1, 2), [-1e-300, -1e150], 7),
+             (EquationSpec.plus(10 ** 100000, 1), [0.0], 64 + 3),
+             (EquationSpec.plus(1, 10 ** 100000), OverflowError, 64 + 3)]
+    for eq, want, budget in cases:
         def run():
             try:
                 return [report.value for report in equilibria(eq)]
@@ -1344,7 +1354,16 @@ def test_a_root_far_from_the_start_takes_log_many_steps(monkeypatch):
                 return OverflowError
         roots, signs = _counted_certificates(monkeypatch, run)
         assert roots == want, eq
-        assert signs <= sum(math.log2(k) + 6 for k in steps), (eq, signs)
+        assert signs <= budget, (eq, signs)
+
+
+def test_mixed_cycle_sign_work(monkeypatch):
+    # alpha is searched from -2**1024, its floats proposing the infinite
+    # limit where x**nu overflows: two confirmed floats and a midpoint a
+    # point, 5 and 6 signs here.
+    for eq in (EquationSpec.minus(Fraction(1, 10), 10, 200), EquationSpec.minus(3, 1, 2000)):
+        _, signs = _counted_certificates(monkeypatch, lambda: analysis._mixed_cycle(eq))
+        assert signs <= 8, (eq, signs)
 
 
 def _certified_signs(monkeypatch, eq):

@@ -540,6 +540,8 @@ def test_analyze_json(capsys):
     # a finite numerator, in the last two over an overflowing squared denominator
     ("plus", "1", "2", "6"), ("plus", "1/10", "10", "400"), ("plus", "1e155", "1", "1"),
     ("minus", "1e160", "3", "1"),
+    # the squared denominator underflows where the multiplier is near -nu
+    ("plus", "1e-300", "1e-300", "2"), ("minus", "1e-300", "1e-300", "3"),
 ])
 def test_analyze_prints_the_multiplier_at_the_printed_root(capsys, branch, p, q, nu):
     # within a few ulps of the exact derivative -q*nu*x**(nu-1)/(x**nu + sign*p)**2
